@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .complex_gamma import is_near_nonpositive_int, log_gamma, reciprocal_gamma
+from .complex_gamma import log_gamma, nearest_nonpositive_int, reciprocal_gamma
 from .errors import ConvergenceDomainError, PoleError
 
 # 1/d appears in every extension theorem; closer to zero than this and the
@@ -38,7 +38,7 @@ def _check_d(d: complex) -> complex:
     d = complex(d)
     if abs(d) < D_MIN_ABS:
         raise PoleError(f"extension parameter d = {d} is too close to 0")
-    if is_near_nonpositive_int(d, D_POLE_TOLERANCE):
+    if nearest_nonpositive_int(d, D_POLE_TOLERANCE) is not None:
         raise PoleError(
             f"extension parameter d = {d} is within {D_POLE_TOLERANCE} of a "
             "non-positive integer"
@@ -53,7 +53,7 @@ def gamma_ratio(numerator, denominator) -> complex:
     denominator arguments makes the ratio zero.
     """
     for z in denominator:
-        if is_near_nonpositive_int(complex(z)):
+        if nearest_nonpositive_int(complex(z)) is not None:
             return 0.0 + 0.0j
     acc = 0.0 + 0.0j
     for z in numerator:

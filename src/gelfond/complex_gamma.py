@@ -33,10 +33,16 @@ POLE_TOLERANCE = 1e-12
 REFLECTION_IM_LIMIT = 30.0
 
 
-def is_near_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> bool:
-    """True when z is within ``tol`` of one of 0, -1, -2, ..."""
+def nearest_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> int | None:
+    """The k in 0, -1, -2, ... within ``tol`` of z, or None.
+
+    Three tolerances are in use: POLE_TOLERANCE = 1e-12 for the poles of
+    gamma, series.NEAR_INT_TOLERANCE = 1e-9 for series parameters (the
+    truncation and lower-pole guards), and closed_forms.D_POLE_TOLERANCE =
+    1e-6 for the extension parameter d.
+    """
     k = round(z.real)
-    return k <= 0 and abs(z - k) <= tol
+    return k if k <= 0 and abs(z - k) <= tol else None
 
 
 def sin_pi(z: complex) -> complex:
@@ -55,7 +61,7 @@ def log_gamma(z: complex) -> complex:
     RangeError when the reflection path would need |Im z| > 30.
     """
     z = complex(z)
-    if is_near_nonpositive_int(z):
+    if nearest_nonpositive_int(z) is not None:
         raise PoleError(f"log_gamma: {z} is within {POLE_TOLERANCE} of a pole")
     if z.real < 0.5:
         if abs(z.imag) > REFLECTION_IM_LIMIT:
@@ -87,6 +93,6 @@ def reciprocal_gamma(z: complex) -> complex:
     the poles of Gamma.  Lets formulas with gamma factors in denominators
     take their finite limits instead of raising."""
     z = complex(z)
-    if is_near_nonpositive_int(z):
+    if nearest_nonpositive_int(z) is not None:
         return 0.0 + 0.0j
     return cmath.exp(-log_gamma(z))

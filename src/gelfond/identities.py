@@ -27,9 +27,8 @@ the report shows exactly which form is reproducible:
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
@@ -170,6 +169,9 @@ def gelfond_lambda(lam: float) -> float:
     lam = float(lam)
     if not (abs(lam) <= LAMBDA_LIMIT):
         raise RangeError(f"lambda = {lam} outside |lambda| <= {LAMBDA_LIMIT}")
+    if lam < 0.0:
+        # the cosh- and sinh-sized terms below cancel for lam < 0
+        return 1.0 / gelfond_lambda(-lam)
     value = (
         cf.gauss_unit(I * lam, -I * lam, 0.5)
         + 2.0 * lam * cf.gauss_unit(0.5 + I * lam, 0.5 - I * lam, 1.5)
@@ -259,10 +261,10 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
         case = theorem1(d1, d2, case_id=f"cor1-n{n}")
         c_plus, c_minus = theorem1_coefficients(d1, d2)
         assert (c_plus, c_minus) == (Fraction(n), Fraction(0))
-        return _replace(case,
-                        id=f"cor1-n{n}",
-                        description=f"corollary family 1, n={n}: n*e^pi",
-                        parameters={"n": n, "d1": d1, "d2": d2})
+        return replace(case,
+                       id=f"cor1-n{n}",
+                       description=f"corollary family 1, n={n}: n*e^pi",
+                       parameters={"n": n, "d1": d1, "d2": d2})
 
     if kind == "cor2":
         c_plus, c_minus = theorem1_coefficients(d1, d2)
@@ -283,38 +285,38 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
                         "corrected companion uses lower parameter 5/2",
             )
         case = theorem1(d1, d2, case_id=f"cor2-n{n}")
-        return _replace(case,
-                        id=f"cor2-n{n}",
-                        description=f"corollary family 2, n={n}: n*e^-pi "
-                                    "(second series lower parameter corrected to 5/2)",
-                        parameters={"n": n, "d1": d1, "d2": d2},
-                        erratum="second series lower parameter 5/2, "
-                                "not the printed 3/2")
+        return replace(case,
+                       id=f"cor2-n{n}",
+                       description=f"corollary family 2, n={n}: n*e^-pi "
+                                   "(second series lower parameter corrected to 5/2)",
+                       parameters={"n": n, "d1": d1, "d2": d2},
+                       erratum="second series lower parameter 5/2, "
+                               "not the printed 3/2")
 
     if kind == "cor3":
         case = theorem1(d1, d2, case_id="")
         c_plus, c_minus = theorem1_coefficients(d1, d2)
         if printed:
             assert c_plus == c_minus == 4 * n - Fraction(3, 10)
-            return _replace(case,
-                            id=f"cor3-n{n}-printed",
-                            description=(
-                                f"corollary family 3, n={n}, as-printed d1: "
-                                "evaluates to (4n-3/10)(e^pi+e^-pi), not the "
-                                "claimed n(e^pi+e^-pi)"
-                            ),
-                            parameters={"n": n, "d1": d1, "d2": d2},
-                            erratum="printed d1 = 1/(2(10n-1)) does not "
-                                    "reproduce n(e^pi+e^-pi); corrected "
-                                    "companion uses d1 = 2/(10n-1)")
+            return replace(case,
+                           id=f"cor3-n{n}-printed",
+                           description=(
+                               f"corollary family 3, n={n}, as-printed d1: "
+                               "evaluates to (4n-3/10)(e^pi+e^-pi), not the "
+                               "claimed n(e^pi+e^-pi)"
+                           ),
+                           parameters={"n": n, "d1": d1, "d2": d2},
+                           erratum="printed d1 = 1/(2(10n-1)) does not "
+                                   "reproduce n(e^pi+e^-pi); corrected "
+                                   "companion uses d1 = 2/(10n-1)")
         assert c_plus == c_minus == Fraction(n)
-        return _replace(case,
-                        id=f"cor3-n{n}-corrected",
-                        description=f"corollary family 3, n={n}, corrected "
-                                    "d1 = 2/(10n-1): n(e^pi+e^-pi)",
-                        parameters={"n": n, "d1": d1, "d2": d2},
-                        erratum="d1 corrected from the printed 1/(2(10n-1)) "
-                                "to 2/(10n-1)")
+        return replace(case,
+                       id=f"cor3-n{n}-corrected",
+                       description=f"corollary family 3, n={n}, corrected "
+                                   "d1 = 2/(10n-1): n(e^pi+e^-pi)",
+                       parameters={"n": n, "d1": d1, "d2": d2},
+                       erratum="d1 corrected from the printed 1/(2(10n-1)) "
+                               "to 2/(10n-1)")
 
     if kind == "cor4":
         if printed:
@@ -322,16 +324,12 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
         case = theorem2(d1, d2, case_id=f"cor4-n{n}")
         c_plus, c_minus = theorem2_coefficients(d1, d2)
         assert (c_plus, c_minus) == (Fraction(n), Fraction(0))
-        return _replace(case,
-                        id=f"cor4-n{n}",
-                        description=f"corollary family 4, n={n}: n*e^(pi/2)",
-                        parameters={"n": n, "d1": d1, "d2": d2})
+        return replace(case,
+                       id=f"cor4-n{n}",
+                       description=f"corollary family 4, n={n}: n*e^(pi/2)",
+                       parameters={"n": n, "d1": d1, "d2": d2})
 
     raise ValueError(f"unknown corollary kind {kind!r}")
-
-
-def _replace(case: IdentityCase, **changes) -> IdentityCase:
-    return dataclasses.replace(case, **changes)
 
 
 def _lambda_case(lam, case_id: str) -> IdentityCase:
@@ -357,10 +355,10 @@ def _lambda_case(lam, case_id: str) -> IdentityCase:
 
 def _eq11_case() -> IdentityCase:
     case = _lambda_case(Fraction(1), "eq1.1")
-    return _replace(case,
-                    description="e^pi as a sum of two unit-argument Gauss values",
-                    parameters={},
-                    closed_tol=CLOSED_TOL_UNIT)
+    return replace(case,
+                   description="e^pi as a sum of two unit-argument Gauss values",
+                   parameters={},
+                   closed_tol=CLOSED_TOL_UNIT)
 
 
 def _bessel_case() -> IdentityCase:
@@ -459,7 +457,7 @@ def registry() -> list[IdentityCase]:
     cases.append(_bessel_case())
     cases.append(_sphere_case())
     for k, (d1, d2) in enumerate(THEOREM1_GRID, start=1):
-        cases.append(_replace(theorem1(d1, d2), id=f"thm1-g{k}"))
+        cases.append(replace(theorem1(d1, d2), id=f"thm1-g{k}"))
     for n in (1, 2, 3):
         cases.append(corollary_case("cor1", n))
     for n in (1, 2, 3):
@@ -473,11 +471,11 @@ def registry() -> list[IdentityCase]:
     cases.append(_sqrt_case("eq4.1a", +1))
     cases.append(_sqrt_case("eq4.1b", -1))
     for k, (d1, d2) in enumerate(THEOREM2_GRID, start=1):
-        cases.append(_replace(theorem2(d1, d2), id=f"thm2-g{k}"))
+        cases.append(replace(theorem2(d1, d2), id=f"thm2-g{k}"))
     for lam in LAMBDA_GRID:
         cases.append(_lambda_case(lam, f"eq4.6-lam{float(lam):g}"))
     minus_half = _lambda_case(Fraction(-1, 2), "eq4.7")
-    cases.append(_replace(
+    cases.append(replace(
         minus_half,
         description="alternative e^(-pi/2) expression "
                     "(lambda = -1/2 in the parameterized identity)",

@@ -6,12 +6,12 @@ At unit argument the series with p = q + 1 converge only algebraically
 (term magnitudes ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so
 sum_pfq_unit accelerates the partial sums with a Levin u-transform.
 
-The u-transform itself is evaluated in exact rational arithmetic on the
-binary64 terms: at transform order k the alternating binomial weights
-cancel ~k digits, which at k = 20 would otherwise consume most of a
-binary64 significand.  Exact evaluation leaves only the transform's model
-truncation error, which the consecutive-order differences estimate
-faithfully.
+The u-transform itself is evaluated in exact integer arithmetic, on the
+binary64 terms scaled to Gaussian integers by one common power of two: at
+transform order k the alternating binomial weights cancel ~k digits, which
+at k = 20 would otherwise consume most of a binary64 significand.  Exact
+evaluation leaves only the transform's model truncation error, which the
+consecutive-order differences estimate faithfully.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb
 
+from .complex_gamma import nearest_nonpositive_int
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
 
 _EPS = 2.220446049250313e-16
@@ -41,13 +41,6 @@ class SumStatus(Enum):
     TRUNCATED = "Truncated"
     MAX_TERMS_EXCEEDED = "MaxTermsExceeded"
     DIVERGENT = "Divergent"
-
-
-def _nearest_nonpositive_int(z: complex, tol: float) -> int | None:
-    k = round(z.real)
-    if k <= 0 and abs(z - k) <= tol:
-        return k
-    return None
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,7 @@ class SeriesSpec:
             raise ValueError(f"p = {p} > q + 1 = {q + 1}: series diverges for z != 0")
         trunc = self.truncation_degree()
         for b in self.lower:
-            k = _nearest_nonpositive_int(b, NEAR_INT_TOLERANCE)
+            k = nearest_nonpositive_int(b, NEAR_INT_TOLERANCE)
             if k is None:
                 continue
             # A non-positive-integer lower parameter is tolerable only when an
@@ -88,7 +81,7 @@ class SeriesSpec:
         no upper parameter truncates."""
         degrees = []
         for a in self.upper:
-            k = _nearest_nonpositive_int(a, NEAR_INT_TOLERANCE)
+            k = nearest_nonpositive_int(a, NEAR_INT_TOLERANCE)
             if k is not None:
                 degrees.append(-k)
         return min(degrees) if degrees else None
@@ -103,15 +96,12 @@ class SeriesSpec:
 class SumPolicy:
     tolerance: float = 1e-13
     max_terms: int = 10**6
-    unit_argument_mode: str = "accelerate"   # "accelerate" | "reject"
 
     def __post_init__(self):
         if not (self.tolerance >= 1e-15):
             raise ValueError("tolerance must be >= 1e-15")
         if self.max_terms < 10:
             raise ValueError("max_terms must be >= 10")
-        if self.unit_argument_mode not in ("accelerate", "reject"):
-            raise ValueError("unit_argument_mode must be 'accelerate' or 'reject'")
 
 
 @dataclass(frozen=True)
@@ -188,92 +178,62 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
 
 
 # ----------------------------------------------------------------------
-# Levin u-transform, exact-rational kernel
+# Levin u-transform, exact-integer kernel
 # ----------------------------------------------------------------------
 
-def _levin_orders_real(terms: list[float], beta: int = 1,
-                       max_order: int = LEVIN_MAX_ORDER) -> list[float] | None:
-    """u-transform values for orders 1..K on a real term window, computed in
-    exact rational arithmetic.  None when a term is exactly zero (remainder
-    estimates omega_n = (beta+n) t_n are then undefined)."""
-    fracs = [Fraction(t) for t in terms]
-    if any(f == 0 for f in fracs):
-        return None
-    sums: list[Fraction] = []
-    acc = Fraction(0)
-    for f in fracs:
-        acc += f
-        sums.append(acc)
-    ratio = [sums[j] / ((beta + j) * fracs[j]) for j in range(len(fracs))]
-    recip = [1 / ((beta + j) * fracs[j]) for j in range(len(fracs))]
-    out: list[float] = []
-    for k in range(1, min(max_order, len(terms) - 1) + 1):
-        num = Fraction(0)
-        den = Fraction(0)
-        for j in range(k + 1):
-            w = comb(k, j) * (beta + j) ** (k - 1)
-            if j & 1:
-                w = -w
-            num += w * ratio[j]
-            den += w * recip[j]
-        if den == 0:
-            continue
-        out.append(float(num / den))
-    return out if out else None
+def _gauss_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _levin_orders_complex(terms: list[complex], beta: int = 1,
-                          max_order: int = LEVIN_MAX_ORDER) -> list[complex] | None:
-    """Complex-term variant of _levin_orders_real (components kept as exact
-    Fraction pairs)."""
-    re = [Fraction(t.real) for t in terms]
-    im = [Fraction(t.imag) for t in terms]
-    if any(r == 0 and i == 0 for r, i in zip(re, im)):
+def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
+    """u-transform values for orders 1..LEVIN_MAX_ORDER on a term window,
+    computed exactly in integers.  None when a term is exactly zero
+    (remainder estimates omega_j = (beta+j) t_j are then undefined).
+
+    Every binary64 part is dyadic, so with one common power of two D each
+    term is a Gaussian integer m_j / D.  With g_j = (beta+j) m_j and
+    c_j = prod_{i != j} g_i, order k is
+        u_k = sum_j w_j M_j c_j / (D sum_j w_j c_j),
+    M_j the partial sums of the m_j; the common factor prod g_j / D of
+    S_j/omega_j and 1/omega_j has cancelled.  Each part of u_k is then one
+    correctly rounded int / int.
+    """
+    parts = [(t.real.as_integer_ratio(), t.imag.as_integer_ratio()) for t in terms]
+    scale = max(max(da, db) for (_, da), (_, db) in parts)
+    m = [(a * (scale // da), b * (scale // db)) for (a, da), (b, db) in parts]
+    if (0, 0) in m:
         return None
-    s_re: list[Fraction] = []
-    s_im: list[Fraction] = []
-    ar, ai = Fraction(0), Fraction(0)
-    for r, i in zip(re, im):
-        ar += r
-        ai += i
-        s_re.append(ar)
-        s_im.append(ai)
-    ratio: list[tuple[Fraction, Fraction]] = []
-    recip: list[tuple[Fraction, Fraction]] = []
-    for j in range(len(terms)):
-        b = beta + j
-        wr, wi = b * re[j], b * im[j]
-        norm = wr * wr + wi * wi
-        # 1/omega and S/omega via multiplication by conj(omega)/|omega|^2
-        recip.append((wr / norm, -wi / norm))
-        rr = (s_re[j] * wr + s_im[j] * wi) / norm
-        ri = (s_im[j] * wr - s_re[j] * wi) / norm
-        ratio.append((rr, ri))
+    g = [((beta + j) * a, (beta + j) * b) for j, (a, b) in enumerate(m)]
+    prefix = [(1, 0)]
+    for x in g[:-1]:
+        prefix.append(_gauss_mul(prefix[-1], x))
+    c = [(0, 0)] * len(g)
+    suffix = (1, 0)
+    for j in reversed(range(len(g))):
+        c[j] = _gauss_mul(prefix[j], suffix)
+        suffix = _gauss_mul(suffix, g[j])
+    mc = []
+    sr = si = 0
+    for (a, b), cj in zip(m, c):
+        sr += a
+        si += b
+        mc.append(_gauss_mul((sr, si), cj))
     out: list[complex] = []
-    for k in range(1, min(max_order, len(terms) - 1) + 1):
-        nr = ni = dr = di = Fraction(0)
+    for k in range(1, min(LEVIN_MAX_ORDER, len(terms) - 1) + 1):
+        nr = ni = dr = di = 0
         for j in range(k + 1):
             w = comb(k, j) * (beta + j) ** (k - 1)
             if j & 1:
                 w = -w
-            nr += w * ratio[j][0]
-            ni += w * ratio[j][1]
-            dr += w * recip[j][0]
-            di += w * recip[j][1]
-        norm = dr * dr + di * di
+            nr += w * mc[j][0]
+            ni += w * mc[j][1]
+            dr += w * c[j][0]
+            di += w * c[j][1]
+        norm = scale * (dr * dr + di * di)
         if norm == 0:
             continue
-        out.append(complex(float((nr * dr + ni * di) / norm),
-                           float((ni * dr - nr * di) / norm)))
+        out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
     return out if out else None
-
-
-def _levin_orders(terms: list[complex], beta: int = 1,
-                  max_order: int = LEVIN_MAX_ORDER) -> list[complex] | None:
-    if all(t.imag == 0.0 for t in terms):
-        vals = _levin_orders_real([t.real for t in terms], beta, max_order)
-        return None if vals is None else [complex(v) for v in vals]
-    return _levin_orders_complex(terms, beta, max_order)
 
 
 def _pick_transform(values: list[complex]) -> tuple[complex, float] | None:
@@ -292,9 +252,9 @@ def _pick_transform(values: list[complex]) -> tuple[complex, float] | None:
     return best[1], best[0]
 
 
-def levin_accelerate(terms, beta: float = 1.0,
-                     max_order: int = LEVIN_MAX_ORDER) -> tuple[complex, float]:
-    """Levin u-transform estimate of sum(terms + tail).
+def levin_accelerate(terms) -> tuple[complex, float]:
+    """Levin u-transform estimate of sum(terms + tail), at beta = 1 and
+    orders up to LEVIN_MAX_ORDER.
 
     Returns (value, error_estimate) where the estimate is the difference of
     the last two transform orders used.  Requires at least 8 terms of a
@@ -305,7 +265,7 @@ def levin_accelerate(terms, beta: float = 1.0,
         raise InsufficientTermsError(
             f"levin_accelerate needs >= 8 terms, got {len(terms)}"
         )
-    values = _levin_orders(terms, beta=int(beta), max_order=max_order)
+    values = _levin_orders(terms, 1)
     if values is None:
         raise ValueError("levin_accelerate: zero term in input (omega undefined)")
     picked = _pick_transform(values)
@@ -366,7 +326,7 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         improved = False
         betas = (1,) if offset < 2 else (1, offset + 1)
         for beta in betas:
-            values = _levin_orders(win, beta=beta)
+            values = _levin_orders(win, beta)
             picked = _pick_transform(values) if values is not None else None
             if picked is None:
                 continue
@@ -422,8 +382,7 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     """Evaluate pFq(upper; lower; z) to the policy tolerance.
 
     p = q+1 series require |z| < 1; z = 1 exactly is routed to
-    sum_pfq_unit (unless the policy rejects unit arguments), and other
-    unit-modulus arguments are not supported.
+    sum_pfq_unit, and other unit-modulus arguments are not supported.
     """
     if len(spec.upper) == len(spec.lower) + 1:
         r = abs(spec.argument)
@@ -433,11 +392,6 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
             )
         if r == 1.0:
             if spec.argument == 1.0 + 0.0j:
-                if policy.unit_argument_mode == "reject":
-                    raise ValueError(
-                        "unit-argument summation disabled by policy "
-                        "(unit_argument_mode='reject')"
-                    )
                 return sum_pfq_unit(spec, policy)
             if spec.truncation_degree() is None:
                 raise ValueError(
@@ -456,7 +410,7 @@ def contiguous_reduce_3f2(a: complex, b: complex, c: complex, d: complex,
     """
     a, b, c, d, z = (complex(v) for v in (a, b, c, d, z))
     for name, v in (("c", c), ("d", d)):
-        if _nearest_nonpositive_int(v, NEAR_INT_TOLERANCE) is not None:
+        if nearest_nonpositive_int(v, NEAR_INT_TOLERANCE) is not None:
             raise PoleError(
                 f"contiguous_reduce_3f2: parameter {name} = {v} is within "
                 f"{NEAR_INT_TOLERANCE} of a non-positive integer"

@@ -157,6 +157,14 @@ def test_constants_command(capsys):
     assert all(r["rel_residual"] <= r["tolerance"] for r in rows)
 
 
+def test_constants_negative_lambda(capsys):
+    code = main(["constants", "--lambda", "-5", "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rows[-1]["name"] == "e^(pi*-5)"
+    assert rows[-1]["rel_residual"] <= rows[-1]["tolerance"]
+
+
 def test_heegner_command(capsys):
     code = main(["heegner", "--n", "19", "--format", "json"])
     rows = json.loads(capsys.readouterr().out)

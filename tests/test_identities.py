@@ -81,6 +81,9 @@ def test_gelfond_lambda_values():
     assert rel_err(gelfond_lambda(1.0), E_PI) <= 1e-13
     assert gelfond_lambda(0.0) == pytest.approx(1.0, rel=1e-13)
     assert rel_err(gelfond_lambda(0.5), math.exp(math.pi / 2)) <= 1e-13
+    for k in range(-60, 61):
+        lam = k / 4
+        assert rel_err(gelfond_lambda(lam), math.exp(math.pi * lam)) <= 1e-11, lam
 
 
 def test_gelfond_lambda_domain():

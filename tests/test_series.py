@@ -47,8 +47,6 @@ def test_policy_validation():
         SumPolicy(tolerance=1e-16)
     with pytest.raises(ValueError):
         SumPolicy(max_terms=5)
-    with pytest.raises(ValueError):
-        SumPolicy(unit_argument_mode="maybe")
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +99,6 @@ def test_divergent_outside_unit_disk():
 def test_unit_modulus_off_one_unsupported():
     with pytest.raises(ValueError):
         sum_pfq(SeriesSpec((1, 1), (2,), -1.0))
-
-
-def test_unit_reject_mode():
-    with pytest.raises(ValueError):
-        sum_pfq(SeriesSpec((I, -I), (0.5,), 1.0),
-                SumPolicy(unit_argument_mode="reject"))
 
 
 def test_max_terms_exceeded_status():
