@@ -239,6 +239,8 @@ def _cmd_eval(args) -> int:
         lines = [f"{k} = {_fmt_float(v) if isinstance(v, float) else v}"
                  for k, v in row.items()]
         _emit("\n".join(lines) + "\n", args.out)
+    if result.status is SumStatus.DIVERGENT:
+        return 2
     return 0 if result.status in (SumStatus.CONVERGED, SumStatus.TRUNCATED) else 1
 
 

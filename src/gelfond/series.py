@@ -11,7 +11,12 @@ binary64 terms scaled to Gaussian integers by one common power of two: at
 transform order k the alternating binomial weights cancel ~k digits, which
 at k = 20 would otherwise consume most of a binary64 significand.  Exact
 evaluation leaves only the transform's model truncation error, which the
-consecutive-order differences estimate faithfully.
+consecutive-order differences estimate faithfully.  The long products run
+over the scaled terms alone: the factors beta + j of the remainder estimates
+sit in small integer weights, cached per beta.  Each part of each order is
+one correctly rounded int / int, over a real denominator whenever the
+window's terms are real, so the orders are the binary64 roundings of the
+exact rational transform values.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import comb
 
 from .complex_gamma import nearest_nonpositive_int
@@ -185,54 +191,70 @@ def _gauss_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+@lru_cache(maxsize=64)
+def _levin_weights(beta: int) -> tuple[tuple[int, ...], ...]:
+    """Integer weights of orders 1..LEVIN_MAX_ORDER at this beta: row k holds
+    v_kj = (-1)^j C(k, j) (beta+j)^(k-2) for j = 0..k, and row 1, whose
+    exponent is -1, is scaled by beta (beta+1) to (beta+1, -beta)."""
+    rows = [(beta + 1, -beta)]
+    for k in range(2, LEVIN_MAX_ORDER + 1):
+        rows.append(tuple((-1) ** j * comb(k, j) * (beta + j) ** (k - 2)
+                          for j in range(k + 1)))
+    return tuple(rows)
+
+
 def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
     """u-transform values for orders 1..LEVIN_MAX_ORDER on a term window,
     computed exactly in integers.  None when a term is exactly zero
     (remainder estimates omega_j = (beta+j) t_j are then undefined).
 
     Every binary64 part is dyadic, so with one common power of two D each
-    term is a Gaussian integer m_j / D.  With g_j = (beta+j) m_j and
-    c_j = prod_{i != j} g_i, order k is
-        u_k = sum_j w_j M_j c_j / (D sum_j w_j c_j),
-    M_j the partial sums of the m_j; the common factor prod g_j / D of
-    S_j/omega_j and 1/omega_j has cancelled.  Each part of u_k is then one
-    correctly rounded int / int.
+    term is a Gaussian integer m_j / D.  Scaling S_j/omega_j and 1/omega_j by
+    the common factor prod_i m_i / D leaves, with R_j = prod_{i != j} m_i,
+    M_j the partial sums of the m_j and the weights v_kj of _levin_weights
+    (which absorb the 1/(beta+j), so the long products carry no beta),
+        u_k = sum_j v_kj M_j R_j / (D sum_j v_kj R_j).
+    Each part of u_k is then one correctly rounded int / int: over D dr when
+    the denominator dr + i di is real, as in every real window, after a sign
+    flip that keeps zero parts +0.0; over D |den|^2 otherwise.
     """
     parts = [(t.real.as_integer_ratio(), t.imag.as_integer_ratio()) for t in terms]
     scale = max(max(da, db) for (_, da), (_, db) in parts)
     m = [(a * (scale // da), b * (scale // db)) for (a, da), (b, db) in parts]
     if (0, 0) in m:
         return None
-    g = [((beta + j) * a, (beta + j) * b) for j, (a, b) in enumerate(m)]
     prefix = [(1, 0)]
-    for x in g[:-1]:
+    for x in m[:-1]:
         prefix.append(_gauss_mul(prefix[-1], x))
-    c = [(0, 0)] * len(g)
+    r = [(0, 0)] * len(m)
     suffix = (1, 0)
-    for j in reversed(range(len(g))):
-        c[j] = _gauss_mul(prefix[j], suffix)
-        suffix = _gauss_mul(suffix, g[j])
-    mc = []
+    for j in reversed(range(len(m))):
+        r[j] = _gauss_mul(prefix[j], suffix)
+        suffix = _gauss_mul(suffix, m[j])
+    mr = []
     sr = si = 0
-    for (a, b), cj in zip(m, c):
+    for (a, b), rj in zip(m, r):
         sr += a
         si += b
-        mc.append(_gauss_mul((sr, si), cj))
+        mr.append(_gauss_mul((sr, si), rj))
     out: list[complex] = []
-    for k in range(1, min(LEVIN_MAX_ORDER, len(terms) - 1) + 1):
+    for row in _levin_weights(beta)[:len(terms) - 1]:
         nr = ni = dr = di = 0
-        for j in range(k + 1):
-            w = comb(k, j) * (beta + j) ** (k - 1)
-            if j & 1:
-                w = -w
-            nr += w * mc[j][0]
-            ni += w * mc[j][1]
-            dr += w * c[j][0]
-            di += w * c[j][1]
-        norm = scale * (dr * dr + di * di)
-        if norm == 0:
-            continue
-        out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
+        for v, (ar, ai), (br, bi) in zip(row, mr, r):
+            nr += v * ar
+            ni += v * ai
+            dr += v * br
+            di += v * bi
+        if di == 0:
+            if dr == 0:
+                continue
+            if dr < 0:
+                nr, ni, dr = -nr, -ni, -dr
+            den = scale * dr
+            out.append(complex(nr / den, ni / den))
+        else:
+            norm = scale * (dr * dr + di * di)
+            out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
     return out if out else None
 
 

@@ -72,6 +72,14 @@ def test_eval_divergent_request_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_divergent_unit_argument_is_usage_error(capsys):
+    # s = Re(c - a - b) = -1 at z = 1: the row is still printed, but the
+    # request was invalid, like |z| > 1 above
+    code = main(["eval", "--upper", "1,1", "--lower", "1", "--z", "1"])
+    assert code == 2
+    assert "status = Divergent" in capsys.readouterr().out
+
+
 def test_eval_json_format(capsys):
     code = main(["eval", "--upper", "", "--lower", "1/2",
                  "--z", "2.4674011002723395", "--format", "json"])

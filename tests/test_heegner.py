@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,32 @@ def test_error_bound_brackets_the_resolution():
         # bound is positive and, even for n=163, smaller than the deviation:
         # the printed gap is resolved, not noise
         assert 0.0 < row.error_bound < float(row.deviation.to_fraction())
+
+
+def _decimal_arctan_inv(x):
+    """arctan(1/x) for an integer x > 1 by its Taylor series, at the
+    current decimal precision."""
+    term = total = Decimal(1) / x
+    k, x2 = 1, x * x
+    while True:
+        term /= -x2
+        k += 2
+        step = term / k
+        if total + step == total:
+            return total
+        total += step
+
+
+def test_error_bound_holds_against_decimal_oracle():
+    # e^(pi sqrt n) at 60 digits, pi by Machin's formula; the dd value
+    # hi + lo converts to Decimal exactly
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = 16 * _decimal_arctan_inv(5) - 4 * _decimal_arctan_inv(239)
+        for row in heegner_table():
+            true = (pi * Decimal(row.n).sqrt()).exp()
+            error = abs(Decimal(row.value.hi) + Decimal(row.value.lo) - true)
+            assert error <= Decimal(row.error_bound), (row.n, float(error), row.error_bound)
 
 
 def test_rejects_other_indices():

@@ -95,14 +95,20 @@ def test_complex_gauss_windows(rng):
 
 
 def test_random_windows(rng):
+    # sizes up to 40 run past LEVIN_MAX_ORDER + 1 terms, so every cached
+    # weight row is used and terms beyond the last order only enter the
+    # products; the all-real windows (a quarter, with +0.0 and -0.0
+    # imaginary parts) give orders with both signs of the real denominator
     windows = []
-    for n in range(40):
-        size = rng.randint(3, 21)
+    for n in range(64):
+        size = rng.randint(3, 40)
         terms = [random_complex(rng) * 10.0 ** rng.uniform(-12, 4) for _ in range(size)]
         if n % 2:
-            terms = [complex(t.real, 0.0) if rng.random() < 0.5 else t for t in terms]
+            terms = [complex(t.real, rng.choice((0.0, -0.0))) if rng.random() < 0.5 else t
+                     for t in terms]
         if n % 4 == 1:
-            terms = [complex(t.real) for t in terms]
+            terms = [complex(t.real, rng.choice((0.0, -0.0))) for t in terms]
         windows.append((terms, rng.randint(1, 60)))
+    assert sum(len(terms) > series.LEVIN_MAX_ORDER + 1 for terms, _ in windows) >= 20
     windows.append(([1.0 + 0.0j, 0.5 + 0.5j, 0.0j, 0.25 + 0.0j], 1))   # no orders
     assert_same_orders(windows)
