@@ -5,8 +5,9 @@ Library layout:
   complex_gamma   complex gamma / log-gamma (Lanczos + reflection)
   series          pFq summation, unit-argument acceleration (Levin u)
   closed_forms    the six gamma-ratio summation theorems
-  identities      identity registry, exact coefficient algebra, verifier
-  ddreal          double-double arithmetic and exp
+  identities      identity registry (one table row per corollary family),
+                  exact coefficient algebra, verifier
+  ddreal          double-double arithmetic and exp for the Heegner table
   heegner         near-integer table e^(pi sqrt n) for n in {19,43,67,163}
   cli             command-line interface (eval / verify / constants / heegner)
 """
@@ -23,9 +24,7 @@ from .closed_forms import (
 from .ddreal import (
     DDReal,
     dd_add,
-    dd_div,
     dd_exp,
-    dd_ln2,
     dd_mul,
     dd_pi,
     dd_round,
@@ -65,7 +64,6 @@ from .series import (
     SumPolicy,
     SumResult,
     SumStatus,
-    contiguous_reduce_3f2,
     levin_accelerate,
     sum_pfq,
     sum_pfq_unit,
@@ -79,13 +77,12 @@ __all__ = [
     "InsufficientTermsError", "ParseError", "PoleError", "RangeError",
     "SeriesSpec", "SumPolicy", "SumResult", "SumStatus",
     "VerificationReport", "bailey_ext_half", "bailey_half",
-    "contiguous_reduce_3f2", "corollary_case", "corollary_parameters",
-    "dd_add", "dd_div", "dd_exp", "dd_ln2", "dd_mul", "dd_pi", "dd_round",
-    "dd_sqrt", "dd_sub", "dd_to_decimal", "gamma", "gauss_ext_unit",
-    "gauss_unit", "gelfond", "gelfond_lambda", "heegner_row",
-    "heegner_table", "levin_accelerate", "log_gamma", "reciprocal_gamma",
-    "registry", "second_gauss_ext_half", "second_gauss_half", "sin_pi",
-    "sqrt_gelfond_pair", "sum_pfq", "sum_pfq_unit", "theorem1",
-    "theorem1_coefficients", "theorem2", "theorem2_coefficients", "verify",
-    "verify_all",
+    "corollary_case", "corollary_parameters", "dd_add", "dd_exp", "dd_mul",
+    "dd_pi", "dd_round", "dd_sqrt", "dd_sub", "dd_to_decimal", "gamma",
+    "gauss_ext_unit", "gauss_unit", "gelfond", "gelfond_lambda",
+    "heegner_row", "heegner_table", "levin_accelerate", "log_gamma",
+    "reciprocal_gamma", "registry", "second_gauss_ext_half",
+    "second_gauss_half", "sin_pi", "sqrt_gelfond_pair", "sum_pfq",
+    "sum_pfq_unit", "theorem1", "theorem1_coefficients", "theorem2",
+    "theorem2_coefficients", "verify", "verify_all",
 ]

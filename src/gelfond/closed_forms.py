@@ -34,7 +34,9 @@ D_POLE_TOLERANCE = 1e-6
 _LN2 = math.log(2.0)
 
 
-def _check_d(d: complex) -> complex:
+def check_d(d: complex) -> complex:
+    """d as a complex number, or PoleError if no extension formula admits
+    it; the theorem constructors in identities apply the same rule."""
     d = complex(d)
     if abs(d) < D_MIN_ABS:
         raise PoleError(f"extension parameter d = {d} is too close to 0")
@@ -82,7 +84,7 @@ def gauss_ext_unit(a: complex, b: complex, c: complex, d: complex) -> complex:
             * (c - a - b + a*b/d)
     """
     a, b, c = complex(a), complex(b), complex(c)
-    d = _check_d(d)
+    d = check_d(d)
     s = c - a - b
     if s.real <= 0.0:
         raise ConvergenceDomainError(
@@ -117,7 +119,7 @@ def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
            + ((a+b+1)/d - 2)     / (Gamma(a/2)     Gamma(b/2))     }
     """
     a, b = complex(a), complex(b)
-    d = _check_d(d)
+    d = check_d(d)
     prefactor = gamma_ratio(
         (0.5, (a + b) / 2 + 1.5, (a - b) / 2 - 0.5), ((a - b) / 2 + 1.5,)
     )
@@ -138,7 +140,7 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
            + (1 - c/d) / (Gamma(c/2 + a/2 + 1/2) Gamma(c/2 - a/2 + 1))   }
     """
     a, c = complex(a), complex(c)
-    d = _check_d(d)
+    d = check_d(d)
     prefactor = cmath.exp(-c * _LN2 + log_gamma(0.5) + log_gamma(c + 1))
     brace = (
         (2.0 / d)

@@ -1,4 +1,5 @@
-"""Double-double arithmetic: unevaluated sums of two binary64 values.
+"""Double-double arithmetic for the Heegner table: unevaluated sums of two
+binary64 values.
 
 A DDReal(hi, lo) represents hi + lo with |lo| <= ulp(hi)/2, giving about
 31-32 significant decimal digits.  The primitives are the classical
@@ -7,7 +8,8 @@ two-product); every public operation renormalizes its result.
 
 This is the minimal precision that resolves deviations like 7.5e-13 in a
 value of magnitude 2.6e17 (30-31 digits needed); a general bignum would be
-out of proportion to that need.
+out of proportion to that need.  The module holds what heegner uses: add,
+subtract, multiply, square root, exp, rounding and exact decimal output.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class DDReal:
     lo: float = 0.0
 
     @staticmethod
-    def from_float(x: float) -> "DDReal":
-        return DDReal(float(x), 0.0)
-
-    @staticmethod
     def from_int(value: int) -> "DDReal":
         hi = float(value)
         lo = float(value - int(hi))
@@ -77,36 +75,6 @@ class DDReal:
 
     def __neg__(self) -> "DDReal":
         return DDReal(-self.hi, -self.lo)
-
-    def __add__(self, other):
-        return dd_add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return dd_add(self, -_coerce(other))
-
-    def __rsub__(self, other):
-        return dd_add(_coerce(other), -self)
-
-    def __mul__(self, other):
-        return dd_mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return dd_div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return dd_div(_coerce(other), self)
-
-
-def _coerce(x) -> DDReal:
-    if isinstance(x, DDReal):
-        return x
-    if isinstance(x, int):
-        return DDReal.from_int(x)
-    return DDReal.from_float(float(x))
 
 
 def dd_add(x: DDReal, y: DDReal) -> DDReal:
@@ -130,19 +98,6 @@ def dd_mul(x: DDReal, y: DDReal) -> DDReal:
     return DDReal(s, e)
 
 
-def dd_div(x: DDReal, y: DDReal) -> DDReal:
-    """Long division with two refinement steps (relative error ~2^-104)."""
-    if y.hi == 0.0 and y.lo == 0.0:
-        raise ZeroDivisionError("double-double division by zero")
-    q1 = x.hi / y.hi
-    r = dd_sub(x, dd_mul(DDReal(q1), y))
-    q2 = r.hi / y.hi
-    r = dd_sub(r, dd_mul(DDReal(q2), y))
-    q3 = r.hi / y.hi
-    s, e = quick_two_sum(q1, q2)
-    return dd_add(DDReal(s, e), DDReal(q3))
-
-
 def dd_sqrt(x: DDReal) -> DDReal:
     """Square root via a double seed plus one Newton correction in dd."""
     if x.hi < 0.0:
@@ -156,18 +111,13 @@ def dd_sqrt(x: DDReal) -> DDReal:
     return DDReal(s, err)
 
 
-# pi and ln 2 to double-double precision (hi = nearest binary64, lo = the
-# rounded remainder; together ~32 significant decimal digits)
+# pi to double-double precision (hi = nearest binary64, lo = the rounded
+# remainder; together ~32 significant decimal digits)
 _DD_PI = DDReal(3.141592653589793, 1.2246467991473532e-16)
-_DD_LN2 = DDReal(0.6931471805599453, 2.3190468138462996e-17)
 
 
 def dd_pi() -> DDReal:
     return _DD_PI
-
-
-def dd_ln2() -> DDReal:
-    return _DD_LN2
 
 
 # ln 2 as three parts for exact argument reduction: L1 and L2 carry <= 43
@@ -181,14 +131,22 @@ EXP_ARG_LIMIT = 700.0
 _EXP_TAYLOR_ORDER = 30   # term 31 is below 2^-106 of e^r for |r| <= ln2/2
 
 
+# 1/k! for k = 1..30 as the nearest double-double to the exact rational
+_INV_FACTORIAL = tuple(
+    DDReal(float(f), float(f - Fraction(float(f))))
+    for f in (Fraction(1, math.factorial(k))
+              for k in range(1, _EXP_TAYLOR_ORDER + 1))
+)
+
+
 def dd_exp(x: DDReal) -> DDReal:
     """e^x in double-double for |x| <= 700.
 
     Reduces x = k*ln2 + r with |r| <= ln2/2 (the k*ln2 product is formed
     from the exact three-part ln 2 so the constant contributes ~1e-35, not
-    k ulps), sums the order-30 Taylor series of e^r, and scales by 2^k.
+    k ulps), sums the order-30 Taylor series of e^r, multiplying each power
+    r^k by the tabulated 1/k!, and scales by 2^k.
     """
-    x = _coerce(x)
     if not (abs(x.hi) <= EXP_ARG_LIMIT):
         raise RangeError(f"dd_exp argument {x.hi} outside |x| <= {EXP_ARG_LIMIT}")
     k = round(x.hi / _LN2_P1)
@@ -198,12 +156,10 @@ def dd_exp(x: DDReal) -> DDReal:
         r = dd_sub(r, DDReal(k * _LN2_P2))          # exact product
         p, e = two_prod(float(k), _LN2_P3)
         r = dd_sub(r, DDReal(p, e))
-    total = DDReal(1.0)
-    term = DDReal(1.0)
-    for order in range(1, _EXP_TAYLOR_ORDER + 1):
-        term = dd_mul(term, r)
-        term = dd_div(term, DDReal(float(order)))
-        total = dd_add(total, term)
+    total = power = DDReal(1.0)
+    for coef in _INV_FACTORIAL:
+        power = dd_mul(power, r)
+        total = dd_add(total, dd_mul(power, coef))
     return DDReal(math.ldexp(total.hi, k), math.ldexp(total.lo, k))
 
 

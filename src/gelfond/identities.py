@@ -11,7 +11,9 @@ three independent routes to one number:
 
 Rational parameters (the corollary families are parameterized by exact
 fractions like 2/(5n-1)) are carried as Fraction values and rounded to
-binary64 once, at plan construction.
+binary64 once, at plan construction.  Each corollary family is one row of
+COROLLARIES: the theorem it instantiates at an exact (d1, d2) depending on
+n, the coefficients it claims, and its registry variants.
 
 Two printed corollary families do not follow from the main extension
 theorem as stated; both are kept in corrected and as-printed variants so
@@ -34,7 +36,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
-from .errors import PoleError, RangeError
+from .errors import RangeError
 from .series import SeriesSpec, SumPolicy, SumStatus, sum_pfq
 
 I = 1j
@@ -127,32 +129,6 @@ def theorem2_coefficients(d1: Fraction, d2: Fraction) -> tuple[Fraction, Fractio
     return c_plus, c_minus
 
 
-def corollary_parameters(kind: str, n: int, printed: bool = False
-                         ) -> tuple[Fraction, Fraction]:
-    """Exact (d1, d2) for the four corollary families at index n."""
-    if n < 1:
-        raise ValueError("corollary index n must be >= 1")
-    if kind == "cor1":
-        return Fraction(2, 5 * n - 1), Fraction(15, 2 * (8 * n - 3))
-    if kind == "cor2":
-        return Fraction(2, 5 * n - 1), Fraction(-15, 2 * (8 * n + 3))
-    if kind == "cor3":
-        d1 = Fraction(1, 2 * (10 * n - 1)) if printed else Fraction(2, 10 * n - 1)
-        return d1, Fraction(-5, 2)
-    if kind == "cor4":
-        return Fraction(1, 7 * n - 5), Fraction(15, 24 * n - 14)
-    raise ValueError(f"unknown corollary kind {kind!r}")
-
-
-def _check_d(d: Fraction, name: str) -> Fraction:
-    d = Fraction(d)
-    if d == 0 or abs(d) < Fraction(1, 10**6):
-        raise PoleError(f"{name} = {d} is too close to 0")
-    if d.denominator == 1 and d <= 0:
-        raise PoleError(f"{name} = {d} is a non-positive integer")
-    return d
-
-
 # ----------------------------------------------------------------------
 # scalar constants
 # ----------------------------------------------------------------------
@@ -202,10 +178,17 @@ def _unit_ext_plan(d1: Fraction, d2: Fraction, second_lower: Fraction
     )
 
 
+def _exact_d(d) -> Fraction:
+    """d as an exact fraction, rejected by the same pole guard the closed
+    forms apply, so that every case that constructs also evaluates."""
+    d = Fraction(d)
+    cf.check_d(d)
+    return d
+
+
 def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
     """Unit-argument extension identity at exact rational (d1, d2)."""
-    d1 = _check_d(Fraction(d1), "d1")
-    d2 = _check_d(Fraction(d2), "d2")
+    d1, d2 = _exact_d(d1), _exact_d(d2)
     c_plus, c_minus = theorem1_coefficients(d1, d2)
     f1, f2 = float(d1), float(d2)
     return IdentityCase(
@@ -223,8 +206,7 @@ def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
 
 def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
     """Half-argument extension identity at exact rational (d1, d2)."""
-    d1 = _check_d(Fraction(d1), "d1")
-    d2 = _check_d(Fraction(d2), "d2")
+    d1, d2 = _exact_d(d1), _exact_d(d2)
     c_plus, c_minus = theorem2_coefficients(d1, d2)
     f1, f2 = float(d1), float(d2)
     root2 = math.sqrt(2.0)
@@ -248,88 +230,123 @@ def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
     )
 
 
+class _Variant(NamedTuple):
+    """One registry entry of a corollary family."""
+
+    printed: bool
+    suffix: str                  # appended to the id "<kind>-n<n>"
+    description: str             # format template over n
+    erratum: str | None = None
+    # as-printed d1 in place of the family's, and the (c+, c-) it gives
+    d1: Callable[[int], Fraction] | None = None
+    value: Callable[[int], tuple[Fraction, Fraction]] | None = None
+    # as-printed second lower parameter that makes the series diverge
+    second_lower: Fraction | None = None
+
+
+class _Family(NamedTuple):
+    """A corollary family: ``theorem`` at the exact (d1, d2) = ``d(n)``,
+    claimed to give the coefficients (c+, c-) = ``claim(n)``."""
+
+    theorem: Callable[..., IdentityCase]
+    d: Callable[[int], tuple[Fraction, Fraction]]
+    claim: Callable[[int], tuple[Fraction, Fraction]]
+    variants: tuple[_Variant, ...]     # in registry order
+
+
+COROLLARIES = {
+    "cor1": _Family(
+        theorem1,
+        lambda n: (Fraction(2, 5 * n - 1), Fraction(15, 2 * (8 * n - 3))),
+        lambda n: (Fraction(n), Fraction(0)),
+        (_Variant(False, "", "corollary family 1, n={n}: n*e^pi"),),
+    ),
+    "cor2": _Family(
+        theorem1,
+        lambda n: (Fraction(2, 5 * n - 1), Fraction(-15, 2 * (8 * n + 3))),
+        lambda n: (Fraction(0), Fraction(n)),
+        (
+            _Variant(False, "",
+                     "corollary family 2, n={n}: n*e^-pi "
+                     "(second series lower parameter corrected to 5/2)",
+                     erratum="second series lower parameter 5/2, "
+                             "not the printed 3/2"),
+            _Variant(True, "-printed",
+                     "corollary family 2, n={n}, as printed: second series "
+                     "lower parameter 3/2 gives convergence parameter -1/2",
+                     erratum="as printed the second series diverges; "
+                             "corrected companion uses lower parameter 5/2",
+                     second_lower=Fraction(3, 2)),
+        ),
+    ),
+    "cor3": _Family(
+        theorem1,
+        lambda n: (Fraction(2, 10 * n - 1), Fraction(-5, 2)),
+        lambda n: (Fraction(n), Fraction(n)),
+        (
+            _Variant(True, "-printed",
+                     "corollary family 3, n={n}, as-printed d1: evaluates to "
+                     "(4n-3/10)(e^pi+e^-pi), not the claimed n(e^pi+e^-pi)",
+                     erratum="printed d1 = 1/(2(10n-1)) does not reproduce "
+                             "n(e^pi+e^-pi); corrected companion uses "
+                             "d1 = 2/(10n-1)",
+                     d1=lambda n: Fraction(1, 2 * (10 * n - 1)),
+                     value=lambda n: (4 * n - Fraction(3, 10),) * 2),
+            _Variant(False, "-corrected",
+                     "corollary family 3, n={n}, corrected d1 = 2/(10n-1): "
+                     "n(e^pi+e^-pi)",
+                     erratum="d1 corrected from the printed 1/(2(10n-1)) "
+                             "to 2/(10n-1)"),
+        ),
+    ),
+    "cor4": _Family(
+        theorem2,
+        lambda n: (Fraction(1, 7 * n - 5), Fraction(15, 24 * n - 14)),
+        lambda n: (Fraction(n), Fraction(0)),
+        (_Variant(False, "", "corollary family 4, n={n}: n*e^(pi/2)"),),
+    ),
+}
+
+
+def corollary_parameters(kind: str, n: int, printed: bool = False
+                         ) -> tuple[Fraction, Fraction]:
+    """Exact (d1, d2) for the four corollary families at index n;
+    ``printed=True`` gives the as-printed d1 where it differs (cor3)."""
+    if n < 1:
+        raise ValueError("corollary index n must be >= 1")
+    if kind not in COROLLARIES:
+        raise ValueError(f"unknown corollary kind {kind!r}")
+    d1, d2 = COROLLARIES[kind].d(n)
+    for variant in COROLLARIES[kind].variants:
+        if variant.printed == printed and variant.d1 is not None:
+            d1 = variant.d1(n)
+    return d1, d2
+
+
 def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     """One corollary-family case.  ``printed=True`` selects the as-printed
     variant for cor2 (divergent companion) and cor3 (wrong-multiple
     variant); cor1 and cor4 have no distinct printed variant."""
     d1, d2 = corollary_parameters(kind, n, printed)
-    f1, f2 = float(d1), float(d2)
-
-    if kind == "cor1":
-        if printed:
-            raise ValueError("cor1 has no distinct printed variant")
-        case = theorem1(d1, d2, case_id=f"cor1-n{n}")
-        c_plus, c_minus = theorem1_coefficients(d1, d2)
-        assert (c_plus, c_minus) == (Fraction(n), Fraction(0))
-        return replace(case,
-                       id=f"cor1-n{n}",
-                       description=f"corollary family 1, n={n}: n*e^pi",
-                       parameters={"n": n, "d1": d1, "d2": d2})
-
-    if kind == "cor2":
-        c_plus, c_minus = theorem1_coefficients(d1, d2)
-        assert (c_plus, c_minus) == (Fraction(0), Fraction(n))
-        if printed:
-            return IdentityCase(
-                id=f"cor2-n{n}-printed",
-                description=(
-                    f"corollary family 2, n={n}, as printed: second series "
-                    "lower parameter 3/2 gives convergence parameter -1/2"
-                ),
-                parameters={"n": n, "d1": d1, "d2": d2},
-                lhs_plan=_unit_ext_plan(d1, d2, Fraction(3, 2)),
-                rhs_plan=None,
-                expected=(ExpTerm(Fraction(n), -1),),
-                expect_divergent=True,
-                erratum="as printed the second series diverges; "
-                        "corrected companion uses lower parameter 5/2",
-            )
-        case = theorem1(d1, d2, case_id=f"cor2-n{n}")
-        return replace(case,
-                       id=f"cor2-n{n}",
-                       description=f"corollary family 2, n={n}: n*e^-pi "
-                                   "(second series lower parameter corrected to 5/2)",
-                       parameters={"n": n, "d1": d1, "d2": d2},
-                       erratum="second series lower parameter 5/2, "
-                               "not the printed 3/2")
-
-    if kind == "cor3":
-        case = theorem1(d1, d2, case_id="")
-        c_plus, c_minus = theorem1_coefficients(d1, d2)
-        if printed:
-            assert c_plus == c_minus == 4 * n - Fraction(3, 10)
-            return replace(case,
-                           id=f"cor3-n{n}-printed",
-                           description=(
-                               f"corollary family 3, n={n}, as-printed d1: "
-                               "evaluates to (4n-3/10)(e^pi+e^-pi), not the "
-                               "claimed n(e^pi+e^-pi)"
-                           ),
-                           parameters={"n": n, "d1": d1, "d2": d2},
-                           erratum="printed d1 = 1/(2(10n-1)) does not "
-                                   "reproduce n(e^pi+e^-pi); corrected "
-                                   "companion uses d1 = 2/(10n-1)")
-        assert c_plus == c_minus == Fraction(n)
-        return replace(case,
-                       id=f"cor3-n{n}-corrected",
-                       description=f"corollary family 3, n={n}, corrected "
-                                   "d1 = 2/(10n-1): n(e^pi+e^-pi)",
-                       parameters={"n": n, "d1": d1, "d2": d2},
-                       erratum="d1 corrected from the printed 1/(2(10n-1)) "
-                               "to 2/(10n-1)")
-
-    if kind == "cor4":
-        if printed:
-            raise ValueError("cor4 has no distinct printed variant")
-        case = theorem2(d1, d2, case_id=f"cor4-n{n}")
-        c_plus, c_minus = theorem2_coefficients(d1, d2)
-        assert (c_plus, c_minus) == (Fraction(n), Fraction(0))
-        return replace(case,
-                       id=f"cor4-n{n}",
-                       description=f"corollary family 4, n={n}: n*e^(pi/2)",
-                       parameters={"n": n, "d1": d1, "d2": d2})
-
-    raise ValueError(f"unknown corollary kind {kind!r}")
+    family = COROLLARIES[kind]
+    variant = next((v for v in family.variants if v.printed == printed), None)
+    if variant is None:
+        raise ValueError(f"{kind} has no distinct printed variant")
+    case = family.theorem(d1, d2)
+    assert tuple(t.coef for t in case.expected) == (variant.value or family.claim)(n)
+    case = replace(case,
+                   id=f"{kind}-n{n}{variant.suffix}",
+                   description=variant.description.format(n=n),
+                   parameters={"n": n, "d1": d1, "d2": d2},
+                   erratum=variant.erratum)
+    if variant.second_lower is None:
+        return case
+    # the as-printed companion diverges: no closed route, claimed terms only
+    return replace(case,
+                   lhs_plan=_unit_ext_plan(d1, d2, variant.second_lower),
+                   rhs_plan=None,
+                   expected=tuple(t for t in case.expected if t.coef),
+                   expect_divergent=True)
 
 
 def _lambda_case(lam, case_id: str) -> IdentityCase:
@@ -353,41 +370,14 @@ def _lambda_case(lam, case_id: str) -> IdentityCase:
     )
 
 
-def _eq11_case() -> IdentityCase:
-    case = _lambda_case(Fraction(1), "eq1.1")
-    return replace(case,
-                   description="e^pi as a sum of two unit-argument Gauss values",
-                   parameters={},
-                   closed_tol=CLOSED_TOL_UNIT)
-
-
-def _bessel_case() -> IdentityCase:
-    """e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4)."""
-    z = math.pi * math.pi / 4.0
+def _direct_case(case_id: str, description: str,
+                 *lhs_plan: tuple[SeriesSpec, complex]) -> IdentityCase:
+    """e^pi from series summed directly, with no closed route."""
     return IdentityCase(
-        id="0f1-bessel",
-        description="e^pi from two 0F1 values at pi^2/4 "
-                    "(hyperbolic cosine/sine shapes)",
+        id=case_id,
+        description=description,
         parameters={},
-        lhs_plan=(
-            (SeriesSpec((), (0.5,), z), 1.0 + 0.0j),
-            (SeriesSpec((), (1.5,), z), complex(math.pi)),
-        ),
-        rhs_plan=None,
-        expected=(ExpTerm(Fraction(1), 1),),
-        series_tol=SERIES_TOL_DIRECT,
-        sum_tol=SUM_TOL_DIRECT,
-    )
-
-
-def _sphere_case() -> IdentityCase:
-    """sum over n of pi^n / n! = e^pi (even-dimension unit-ball volumes)."""
-    return IdentityCase(
-        id="sphere-volume",
-        description="e^pi as the sum of even-dimension unit-ball volumes "
-                    "pi^n / n!",
-        parameters={},
-        lhs_plan=((SeriesSpec((), (), math.pi), 1.0 + 0.0j),),
+        lhs_plan=lhs_plan,
         rhs_plan=None,
         expected=(ExpTerm(Fraction(1), 1),),
         series_tol=SERIES_TOL_DIRECT,
@@ -452,31 +442,35 @@ LAMBDA_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 def registry() -> list[IdentityCase]:
     """Deterministic, stable-ordered list of every identity this package
     verifies, plus two documented-but-never-evaluated entries."""
-    cases: list[IdentityCase] = []
-    cases.append(_eq11_case())
-    cases.append(_bessel_case())
-    cases.append(_sphere_case())
+    quarter_pi2 = math.pi * math.pi / 4.0
+    cases = [
+        replace(_lambda_case(Fraction(1), "eq1.1"),
+                description="e^pi as a sum of two unit-argument Gauss values",
+                parameters={}, closed_tol=CLOSED_TOL_UNIT),
+        # e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4)
+        _direct_case("0f1-bessel", "e^pi from two 0F1 values at pi^2/4 "
+                     "(hyperbolic cosine/sine shapes)",
+                     (SeriesSpec((), (0.5,), quarter_pi2), 1.0 + 0.0j),
+                     (SeriesSpec((), (1.5,), quarter_pi2), complex(math.pi))),
+        # e^pi = sum over n of pi^n / n! (even-dimension unit-ball volumes)
+        _direct_case("sphere-volume", "e^pi as the sum of even-dimension "
+                     "unit-ball volumes pi^n / n!",
+                     (SeriesSpec((), (), math.pi), 1.0 + 0.0j)),
+    ]
     for k, (d1, d2) in enumerate(THEOREM1_GRID, start=1):
-        cases.append(replace(theorem1(d1, d2), id=f"thm1-g{k}"))
-    for n in (1, 2, 3):
-        cases.append(corollary_case("cor1", n))
-    for n in (1, 2, 3):
-        cases.append(corollary_case("cor2", n))
-        cases.append(corollary_case("cor2", n, printed=True))
-    for n in (1, 2, 3):
-        cases.append(corollary_case("cor3", n, printed=True))
-        cases.append(corollary_case("cor3", n))
-    for n in (1, 2, 3):
-        cases.append(corollary_case("cor4", n))
+        cases.append(theorem1(d1, d2, case_id=f"thm1-g{k}"))
+    for kind, family in COROLLARIES.items():
+        for n in (1, 2, 3):
+            cases.extend(corollary_case(kind, n, variant.printed)
+                         for variant in family.variants)
     cases.append(_sqrt_case("eq4.1a", +1))
     cases.append(_sqrt_case("eq4.1b", -1))
     for k, (d1, d2) in enumerate(THEOREM2_GRID, start=1):
-        cases.append(replace(theorem2(d1, d2), id=f"thm2-g{k}"))
+        cases.append(theorem2(d1, d2, case_id=f"thm2-g{k}"))
     for lam in LAMBDA_GRID:
         cases.append(_lambda_case(lam, f"eq4.6-lam{float(lam):g}"))
-    minus_half = _lambda_case(Fraction(-1, 2), "eq4.7")
     cases.append(replace(
-        minus_half,
+        _lambda_case(Fraction(-1, 2), "eq4.7"),
         description="alternative e^(-pi/2) expression "
                     "(lambda = -1/2 in the parameterized identity)",
     ))
@@ -515,20 +509,9 @@ def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationR
     With ``policy=None`` each series member is summed at the case's own
     summation tolerance; an explicit policy overrides it (and can
     deliberately make the series route fail).  Failures are verdicts, not
-    exceptions.
+    exceptions.  A documented-only case defines no route.
     """
-    n = case.parameters.get("n")
     lam = case.parameters.get("lambda")
-    lam = float(lam) if lam is not None else None
-
-    if case.documented_only:
-        return VerificationReport(
-            id=case.id, n=n, lam=lam, closed_value=None, series_value=None,
-            expected_value=None, abs_residual=None, rel_residual=None,
-            series_status=None, verdict="SkippedDocumented",
-            erratum=case.erratum, description=case.description,
-        )
-
     expected = expected_value(case.expected) if case.expected else None
 
     closed = None
@@ -554,43 +537,42 @@ def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationR
         if series_status != SumStatus.DIVERGENT.value:
             series_value = acc.real
 
-    if case.expect_divergent:
+    scale = max(abs(expected), 1e-300) if expected is not None else 1.0
+    primary_rel = None
+    if case.documented_only:
+        verdict = "SkippedDocumented"
+    elif case.expect_divergent:
         verdict = ("SkippedDivergent"
                    if series_status == SumStatus.DIVERGENT.value else "Fail")
-        return VerificationReport(
-            id=case.id, n=n, lam=lam, closed_value=closed, series_value=series_value,
-            expected_value=expected, abs_residual=None, rel_residual=None,
-            series_status=series_status, verdict=verdict,
-            closed_tol=case.closed_tol, series_tol=case.series_tol,
-            erratum=case.erratum, description=case.description,
-        )
+    else:
+        closed_ok = True
+        closed_rel = None
+        if closed is not None and expected is not None:
+            closed_rel = abs(closed - expected) / scale
+            closed_ok = closed_rel <= case.closed_tol
+        series_ok = True
+        series_rel = None
+        if case.lhs_plan:
+            # the verdict is residual-based: a member that could not certify
+            # its own tail (MaxTermsExceeded) still passes if its value meets
+            # the comparison tolerance; divergence can never pass here
+            if series_value is not None and expected is not None:
+                series_rel = abs(series_value - expected) / scale
+                series_ok = series_rel <= case.series_tol
+            else:
+                series_ok = False
+        primary_rel = closed_rel if closed is not None else series_rel
+        verdict = "Pass" if (closed_ok and series_ok) else "Fail"
 
-    scale = max(abs(expected), 1e-300) if expected is not None else 1.0
-    closed_ok = True
-    closed_rel = None
-    if closed is not None and expected is not None:
-        closed_rel = abs(closed - expected) / scale
-        closed_ok = closed_rel <= case.closed_tol
-    series_ok = True
-    series_rel = None
-    if case.lhs_plan:
-        # the verdict is residual-based: a member that could not certify its
-        # own tail (MaxTermsExceeded) still passes if its value meets the
-        # comparison tolerance; divergence can never pass here
-        if series_value is not None and expected is not None:
-            series_rel = abs(series_value - expected) / scale
-            series_ok = series_rel <= case.series_tol
-        else:
-            series_ok = False
-
-    primary_rel = closed_rel if closed is not None else series_rel
-    primary_abs = (primary_rel * scale) if primary_rel is not None else None
-    verdict = "Pass" if (closed_ok and series_ok) else "Fail"
+    evaluated = not case.documented_only
     return VerificationReport(
-        id=case.id, n=n, lam=lam, closed_value=closed, series_value=series_value,
-        expected_value=expected, abs_residual=primary_abs, rel_residual=primary_rel,
-        series_status=series_status, verdict=verdict,
-        closed_tol=case.closed_tol, series_tol=case.series_tol,
+        id=case.id, n=case.parameters.get("n"),
+        lam=float(lam) if lam is not None else None,
+        closed_value=closed, series_value=series_value, expected_value=expected,
+        abs_residual=(primary_rel * scale) if primary_rel is not None else None,
+        rel_residual=primary_rel, series_status=series_status, verdict=verdict,
+        closed_tol=case.closed_tol if evaluated else None,
+        series_tol=case.series_tol if evaluated else None,
         erratum=case.erratum, description=case.description,
     )
 

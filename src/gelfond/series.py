@@ -421,22 +421,3 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
                 )
     return _direct_sum(spec, policy)
 
-
-def contiguous_reduce_3f2(a: complex, b: complex, c: complex, d: complex,
-                          z: complex) -> tuple[SeriesSpec, complex, SeriesSpec, complex]:
-    """Decompose 3F2(a, b, d+1; c, d; z) into 2F1 pieces.
-
-    Because (d+1)_n / (d)_n = 1 + n/d, the series splits as
-    2F1(a, b; c; z) + (a b z / (d c)) * 2F1(a+1, b+1; c+1; z); the returned
-    (spec, weight) pairs realize exactly that combination.
-    """
-    a, b, c, d, z = (complex(v) for v in (a, b, c, d, z))
-    for name, v in (("c", c), ("d", d)):
-        if nearest_nonpositive_int(v, NEAR_INT_TOLERANCE) is not None:
-            raise PoleError(
-                f"contiguous_reduce_3f2: parameter {name} = {v} is within "
-                f"{NEAR_INT_TOLERANCE} of a non-positive integer"
-            )
-    spec1 = SeriesSpec((a, b), (c,), z)
-    spec2 = SeriesSpec((a + 1, b + 1), (c + 1,), z)
-    return spec1, 1.0 + 0.0j, spec2, a * b * z / (d * c)

@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from gelfond import SeriesSpec, sum_pfq
+
 E_PI = math.exp(math.pi)
 E_MINUS_PI = math.exp(-math.pi)
 E_HALF_PI = math.exp(math.pi / 2)
@@ -23,6 +25,14 @@ SINH_HALF_PI = (E_HALF_PI - E_MINUS_HALF_PI) / 2
 
 def rel_err(value, reference) -> float:
     return abs(value - reference) / abs(reference)
+
+
+def reduced_3f2(a, b, c, d, z) -> complex:
+    """3F2(a, b, d+1; c, d; z) from two 2F1 sums: (d+1)_n / (d)_n = 1 + n/d
+    splits it as 2F1(a, b; c; z) + (a b z / (d c)) 2F1(a+1, b+1; c+1; z)."""
+    first = sum_pfq(SeriesSpec((a, b), (c,), z)).value
+    second = sum_pfq(SeriesSpec((a + 1, b + 1), (c + 1,), z)).value
+    return first + a * b * z / (d * c) * second
 
 
 def zeta_reference(s: float, cutoff: int = 2000) -> float:

@@ -30,7 +30,7 @@ from gelfond import (
 from gelfond.cli import main
 from gelfond.ddreal import DDReal, dd_add, dd_exp, dd_mul, two_prod, two_sum
 from gelfond.heegner import is_near_integer
-from conftest import E_MINUS_PI, E_PI, random_complex, rel_err
+from conftest import E_MINUS_PI, E_PI, random_complex, reduced_3f2, rel_err
 
 I = 1j
 F = Fraction
@@ -214,7 +214,7 @@ def test_criterion_11_heegner_table():
 
 
 def test_criterion_12_property_suites(rng):
-    from gelfond import contiguous_reduce_3f2, gamma, sin_pi
+    from gelfond import gamma, sin_pi
 
     # gamma recurrence and reflection at 1e-12
     checked = 0
@@ -237,8 +237,7 @@ def test_criterion_12_property_suites(rng):
         c = complex(rng.uniform(0.3, 3.0), rng.uniform(-1, 1))
         d = complex(rng.uniform(0.3, 3.0), rng.uniform(-1, 1))
         z = random_complex(rng, 0.5)
-        s1, w1, s2, w2 = contiguous_reduce_3f2(a, b, c, d, z)
-        combined = w1 * sum_pfq(s1).value + w2 * sum_pfq(s2).value
+        combined = reduced_3f2(a, b, c, d, z)
         direct = sum_pfq(SeriesSpec((a, b, d + 1), (c, d), z)).value
         assert abs(combined - direct) <= 1e-11 * max(1.0, abs(direct))
         checked += 1

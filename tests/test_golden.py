@@ -1,0 +1,41 @@
+"""Stable stdout formats: ``cli.main`` must reproduce tests/golden/ byte
+for byte.
+
+A change that alters one of these outputs on purpose regenerates its file
+and says why in CHANGES.md; any other difference is a regression.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gelfond.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file name -> (argv, exit code)
+CASES = {
+    "verify.txt": (["verify"], 0),
+    "verify.json": (["verify", "--format", "json"], 0),
+    "verify.csv": (["verify", "--format", "csv"], 0),
+    "verify-max-terms-25.json": (
+        ["verify", "--max-terms", "25", "--format", "json"], 1),
+    "heegner.txt": (["heegner"], 0),
+    "heegner.json": (["heegner", "--format", "json"], 0),
+    "constants-lambda-5.json": (
+        ["constants", "--lambda", "-5", "--format", "json"], 0),
+    "eval-gelfond-unit.txt": (
+        ["eval", "--upper", "i,-i", "--lower", "1/2", "--z", "1",
+         "--tol", "1e-6"], 0),
+    "eval-complex-unit.json": (
+        ["eval", "--upper", "0.3+2i,0.1", "--lower", "3", "--z", "1",
+         "--tol", "1e-6", "--format", "json"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, capsys):
+    argv, code = CASES[name]
+    assert main(argv) == code
+    expected = (GOLDEN / name).read_bytes()
+    assert capsys.readouterr().out.encode() == expected

@@ -119,6 +119,17 @@ def test_theorem1_rejects_bad_d():
         theorem1(F(1, 2), 0)
 
 
+@pytest.mark.parametrize("theorem", [theorem1, theorem2])
+@pytest.mark.parametrize("near_pole", [F(-1) + F(1, 10**7), F(-3) + F(1, 10**8)])
+def test_theorems_reject_d_near_pole_at_construction(theorem, near_pole):
+    # the closed forms reject d within 1e-6 of a non-positive integer, so a
+    # case holding such a d must not construct and then fail inside verify
+    with pytest.raises(PoleError):
+        theorem(near_pole, F(3, 2))
+    with pytest.raises(PoleError):
+        theorem(F(1, 2), near_pole)
+
+
 def test_theorem1_closed_vs_expected_random(rng):
     for _ in range(100):
         d1 = F(rng.uniform(0.3, 5.0)).limit_denominator(997)

@@ -9,12 +9,18 @@ from gelfond import (
     SeriesSpec,
     SumPolicy,
     SumStatus,
-    contiguous_reduce_3f2,
     levin_accelerate,
     sum_pfq,
     sum_pfq_unit,
 )
-from conftest import COSH_HALF_PI, COSH_PI, random_complex, rel_err, zeta_reference
+from conftest import (
+    COSH_HALF_PI,
+    COSH_PI,
+    random_complex,
+    reduced_3f2,
+    rel_err,
+    zeta_reference,
+)
 
 I = 1j
 
@@ -206,32 +212,23 @@ def test_levin_zero_term_rejected():
 # ----------------------------------------------------------------------
 
 def test_reduce_matches_direct_summation():
-    s1, w1, s2, w2 = contiguous_reduce_3f2(1, 1, 2, 3, 0.5)
-    combined = w1 * sum_pfq(s1).value + w2 * sum_pfq(s2).value
+    combined = reduced_3f2(1, 1, 2, 3, 0.5)
     direct = sum_pfq(SeriesSpec((1, 1, 4), (2, 3), 0.5)).value
     assert abs(combined - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 def test_reduce_zero_a_collapses():
-    s1, w1, s2, w2 = contiguous_reduce_3f2(0, 1.5, 2.5, 1.25, 0.5)
-    assert w2 == 0
-    assert sum_pfq(s1).value == 1.0 + 0.0j
+    # a zero upper parameter truncates the 3F2 and both 2F1 pieces to 1
+    assert reduced_3f2(0, 1.5, 2.5, 1.25, 0.5) == 1.0
+    assert sum_pfq(SeriesSpec((0, 1.5, 2.25), (2.5, 1.25), 0.5)).value == 1.0
 
 
 def test_reduce_cancellation_sanity():
     # d+1 equal to the 2F1 lower parameter: decomposition still matches the
     # direct 3F2 away from the unit argument
-    s1, w1, s2, w2 = contiguous_reduce_3f2(I, -I, 1.5, 0.5, 0.9)
-    combined = w1 * sum_pfq(s1).value + w2 * sum_pfq(s2).value
+    combined = reduced_3f2(I, -I, 1.5, 0.5, 0.9)
     direct = sum_pfq(SeriesSpec((I, -I, 1.5), (1.5, 0.5), 0.9)).value
     assert abs(combined - direct) <= 1e-11 * max(1.0, abs(direct))
-
-
-def test_reduce_pole_guard():
-    with pytest.raises(PoleError):
-        contiguous_reduce_3f2(1, 1, -2, 3, 0.5)
-    with pytest.raises(PoleError):
-        contiguous_reduce_3f2(1, 1, 2, 0, 0.5)
 
 
 def test_reduction_equivalence_property(rng):
@@ -245,11 +242,10 @@ def test_reduction_equivalence_property(rng):
         if abs(z) > 0.8 or abs(d) < 0.2:
             continue
         try:
-            s1, w1, s2, w2 = contiguous_reduce_3f2(a, b, c, d, z)
             direct = sum_pfq(SeriesSpec((a, b, d + 1), (c, d), z))
         except PoleError:
             continue
-        combined = w1 * sum_pfq(s1).value + w2 * sum_pfq(s2).value
+        combined = reduced_3f2(a, b, c, d, z)
         assert abs(combined - direct.value) <= 1e-11 * max(1.0, abs(direct.value))
         checked += 1
 
