@@ -8,6 +8,10 @@ Four subcommands:
              exponential oracle
   heegner    print the near-integer table at double-double precision
 
+Each subcommand does no I/O: it returns its rows, its text lines and its
+exit code.  Only ``main`` picks the format and writes, once, to stdout or
+to ``--out``.
+
 The tool is a pure function of argv: no config files, environment
 variables, or network access.  JSON and CSV are the stable machine
 formats (fixed field order, floats at 17 significant digits, absent
@@ -144,6 +148,13 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _fmt_cell(value) -> str:
+    """Text and CSV form of one value: floats at 17 digits, None empty."""
+    if value is None:
+        return ""
+    return _fmt_float(value) if isinstance(value, float) else str(value)
+
+
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
@@ -169,63 +180,33 @@ def _json_rows(rows: list[dict]) -> str:
 
 
 def _csv_rows(rows: list[dict]) -> str:
+    """CSV of verify reports; the REPORT_FIELDS header is always written."""
     buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    if rows:
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(
-                "" if v is None else (_fmt_float(v) if isinstance(v, float) else v)
-                for v in row.values()
-            )
+    writer = csv.writer(buf)
+    writer.writerow(REPORT_FIELDS)
+    writer.writerows([_fmt_cell(v) for v in row.values()] for row in rows)
     return buf.getvalue()
 
 
 def report_row(report: VerificationReport) -> dict:
-    return {
-        "id": report.id,
-        "n": report.n,
-        "lambda": report.lam,
-        "closed_value": report.closed_value,
-        "series_value": report.series_value,
-        "expected_value": report.expected_value,
-        "abs_residual": report.abs_residual,
-        "rel_residual": report.rel_residual,
-        "series_status": report.series_status,
-        "verdict": report.verdict,
-    }
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return {field: getattr(report, "lam" if field == "lambda" else field)
+            for field in REPORT_FIELDS}
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (rows, text lines, exit code) and writes nothing
 # ----------------------------------------------------------------------
 
 def _policy_from_args(args) -> SumPolicy | None:
-    if args.tol is None and args.max_terms is None:
-        return None
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tolerance"] = args.tol
-    if args.max_terms is not None:
-        kwargs["max_terms"] = args.max_terms
-    return SumPolicy(**kwargs)
+    fields = {"tolerance": args.tol, "max_terms": args.max_terms}
+    given = {name: value for name, value in fields.items() if value is not None}
+    return SumPolicy(**given) if given else None
 
 
-def _cmd_eval(args) -> int:
-    spec = SeriesSpec(
-        _parse_complex_list(args.upper), _parse_complex_list(args.lower),
-        parse_complex(args.z),
-    )
-    policy = _policy_from_args(args) or SumPolicy()
-    result = sum_pfq(spec, policy)
+def _cmd_eval(args) -> tuple[list[dict], list[str], int]:
+    spec = SeriesSpec(_parse_complex_list(args.upper),
+                      _parse_complex_list(args.lower), parse_complex(args.z))
+    result = sum_pfq(spec, _policy_from_args(args) or SumPolicy())
     row = {
         "value_re": result.value.real,
         "value_im": result.value.imag,
@@ -233,18 +214,13 @@ def _cmd_eval(args) -> int:
         "tail_estimate": result.tail_estimate,
         "status": result.status.value,
     }
-    if args.format == "json":
-        _emit(_json_rows([row]), args.out)
-    else:
-        lines = [f"{k} = {_fmt_float(v) if isinstance(v, float) else v}"
-                 for k, v in row.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    if result.status is SumStatus.DIVERGENT:
-        return 2
-    return 0 if result.status in (SumStatus.CONVERGED, SumStatus.TRUNCATED) else 1
+    # a divergent request is a usage error, like |z| > 1 raising
+    code = {SumStatus.CONVERGED: 0, SumStatus.TRUNCATED: 0,
+            SumStatus.DIVERGENT: 2}.get(result.status, 1)
+    return [row], [f"{k} = {_fmt_cell(v)}" for k, v in row.items()], code
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list[dict], list[str], int]:
     policy = _policy_from_args(args)
     cases = registry()
     if args.id:
@@ -256,96 +232,66 @@ def _cmd_verify(args) -> int:
                  if c.parameters.get("lambda") is not None
                  and abs(float(c.parameters["lambda"]) - args.lam) < 1e-12]
     reports = [verify(case, policy) for case in cases]
-    rows = [report_row(r) for r in reports]
-    passed = sum(1 for r in reports if r.verdict == "Pass")
-    failed = sum(1 for r in reports if r.verdict == "Fail")
-    skipped = len(reports) - passed - failed
-    if args.format == "json":
-        _emit(_json_rows(rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_rows(rows), args.out)
-    else:
-        lines = []
-        for r in reports:
-            detail = ""
-            if r.rel_residual is not None:
-                detail = f"  rel_residual={r.rel_residual:.3e}"
-            if r.series_status is not None:
-                detail += f"  series={r.series_status}"
-            if r.erratum:
-                detail += f"  [erratum: {r.erratum}]"
-            lines.append(f"{r.id:<18} {r.verdict:<17}{detail}")
-        lines.append(f"passed={passed} failed={failed} skipped={skipped}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
+    verdicts = [r.verdict for r in reports]
+    passed, failed = verdicts.count("Pass"), verdicts.count("Fail")
+    lines = []
+    for r in reports:
+        detail = ""
+        if r.rel_residual is not None:
+            detail = f"  rel_residual={r.rel_residual:.3e}"
+        if r.series_status is not None:
+            detail += f"  series={r.series_status}"
+        if r.erratum:
+            detail += f"  [erratum: {r.erratum}]"
+        lines.append(f"{r.id:<18} {r.verdict:<17}{detail}")
+    lines.append(f"passed={passed} failed={failed} "
+                 f"skipped={len(reports) - passed - failed}")
+    return [report_row(r) for r in reports], lines, 1 if failed else 0
 
 
-def _cmd_constants(args) -> int:
-    rows = []
-    failures = 0
-
-    def add(name: str, closed: float, oracle: float, tol: float):
-        nonlocal failures
-        abs_res = abs(closed - oracle)
-        rel_res = abs_res / abs(oracle)
-        if rel_res > tol:
-            failures += 1
-        rows.append({
-            "name": name,
-            "closed_value": closed,
-            "oracle_value": oracle,
-            "abs_residual": abs_res,
-            "rel_residual": rel_res,
-            "tolerance": tol,
-        })
-
-    add("e^pi", gelfond(), math.exp(math.pi), 1e-13)
+def _cmd_constants(args) -> tuple[list[dict], list[str], int]:
     plus, minus = sqrt_gelfond_pair()
-    add("e^(pi/2)", plus, math.exp(math.pi / 2), 1e-12)
-    add("e^(-pi/2)", minus, math.exp(-math.pi / 2), 1e-12)
+    checks = [
+        ("e^pi", gelfond(), math.exp(math.pi), 1e-13),
+        ("e^(pi/2)", plus, math.exp(math.pi / 2), 1e-12),
+        ("e^(-pi/2)", minus, math.exp(-math.pi / 2), 1e-12),
+    ]
     if args.lam is not None:
-        add(f"e^(pi*{args.lam:g})", gelfond_lambda(args.lam),
-            math.exp(math.pi * args.lam), 1e-11)
-    if args.format == "json":
-        _emit(_json_rows(rows), args.out)
-    else:
-        lines = [
-            f"{row['name']:<12} closed={_fmt_float(row['closed_value'])}  "
-            f"oracle={_fmt_float(row['oracle_value'])}  "
-            f"rel_residual={row['rel_residual']:.3e}"
-            for row in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failures else 0
+        checks.append((f"e^(pi*{args.lam:g})", gelfond_lambda(args.lam),
+                       math.exp(math.pi * args.lam), 1e-11))
+    rows = [{"name": name, "closed_value": closed, "oracle_value": oracle,
+             "abs_residual": abs(closed - oracle),
+             "rel_residual": abs(closed - oracle) / abs(oracle),
+             "tolerance": tol} for name, closed, oracle, tol in checks]
+    lines = [
+        f"{row['name']:<12} closed={_fmt_float(row['closed_value'])}  "
+        f"oracle={_fmt_float(row['oracle_value'])}  "
+        f"rel_residual={row['rel_residual']:.3e}"
+        for row in rows
+    ]
+    failed = any(row["rel_residual"] > row["tolerance"] for row in rows)
+    return rows, lines, 1 if failed else 0
 
 
-def _cmd_heegner(args) -> int:
+def _cmd_heegner(args) -> tuple[list[dict], list[str], int]:
     ns = [args.n] if args.n is not None else sorted(HEEGNER_BASES)
-    rows = []
-    ok = True
-    for n in ns:
-        row = heegner_row(n)
-        ok = ok and is_near_integer(row)
-        rows.append({
-            "n": n,
-            "value": dd_to_decimal(row.value, 31),
-            "cube_base": row.cube_base,
-            "reference": row.reference,
-            "deviation": dd_to_decimal(row.deviation, 12),
-            "error_bound": row.error_bound,
-        })
-    if args.format == "json":
-        _emit(_json_rows(rows), args.out)
-    else:
-        lines = [
-            f"n={row['n']:<4} e^(pi sqrt n) = {row['value']}\n"
-            f"      reference = {row['cube_base']}^3 + 744 = {row['reference']}\n"
-            f"      deviation = {row['deviation']}  (error bound "
-            f"{row['error_bound']:.2e})"
-            for row in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    table = [heegner_row(n) for n in ns]
+    rows = [{
+        "n": row.n,
+        "value": dd_to_decimal(row.value, 31),
+        "cube_base": row.cube_base,
+        "reference": row.reference,
+        "deviation": dd_to_decimal(row.deviation, 12),
+        "error_bound": row.error_bound,
+    } for row in table]
+    lines = [
+        f"n={row['n']:<4} e^(pi sqrt n) = {row['value']}\n"
+        f"      reference = {row['cube_base']}^3 + 744 = {row['reference']}\n"
+        f"      deviation = {row['deviation']}  (error bound "
+        f"{row['error_bound']:.2e})"
+        for row in rows
+    ]
+    return rows, lines, 0 if all(map(is_near_integer, table)) else 1
 
 
 # ----------------------------------------------------------------------
@@ -360,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_eval = sub.add_parser("eval", help="evaluate one pFq series")
@@ -385,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override the per-case summation tolerance")
     p_verify.add_argument("--max-terms", dest="max_terms", type=int, default=None)
-    common(p_verify)
+    common(p_verify, ("text", "json", "csv"))
     p_verify.set_defaults(func=_cmd_verify)
 
     p_const = sub.add_parser("constants",
@@ -403,14 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "verify":
-        parser.error("--format csv is only available for 'verify'")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rows, lines, code = args.func(args)
     except (ValueError, ArithmeticError) as exc:
         # ParseError, PoleError, DivergentError, ...: the request itself
         # was invalid, which is a usage error by the exit-code contract
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    render = {"json": _json_rows, "csv": _csv_rows}.get(args.format)
+    text = render(rows) if render else "\n".join(lines) + "\n"
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code

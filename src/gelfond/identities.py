@@ -579,4 +579,6 @@ def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationR
 
 def verify_all(policy: SumPolicy | None = None,
                cases: list[IdentityCase] | None = None) -> list[VerificationReport]:
-    return [verify(case, policy) for case in (cases or registry())]
+    if cases is None:
+        cases = registry()
+    return [verify(case, policy) for case in cases]

@@ -269,8 +269,6 @@ def _pick_transform(values: list[complex]) -> tuple[complex, float] | None:
         score = max(abs(values[k] - values[k - 1]), abs(values[k - 1] - values[k - 2]))
         if best is None or score < best[0]:
             best = (score, values[k])
-    if best is None:
-        return None
     return best[1], best[0]
 
 

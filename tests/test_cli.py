@@ -191,13 +191,34 @@ def test_heegner_full_table(capsys):
 
 
 def test_out_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code = main(["verify", "--id", "eq1.1", "--format", "json",
-                 "--out", str(target)])
-    assert code == 0
-    assert capsys.readouterr().out == ""
-    rows = json.loads(target.read_text(encoding="utf-8"))
-    assert rows[0]["id"] == "eq1.1"
+    # --out receives exactly the bytes the command prints, in every format
+    for fmt in ("text", "json", "csv"):
+        argv = ["verify", "--id", "eq1.1", "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode()
+
+
+def test_out_path_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code = main(["verify", "--id", "eq1.1", "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_empty_selection_keeps_format_headers(capsys):
+    assert main(["verify", "--id", "nomatch", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ",".join(REPORT_FIELDS) + "\r\n"
+    assert main(["verify", "--id", "nomatch", "--format", "json"]) == 0
+    assert capsys.readouterr().out == "[\n\n]\n"
+    assert main(["verify", "--id", "nomatch"]) == 0
+    assert capsys.readouterr().out == "passed=0 failed=0 skipped=0\n"
 
 
 def test_unknown_flag_is_usage_error():

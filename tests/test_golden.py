@@ -30,6 +30,16 @@ CASES = {
     "eval-complex-unit.json": (
         ["eval", "--upper", "0.3+2i,0.1", "--lower", "3", "--z", "1",
          "--tol", "1e-6", "--format", "json"], 0),
+    "constants.txt": (["constants"], 0),
+    "constants-lambda-2.5.txt": (["constants", "--lambda", "2.5"], 0),
+    "verify-cor3.txt": (["verify", "--id", "cor3-*"], 0),
+    "heegner-163.txt": (["heegner", "--n", "163"], 0),
+    "eval-divergent-unit.json": (
+        ["eval", "--upper", "1,1", "--lower", "1", "--z", "1",
+         "--format", "json"], 2),
+    "eval-max-terms-20.txt": (
+        ["eval", "--upper", "1,1", "--lower", "2", "--z", "0.9",
+         "--max-terms", "20"], 1),
 }
 
 

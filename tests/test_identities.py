@@ -254,6 +254,11 @@ def test_verify_all_registry_green():
     assert {r.id for r in skipped} == {f"cor2-n{n}-printed" for n in (1, 2, 3)}
 
 
+def test_verify_all_empty_selection():
+    # an empty list selects no case; only None means the whole registry
+    assert verify_all(cases=[]) == []
+
+
 def test_verify_verdict_consistent_with_recorded_tolerance():
     for report in verify_all():
         if report.verdict == "Pass" and report.rel_residual is not None:
