@@ -97,40 +97,49 @@ def _scan_sign(text: str, pos: int) -> tuple[int, int]:
     return 1, pos
 
 
+def _to_float(value: Fraction, pos: int) -> float:
+    """value as the nearest binary64; ParseError at pos when it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError("number overflows binary64", pos) from None
+
+
 def parse_complex(text: str) -> complex:
     """Parse REAL | RATIONAL | COMPLEX, whitespace-free.
 
     RATIONAL is p/q over decimal integers and is converted exactly;
     COMPLEX is <r>[+|-]<r>i; a bare or signed "i" means the unit
     imaginary, and forms like "-15/22i" are purely imaginary with the
-    sign binding to the imaginary rational.
+    sign binding to the imaginary rational.  A number beyond the binary64
+    range is a ParseError at its first digit.
     """
     for idx, ch in enumerate(text):
         if ch.isspace():
             raise ParseError("whitespace is not allowed", idx)
     if not text:
         raise ParseError("empty input", 0)
-    sign, pos = _scan_sign(text, 0)
-    if text[pos:] == "i":
+    sign, start = _scan_sign(text, 0)
+    if text[start:] == "i":
         return complex(0.0, float(sign))
-    value, pos = _scan_number(text, pos)
-    first = sign * value
+    value, pos = _scan_number(text, start)
+    first = _to_float(sign * value, start)
     if pos == len(text):
-        return complex(float(first), 0.0)
+        return complex(first, 0.0)
     if text[pos] == "i":
         if pos + 1 != len(text):
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return complex(0.0, float(first))
+        return complex(0.0, first)
     if text[pos] in "+-":
-        sign2, pos = _scan_sign(text, pos)
-        if text[pos:] == "i":
-            return complex(float(first), float(sign2))
-        value2, pos = _scan_number(text, pos)
+        sign2, start = _scan_sign(text, pos)
+        if text[start:] == "i":
+            return complex(first, float(sign2))
+        value2, pos = _scan_number(text, start)
         if pos >= len(text) or text[pos] != "i":
             raise ParseError("expected 'i' to close the imaginary part", pos)
         if pos + 1 != len(text):
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return complex(float(first), float(sign2 * value2))
+        return complex(first, _to_float(sign2 * value2, start))
     raise ParseError("unexpected character", pos)
 
 

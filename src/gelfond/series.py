@@ -2,7 +2,12 @@
 
 sum_pfq evaluates pFq(upper; lower; z) by direct term recurrence
 (t_{n+1}/t_n = z * prod(upper_j + n) / (prod(lower_k + n) * (n + 1))).
-At unit argument the series with p = q + 1 converge only algebraically
+The direct sum is one loop that keeps only the current term, so it stores
+no terms; a real spec runs it on float, which gives the same bits as
+complex arithmetic because CPython's complex * and / reduce, for zero
+imaginary parts, to the very float operations on the real parts (a float
+step that leaves the binary64 range sends the sum back to complex).  At unit
+argument the series with p = q + 1 converge only algebraically
 (term magnitudes ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so
 sum_pfq_unit accelerates the partial sums with a Levin u-transform.
 
@@ -67,6 +72,12 @@ class SeriesSpec:
         p, q = len(self.upper), len(self.lower)
         if p > q + 1:
             raise ValueError(f"p = {p} > q + 1 = {q + 1}: series diverges for z != 0")
+        named = ([("upper parameter", a) for a in self.upper]
+                 + [("lower parameter", b) for b in self.lower]
+                 + [("argument", self.argument)])
+        for name, x in named:
+            if not cmath.isfinite(x):
+                raise RangeError(f"{name} {x} is not finite")
         trunc = self.truncation_degree()
         for b in self.lower:
             k = nearest_nonpositive_int(b, NEAR_INT_TOLERANCE)
@@ -143,44 +154,98 @@ class _TermGenerator:
             n += 1
 
 
+def _observed_tail(abs_t: float, prev_abs: float) -> float:
+    """|t_n| / (1 - r): the geometric tail at the observed ratio
+    r = |t_n / t_{n-1}| capped at 0.99, or at r = 0 when prev_abs is 0."""
+    ratio = min(abs_t / prev_abs, 0.99) if prev_abs > 0.0 else 0.0
+    return abs_t / (1.0 - ratio)
+
+
 def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     """Plain term-by-term accumulation; used away from the unit circle and
-    for polynomial (truncating) series."""
+    for polynomial (truncating) series.
+
+    No term is stored: one loop keeps the current term and steps it to the
+    next, so memory does not grow with the number of terms.  A spec whose
+    argument and parameters all have zero imaginary part is summed in
+    floats, any other in complex arithmetic.  CPython's complex * and / on
+    numbers with zero imaginary parts perform the very float operations the
+    float loop performs on the real parts, so the float sum has the bits of
+    the complex one for as long as every step stays finite.  A float step
+    that leaves the binary64 range (where the complex step would carry a
+    NaN from inf * 0 in its imaginary part, or divide by a complex zero)
+    raises, and the sum is redone in complex arithmetic.
+    """
+    upper, lower, z = spec.upper, spec.lower, spec.argument
+    if z.imag == 0.0 and all(c.imag == 0.0 for c in upper + lower):
+        try:
+            return _sum_terms(tuple(a.real for a in upper),
+                              tuple(b.real for b in lower), z.real, spec, policy)
+        except ArithmeticError:
+            pass
+    return _sum_terms(upper, lower, z, spec, policy)
+
+
+def _sum_terms(upper, lower, z, spec: SeriesSpec, policy: SumPolicy) -> SumResult:
+    """The direct-summation loop, over float or complex upper, lower and z.
+
+    The tail estimate is worked out only at the exits that report it.  With
+    float input it raises OverflowError where a float step left the binary64
+    range: a zero term or the truncation term after a denominator product
+    that is not finite, or a truncation tail that is not finite (see
+    _direct_sum).
+    """
+    real = isinstance(z, float)
+    isfinite = math.isfinite if real else cmath.isfinite
     tol = policy.tolerance
+    last = policy.max_terms - 1
     trunc = spec.truncation_degree()
-    gen = _TermGenerator(spec)
-    total = 0.0 + 0.0j
+    if trunc is None:
+        trunc = -1
+    total = 0.0
+    t = 1.0
+    den = 1.0
+    prev_abs = 0.0
     small_streak = 0
     n = 0
-    ratio = 0.0
-    prev_abs = 1.0
     while True:
-        gen.extend(n + 1)
-        t = gen.terms[n]
         total += t
-        if not cmath.isfinite(total):
+        if not isfinite(total):
             raise RangeError("series accumulation overflowed binary64")
-        if trunc is not None and n >= trunc:
-            # polynomial case: remaining terms vanish (or are negligible for
-            # parameters merely near a non-positive integer)
-            gen.extend(n + 2)
-            tail = abs(gen.terms[n + 1])
-            return SumResult(total, n + 1, tail, SumStatus.TRUNCATED)
-        abs_t = abs(t)
-        if n > 0:
-            ratio = min(max(abs_t / prev_abs if prev_abs > 0.0 else 0.0, 0.0), 0.99)
-        prev_abs = abs_t
-        tail = abs_t / (1.0 - ratio)
-        scale = max(1.0, abs(total))
-        if abs_t <= tol * scale:
-            small_streak += 1
-            if small_streak >= 2 and tail <= tol * scale:
-                return SumResult(total, n + 1, tail, SumStatus.CONVERGED)
-        else:
-            small_streak = 0
+        if n != trunc:
+            abs_t = abs(t)
+            if abs_t <= tol or abs_t <= tol * abs(total):
+                if real and not abs_t and not isfinite(den):
+                    raise OverflowError("denominator product overflowed")
+                small_streak += 1
+                if small_streak >= 2:
+                    tail = _observed_tail(abs_t, prev_abs)
+                    if tail <= tol or tail <= tol * abs(total):
+                        return SumResult(complex(total), n + 1, tail,
+                                         SumStatus.CONVERGED)
+            else:
+                small_streak = 0
+            if n >= last:
+                return SumResult(complex(total), n + 1,
+                                 _observed_tail(abs_t, prev_abs),
+                                 SumStatus.MAX_TERMS_EXCEEDED)
+            prev_abs = abs_t
+        elif real and not isfinite(den):
+            raise OverflowError("denominator product overflowed")
+        num = 1.0
+        for a in upper:
+            num *= a + n
+        den = n + 1
+        for b in lower:
+            den *= b + n
+        t = t * z * num / den
+        if n == trunc:
+            # polynomial case: the remaining terms vanish (or are negligible
+            # for parameters merely near a non-positive integer)
+            if real and not (isfinite(t) and isfinite(den)):
+                raise OverflowError("truncation tail left the binary64 range")
+            return SumResult(complex(total), n + 1, abs(t), SumStatus.TRUNCATED)
         n += 1
-        if n >= policy.max_terms:
-            return SumResult(total, n, tail, SumStatus.MAX_TERMS_EXCEEDED)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,13 @@ Euler-Maclaurin tail sums.  Random property tests use seeded generators so
 every run exercises the same sample.
 """
 
+import cmath
 import math
 import random
 
 import pytest
 
-from gelfond import SeriesSpec, sum_pfq
+from gelfond import RangeError, SeriesSpec, SumResult, SumStatus, sum_pfq
 
 E_PI = math.exp(math.pi)
 E_MINUS_PI = math.exp(-math.pi)
@@ -33,6 +34,62 @@ def reduced_3f2(a, b, c, d, z) -> complex:
     first = sum_pfq(SeriesSpec((a, b), (c,), z)).value
     second = sum_pfq(SeriesSpec((a + 1, b + 1), (c + 1,), z)).value
     return first + a * b * z / (d * c) * second
+
+
+def reference_direct_sum(spec, policy) -> SumResult:
+    """Direct summation as it stood before the one-loop rewrite: every term
+    kept in a list, complex arithmetic throughout, the ratio and tail worked
+    out on every term.  series._direct_sum must return a repr-equal result,
+    or raise the same exception, on every input."""
+    upper, lower, z = spec.upper, spec.lower, spec.argument
+    terms = [1.0 + 0.0j]
+
+    def extend(count):
+        n = len(terms) - 1
+        t = terms[-1]
+        while len(terms) < count:
+            num = 1.0 + 0.0j
+            for a in upper:
+                num *= a + n
+            den = (n + 1) + 0.0j
+            for b in lower:
+                den *= b + n
+            t = t * z * num / den
+            terms.append(t)
+            n += 1
+
+    tol = policy.tolerance
+    trunc = spec.truncation_degree()
+    total = 0.0 + 0.0j
+    small_streak = 0
+    n = 0
+    ratio = 0.0
+    prev_abs = 1.0
+    while True:
+        extend(n + 1)
+        t = terms[n]
+        total += t
+        if not cmath.isfinite(total):
+            raise RangeError("series accumulation overflowed binary64")
+        if trunc is not None and n >= trunc:
+            extend(n + 2)
+            tail = abs(terms[n + 1])
+            return SumResult(total, n + 1, tail, SumStatus.TRUNCATED)
+        abs_t = abs(t)
+        if n > 0:
+            ratio = min(max(abs_t / prev_abs if prev_abs > 0.0 else 0.0, 0.0), 0.99)
+        prev_abs = abs_t
+        tail = abs_t / (1.0 - ratio)
+        scale = max(1.0, abs(total))
+        if abs_t <= tol * scale:
+            small_streak += 1
+            if small_streak >= 2 and tail <= tol * scale:
+                return SumResult(total, n + 1, tail, SumStatus.CONVERGED)
+        else:
+            small_streak = 0
+        n += 1
+        if n >= policy.max_terms:
+            return SumResult(total, n, tail, SumStatus.MAX_TERMS_EXCEEDED)
 
 
 def zeta_reference(s: float, cutoff: int = 2000) -> float:

@@ -44,6 +44,10 @@ def test_parse_scientific_notation():
     ("1/0", 2),
     ("1.2.3", 3),
     ("2i3", 2),
+    ("1e400", 0),
+    ("-1e400", 1),
+    ("2+1e400i", 2),
+    ("-1e999i", 1),
 ])
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(ParseError) as excinfo:
@@ -231,6 +235,12 @@ def test_parse_error_exit_code(capsys):
     code = main(["eval", "--upper", "i,-i", "--lower", "1/2", "--z", "1+"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_overflowing_literal_is_parse_error(capsys):
+    assert main(["eval", "--z", "1e400"]) == 2
+    assert capsys.readouterr().err == (
+        "error: number overflows binary64 (at position 0)\n")
 
 
 def test_csv_rejected_outside_verify():

@@ -40,6 +40,20 @@ CASES = {
     "eval-max-terms-20.txt": (
         ["eval", "--upper", "1,1", "--lower", "2", "--z", "0.9",
          "--max-terms", "20"], 1),
+    "eval-log-0.999.json": (
+        ["eval", "--upper", "1,1", "--lower", "2", "--z", "0.999",
+         "--tol", "1e-10", "--format", "json"], 0),
+    "eval-cosh-pi.txt": (
+        ["eval", "--lower", "1/2", "--z", "2.4674011002723395"], 0),
+    "eval-complex-half.json": (
+        ["eval", "--upper", "1/2+i,1/2-i", "--lower", "3/2", "--z", "1/2",
+         "--format", "json"], 0),
+    "eval-complex-z.json": (
+        ["eval", "--upper=1+2i", "--lower", "1/2-i", "--z", "3-4i",
+         "--format", "json"], 0),
+    "eval-truncated.txt": (
+        ["eval", "--upper=-3,1/2", "--lower", "3/2", "--z", "0.7"], 0),
+    "eval-overflow.txt": (["eval", "--z", "800"], 2),
 }
 
 

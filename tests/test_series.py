@@ -1,4 +1,8 @@
+import cmath
 import math
+import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -6,10 +10,12 @@ from gelfond import (
     DivergentError,
     InsufficientTermsError,
     PoleError,
+    RangeError,
     SeriesSpec,
     SumPolicy,
     SumStatus,
     levin_accelerate,
+    series,
     sum_pfq,
     sum_pfq_unit,
 )
@@ -18,6 +24,7 @@ from conftest import (
     COSH_PI,
     random_complex,
     reduced_3f2,
+    reference_direct_sum,
     rel_err,
     zeta_reference,
 )
@@ -46,6 +53,18 @@ def test_spec_lower_pole_allowed_behind_truncation():
         SeriesSpec((-5.0, 1.0), (-2.0,), 0.5)
     with pytest.raises(PoleError):
         SeriesSpec((-3.0, 1.0), (-3.0,), 0.5)
+
+
+@pytest.mark.parametrize("upper, lower, z, named", [
+    ((math.inf, 1.0), (2.0,), 0.5, "upper parameter (inf+0j)"),
+    ((1.0,), (complex(2.0, math.nan),), 0.5, "lower parameter (2+nanj)"),
+    ((1.0,), (math.nan,), 0.5, "lower parameter (nan+0j)"),
+    ((1.0, 1.0), (2.0,), math.nan, "argument (nan+0j)"),
+    ((), (), -math.inf, "argument (-inf+0j)"),
+])
+def test_spec_rejects_non_finite_values(upper, lower, z, named):
+    with pytest.raises(RangeError, match=re.escape(f"{named} is not finite")):
+        SeriesSpec(upper, lower, z)
 
 
 def test_policy_validation():
@@ -126,6 +145,99 @@ def test_converged_tail_contract(rng):
             r = sum_pfq(spec, policy)
             if r.status is SumStatus.CONVERGED:
                 assert r.tail_estimate <= tol * max(1.0, abs(r.value))
+
+
+def _sweep_value(rng: random.Random, real: bool) -> complex:
+    """A parameter or argument: generic, exactly or nearly a non-positive
+    integer (truncation or a lower pole), or large."""
+    kind = rng.random()
+    if kind < 0.2:
+        x = -rng.randint(0, 8) + rng.choice((0.0, 0.0, 3e-11, -3e-11))
+    elif kind < 0.3:
+        x = rng.uniform(-40.0, 40.0)
+    else:
+        x = rng.uniform(-3.0, 3.0)
+    return complex(x, 0.0 if real or kind < 0.2 else rng.uniform(-2.0, 2.0))
+
+
+def _sweep_spec(rng: random.Random) -> SeriesSpec:
+    real = rng.random() < 0.5
+    q = rng.randint(0, 3)
+    p = rng.randint(0, q + 1)
+    upper = [_sweep_value(rng, real) for _ in range(p)]
+    lower = [_sweep_value(rng, real) for _ in range(q)]
+    if p == q + 1:
+        # |z| <= 0.99, or z = 1 (the unit route sends truncating series here)
+        angle = 0.0 if real else rng.uniform(-math.pi, math.pi)
+        z = (1.0 if rng.random() < 0.1
+             else rng.uniform(-0.99, 0.99) * cmath.exp(1j * angle))
+    else:
+        # entire series: large |z| also reaches binary64 overflow
+        z = complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.5),
+                    0.0 if real else rng.uniform(-30.0, 30.0))
+    return SeriesSpec(upper, lower, z)
+
+
+def _sweep_outcome(spec: SeriesSpec, policy: SumPolicy) -> tuple[str, str]:
+    """(status or exception name, full repr or message) of one sum_pfq call."""
+    try:
+        result = sum_pfq(spec, policy)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.status.name, repr(result)
+
+
+def test_direct_sum_matches_reference(monkeypatch):
+    """The one-loop float/complex direct sum against the term-list complex
+    reference: repr-equal results, or the same exception and message."""
+    rng = random.Random(0xD1EC7)
+    cases, seen = [], set()
+    while len(cases) < 2400:
+        policy = SumPolicy(tolerance=10.0 ** rng.uniform(-15.0, -3.0),
+                           max_terms=rng.choice((10, 25, 100, 30_000)))
+        try:
+            cases.append((_sweep_spec(rng), policy))
+        except PoleError:
+            seen.add("PoleError")
+    got = [_sweep_outcome(spec, policy) for spec, policy in cases]
+    monkeypatch.setattr(series, "_direct_sum", reference_direct_sum)
+    for (spec, policy), outcome in zip(cases, got):
+        assert outcome == _sweep_outcome(spec, policy), (spec, policy)
+        seen.add(outcome[0])
+    expected = {status.name for status in SumStatus} | {"PoleError", "RangeError"}
+    assert expected <= seen, seen
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((), (1e200, 1e200, 1e200), 0.5),           # term 1's denominator overflows
+    ((-2,), (-2.7, 6e307, -0.9), 0.5),          # ... that of the truncation term
+    ((0,), (1e200, 1e200, 1e200), 0.5),         # ... that of the truncation tail
+    ((-1 + 1e-12,), (1.0,), 1e160),             # the truncation tail overflows
+    ((), (1e-5,) * 70, 0.5),                    # the denominator underflows to 0
+])
+def test_direct_sum_beyond_float_range_matches_reference(upper, lower, z, monkeypatch):
+    """Where a float step leaves the binary64 range, the complex step it
+    stands for carries a NaN (or divides by a complex zero): the real spec
+    must still give the reference's result or exception."""
+    spec, policy = SeriesSpec(upper, lower, z), SumPolicy()
+    got = _sweep_outcome(spec, policy)
+    monkeypatch.setattr(series, "_direct_sum", reference_direct_sum)
+    assert got == _sweep_outcome(spec, policy)
+
+
+def test_direct_sum_stores_no_terms():
+    # 50,000 terms of -ln(1 - z)/z: a stored list of complex terms alone
+    # takes 2 MB
+    spec = SeriesSpec((1, 1), (2,), 0.9999999)
+    policy = SumPolicy(tolerance=1e-12, max_terms=50_000)
+    tracemalloc.start()
+    try:
+        result = sum_pfq(spec, policy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status is SumStatus.MAX_TERMS_EXCEEDED
+    assert peak < 1_000_000
 
 
 # ----------------------------------------------------------------------
