@@ -5,8 +5,9 @@ sum_pfq evaluates pFq(upper; lower; z) by direct term recurrence
 The direct sum is one loop that keeps only the current term, so it stores
 no terms; a real spec runs it on float, which gives the same bits as
 complex arithmetic because CPython's complex * and / reduce, for zero
-imaginary parts, to the very float operations on the real parts (a float
-step that leaves the binary64 range sends the sum back to complex).  At unit
+imaginary parts, to the very float operations on the real parts.  A
+denominator product that reaches the binary64 limit raises RangeError, in
+float and complex alike, since the terms after it can be 0 or NaN.  At unit
 argument the series with p = q + 1 converge only algebraically
 (term magnitudes ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so
 sum_pfq_unit accelerates the partial sums with a Levin u-transform.
@@ -115,10 +116,10 @@ class SumPolicy:
     max_terms: int = 10**6
 
     def __post_init__(self):
-        if not (self.tolerance >= 1e-15):
-            raise ValueError("tolerance must be >= 1e-15")
-        if self.max_terms < 10:
-            raise ValueError("max_terms must be >= 10")
+        if not (1e-15 <= self.tolerance < math.inf):
+            raise ValueError("tolerance must be finite and >= 1e-15")
+        if type(self.max_terms) is not int or self.max_terms < 10:
+            raise ValueError("max_terms must be an int >= 10")
 
 
 @dataclass(frozen=True)
@@ -127,31 +128,6 @@ class SumResult:
     terms_used: int
     tail_estimate: float
     status: SumStatus
-
-
-class _TermGenerator:
-    """Running-term recurrence; avoids recomputing Pochhammer products."""
-
-    def __init__(self, spec: SeriesSpec):
-        self.upper = spec.upper
-        self.lower = spec.lower
-        self.z = spec.argument
-        self.terms: list[complex] = [1.0 + 0.0j]
-
-    def extend(self, count: int) -> None:
-        terms = self.terms
-        n = len(terms) - 1
-        t = terms[-1]
-        while len(terms) < count:
-            num = 1.0 + 0.0j
-            for a in self.upper:
-                num *= a + n
-            den = (n + 1) + 0.0j
-            for b in self.lower:
-                den *= b + n
-            t = t * self.z * num / den
-            terms.append(t)
-            n += 1
 
 
 def _observed_tail(abs_t: float, prev_abs: float) -> float:
@@ -171,32 +147,24 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     floats, any other in complex arithmetic.  CPython's complex * and / on
     numbers with zero imaginary parts perform the very float operations the
     float loop performs on the real parts, so the float sum has the bits of
-    the complex one for as long as every step stays finite.  A float step
-    that leaves the binary64 range (where the complex step would carry a
-    NaN from inf * 0 in its imaginary part, or divide by a complex zero)
-    raises, and the sum is redone in complex arithmetic.
+    the complex one.  The tail estimate is worked out only at the exits that
+    report it.
+
+    A denominator product at the binary64 limit, one with a part of 2^1023
+    or more so that 2 * den is not finite, can make the next term 0 or NaN:
+    float division by inf gives 0, and complex division scales by
+    |den|^2 / max(|Re den|, |Im den|), which then overflows.  No value
+    summed past it can be trusted, so RangeError is raised for a zero term
+    or the truncation term after such a denominator, for a truncation tail
+    that is not finite, and for a denominator that underflows to 0.
     """
     upper, lower, z = spec.upper, spec.lower, spec.argument
+    isfinite = cmath.isfinite
     if z.imag == 0.0 and all(c.imag == 0.0 for c in upper + lower):
-        try:
-            return _sum_terms(tuple(a.real for a in upper),
-                              tuple(b.real for b in lower), z.real, spec, policy)
-        except ArithmeticError:
-            pass
-    return _sum_terms(upper, lower, z, spec, policy)
-
-
-def _sum_terms(upper, lower, z, spec: SeriesSpec, policy: SumPolicy) -> SumResult:
-    """The direct-summation loop, over float or complex upper, lower and z.
-
-    The tail estimate is worked out only at the exits that report it.  With
-    float input it raises OverflowError where a float step left the binary64
-    range: a zero term or the truncation term after a denominator product
-    that is not finite, or a truncation tail that is not finite (see
-    _direct_sum).
-    """
-    real = isinstance(z, float)
-    isfinite = math.isfinite if real else cmath.isfinite
+        upper = tuple(a.real for a in upper)
+        lower = tuple(b.real for b in lower)
+        z = z.real
+        isfinite = math.isfinite
     tol = policy.tolerance
     last = policy.max_terms - 1
     trunc = spec.truncation_degree()
@@ -208,44 +176,47 @@ def _sum_terms(upper, lower, z, spec: SeriesSpec, policy: SumPolicy) -> SumResul
     prev_abs = 0.0
     small_streak = 0
     n = 0
-    while True:
-        total += t
-        if not isfinite(total):
-            raise RangeError("series accumulation overflowed binary64")
-        if n != trunc:
-            abs_t = abs(t)
-            if abs_t <= tol or abs_t <= tol * abs(total):
-                if real and not abs_t and not isfinite(den):
-                    raise OverflowError("denominator product overflowed")
-                small_streak += 1
-                if small_streak >= 2:
-                    tail = _observed_tail(abs_t, prev_abs)
-                    if tail <= tol or tail <= tol * abs(total):
-                        return SumResult(complex(total), n + 1, tail,
-                                         SumStatus.CONVERGED)
-            else:
-                small_streak = 0
-            if n >= last:
-                return SumResult(complex(total), n + 1,
-                                 _observed_tail(abs_t, prev_abs),
-                                 SumStatus.MAX_TERMS_EXCEEDED)
-            prev_abs = abs_t
-        elif real and not isfinite(den):
-            raise OverflowError("denominator product overflowed")
-        num = 1.0
-        for a in upper:
-            num *= a + n
-        den = n + 1
-        for b in lower:
-            den *= b + n
-        t = t * z * num / den
-        if n == trunc:
-            # polynomial case: the remaining terms vanish (or are negligible
-            # for parameters merely near a non-positive integer)
-            if real and not (isfinite(t) and isfinite(den)):
-                raise OverflowError("truncation tail left the binary64 range")
-            return SumResult(complex(total), n + 1, abs(t), SumStatus.TRUNCATED)
-        n += 1
+    try:
+        while True:
+            total += t
+            if not isfinite(total):
+                raise RangeError("series accumulation overflowed binary64")
+            if n != trunc:
+                abs_t = abs(t)
+                if abs_t <= tol or abs_t <= tol * abs(total):
+                    if not abs_t and not isfinite(2.0 * den):
+                        raise RangeError(f"term {n}: denominator at the binary64 limit")
+                    small_streak += 1
+                    if small_streak >= 2:
+                        tail = _observed_tail(abs_t, prev_abs)
+                        if tail <= tol or tail <= tol * abs(total):
+                            return SumResult(complex(total), n + 1, tail,
+                                             SumStatus.CONVERGED)
+                else:
+                    small_streak = 0
+                if n >= last:
+                    return SumResult(complex(total), n + 1,
+                                     _observed_tail(abs_t, prev_abs),
+                                     SumStatus.MAX_TERMS_EXCEEDED)
+                prev_abs = abs_t
+            elif not isfinite(2.0 * den):
+                raise RangeError(f"term {n}: denominator at the binary64 limit")
+            num = 1.0
+            for a in upper:
+                num *= a + n
+            den = n + 1
+            for b in lower:
+                den *= b + n
+            t = t * z * num / den
+            if n == trunc:
+                # polynomial case: the remaining terms vanish (or are negligible
+                # for parameters merely near a non-positive integer)
+                if not (isfinite(t) and isfinite(2.0 * den)):
+                    raise RangeError(f"term {n + 1}: tail out of the binary64 range")
+                return SumResult(complex(total), n + 1, abs(t), SumStatus.TRUNCATED)
+            n += 1
+    except ZeroDivisionError:
+        raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +353,8 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     the ladder, as does a long run of windows without score improvement.
     """
     tol = policy.tolerance
-    gen = _TermGenerator(spec)
+    upper, lower, z = spec.upper, spec.lower, spec.argument
+    terms = [1.0 + 0.0j]
     window = _LEVIN_WINDOW
     candidates: list[tuple[float, complex]] = []   # (estimate, value)
     head = 0.0 + 0.0j
@@ -390,11 +362,21 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     flat_streak = 0
     stall = 0
     for offset in _offset_ladder(policy.max_terms):
-        gen.extend(offset + window)
+        for n in range(len(terms) - 1, offset + window - 1):
+            num = 1.0 + 0.0j
+            for a in upper:
+                num *= a + n
+            den = (n + 1) + 0.0j
+            for b in lower:
+                den *= b + n
+            t = terms[-1] * z * num / den
+            if not cmath.isfinite(t):
+                raise RangeError(f"term {n + 1}: not finite")
+            terms.append(t)
         while consumed < offset:
-            head += gen.terms[consumed]
+            head += terms[consumed]
             consumed += 1
-        win = gen.terms[offset:offset + window]
+        win = terms[offset:offset + window]
         peak = max(abs(t) for t in win)
         last = abs(win[-1])
         growing = last >= 0.95 * peak
@@ -428,19 +410,19 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         if len(candidates) >= 2:
             tail = _LEVIN_SAFETY * best_est
             if tail <= tol * max(1.0, abs(best_val)):
-                return SumResult(best_val, len(gen.terms), tail,
+                return SumResult(best_val, len(terms), tail,
                                  SumStatus.CONVERGED)
         stall = 0 if improved else stall + 1
         if stall >= 4 and offset >= 30:
             break
     if not candidates:
-        return SumResult(0.0 + 0.0j, len(gen.terms), math.inf,
+        return SumResult(0.0 + 0.0j, len(terms), math.inf,
                          SumStatus.MAX_TERMS_EXCEEDED)
     best_est, best_val = candidates[0]
     tail = _LEVIN_SAFETY * best_est
     if len(candidates) > 1:
         tail = max(tail, 0.5 * abs(best_val - candidates[1][1]))
-    return SumResult(best_val, len(gen.terms), tail, SumStatus.MAX_TERMS_EXCEEDED)
+    return SumResult(best_val, len(terms), tail, SumStatus.MAX_TERMS_EXCEEDED)
 
 
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:

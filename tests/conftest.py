@@ -40,7 +40,9 @@ def reference_direct_sum(spec, policy) -> SumResult:
     """Direct summation as it stood before the one-loop rewrite: every term
     kept in a list, complex arithmetic throughout, the ratio and tail worked
     out on every term.  series._direct_sum must return a repr-equal result,
-    or raise the same exception, on every input."""
+    or raise the same exception, on every input whose denominator products
+    stay below the binary64 limit; past it the reference sums spurious 0
+    terms where series._direct_sum raises RangeError."""
     upper, lower, z = spec.upper, spec.lower, spec.argument
     terms = [1.0 + 0.0j]
 

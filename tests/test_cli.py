@@ -84,6 +84,18 @@ def test_eval_divergent_unit_argument_is_usage_error(capsys):
     assert "status = Divergent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    # e^(1/2) = 1F1(a; a; 1/2) with a denominator product past binary64
+    ["--upper", "1.7e308", "--lower", "1.7e308", "--z", "0.5"],
+    ["--upper", "1,1", "--lower", "2", "--z", "0.5", "--tol", "inf"],
+])
+def test_eval_out_of_range_request_is_usage_error(argv, capsys):
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_eval_json_format(capsys):
     code = main(["eval", "--upper", "", "--lower", "1/2",
                  "--z", "2.4674011002723395", "--format", "json"])

@@ -7,6 +7,7 @@ orders are compared by ``repr``.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from gelfond import SeriesSpec, identities, series
@@ -55,12 +56,21 @@ def assert_same_orders(windows):
 
 def unit_windows(spec, count):
     """The first ``count`` windows of the ladder on a z = 1 series, each at
-    the local beta = 1 and the global beta = offset + 1."""
-    gen = series._TermGenerator(spec)
+    the local beta = 1 and the global beta = offset + 1.  The terms are
+    stepped with the ladder's operations in the ladder's order."""
+    offsets = list(islice(series._offset_ladder(10**6), count))
+    terms = [1.0 + 0.0j]
+    for n in range(offsets[-1] + series._LEVIN_WINDOW - 1):
+        num = 1.0 + 0.0j
+        for a in spec.upper:
+            num *= a + n
+        den = (n + 1) + 0.0j
+        for b in spec.lower:
+            den *= b + n
+        terms.append(terms[-1] * spec.argument * num / den)
     out = []
-    for offset, _ in zip(series._offset_ladder(10**6), range(count)):
-        gen.extend(offset + series._LEVIN_WINDOW)
-        win = gen.terms[offset:offset + series._LEVIN_WINDOW]
+    for offset in offsets:
+        win = terms[offset:offset + series._LEVIN_WINDOW]
         out += [(win, 1), (win, offset + 1)]
     return out
 
@@ -84,12 +94,13 @@ def test_registry_windows(monkeypatch):
 
 def test_complex_gauss_windows(rng):
     windows = []
-    for _ in range(6):
+    for _ in range(9):
         a = complex(rng.uniform(0.1, 0.6), rng.uniform(-2.5, 2.5))
         b = rng.uniform(0.05, 0.6)
         c = a.real + b + rng.uniform(1.0, 3.0)
         windows += unit_windows(SeriesSpec((a, b), (c,), 1.0), 4)
     windows += unit_windows(SeriesSpec((0.3 + 2j, 0.1), (3,), 1.0), 6)
+    assert len(windows) >= 80
     assert all(any(t.imag != 0.0 for t in terms) for terms, _ in windows)
     assert_same_orders(windows)
 

@@ -74,6 +74,17 @@ def test_policy_validation():
         SumPolicy(max_terms=5)
 
 
+@pytest.mark.parametrize("field", [
+    {"tolerance": math.inf},
+    {"max_terms": 10.5},
+    {"max_terms": 1e6},
+    {"max_terms": True},
+])
+def test_policy_rejects_infinite_tolerance_and_non_int_max_terms(field):
+    with pytest.raises(ValueError):
+        SumPolicy(**field)
+
+
 # ----------------------------------------------------------------------
 # direct summation
 # ----------------------------------------------------------------------
@@ -214,15 +225,53 @@ def test_direct_sum_matches_reference(monkeypatch):
     ((0,), (1e200, 1e200, 1e200), 0.5),         # ... that of the truncation tail
     ((-1 + 1e-12,), (1.0,), 1e160),             # the truncation tail overflows
     ((), (1e-5,) * 70, 0.5),                    # the denominator underflows to 0
+    ((1.7e308,), (1.7e308,), 0.5),              # e^(1/2), term 2's denominator
+    ((1e308 + 1j,), (1e308,), 0.5 + 0.1j),      # ... the same in complex
+    # e^z with a finite denominator whose complex division overflows
+    ((3.3e307 - 2.3e307j,), (3.3e307 - 2.3e307j,), 0.39 + 0.36j),
 ])
-def test_direct_sum_beyond_float_range_matches_reference(upper, lower, z, monkeypatch):
-    """Where a float step leaves the binary64 range, the complex step it
-    stands for carries a NaN (or divides by a complex zero): the real spec
-    must still give the reference's result or exception."""
-    spec, policy = SeriesSpec(upper, lower, z), SumPolicy()
-    got = _sweep_outcome(spec, policy)
-    monkeypatch.setattr(series, "_direct_sum", reference_direct_sum)
-    assert got == _sweep_outcome(spec, policy)
+def test_direct_sum_beyond_float_range_raises(upper, lower, z):
+    """A denominator product out of the binary64 range makes the terms after
+    it 0 or NaN, real or complex: the sum is refused, never returned."""
+    with pytest.raises(RangeError, match="term"):
+        sum_pfq(SeriesSpec(upper, lower, z))
+
+
+def _edge_case(rng: random.Random) -> tuple[SeriesSpec, complex, float]:
+    """(spec, closed form, sum of |terms|) of e^x = 1F1(a; a; x) =
+    2F2(a, 3/2; a, 3/2; x) or cosh x = 1F2(a; a, 1/2; x^2/4), with a huge a,
+    real or complex, whose Pochhammer products reach the binary64 limit."""
+    a = 10.0 ** rng.uniform(300.0, 308.2)
+    if rng.random() < 0.5:
+        a = complex(a, a * rng.uniform(-1.0, 1.0))
+    x = complex(rng.uniform(-3.0, 3.0), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return SeriesSpec((a,), (a,), x), cmath.exp(x), math.exp(abs(x))
+    if kind == 1:
+        return SeriesSpec((a, 1.5), (a, 1.5), x), cmath.exp(x), math.exp(abs(x))
+    return SeriesSpec((a,), (a, 0.5), x * x / 4), cmath.cosh(x), math.cosh(abs(x))
+
+
+def test_direct_sum_edge_of_float_range_against_closed_forms():
+    """Near the top of the binary64 range a sum is either refused with
+    RangeError or within 4 tails of its closed form.  The rounding of the
+    terms, which the tail does not count yet, is allowed for separately as
+    8 eps sum|t_k|; a sum past a spurious 0 term is off by more, by up to
+    82% on this sample."""
+    rng = random.Random(0xED6E)
+    refused = 0
+    for _ in range(450):
+        spec, exact, abs_sum = _edge_case(rng)
+        try:
+            r = sum_pfq(spec)
+        except RangeError:
+            refused += 1
+            continue
+        assert r.status is SumStatus.CONVERGED
+        err = abs(r.value - exact)
+        assert err <= 4 * r.tail_estimate + 8 * 2.0 ** -52 * abs_sum, (spec, r, exact)
+    assert refused >= 20
 
 
 def test_direct_sum_stores_no_terms():
@@ -262,6 +311,12 @@ def test_unit_truncated():
     r = sum_pfq_unit(SeriesSpec((0, 1.7), (0.5,), 1.0))
     assert r.status is SumStatus.TRUNCATED
     assert r.value == 1.0 + 0.0j
+
+
+def test_unit_non_finite_term_is_range_error():
+    # 2F1(1e154, 1e154; 3e154; 1): term 2 overflows binary64
+    with pytest.raises(RangeError, match="term 2: "):
+        sum_pfq_unit(SeriesSpec((1e154, 1e154), (3e154,), 1.0))
 
 
 def test_unit_requires_argument_one():
