@@ -10,6 +10,9 @@ hypergeometric sum:
   second_gauss_ext_half  3F2(a, b, d+1; (a+b+3)/2, d; 1/2)
   bailey_ext_half        3F2(a, 1-a, d+1; c+1, d; 1/2)
 
+SERIES is this list as code: name -> (upper, lower, argument) of the same
+arguments, unrounded, so that an exact Fraction d gives an exact d+1.
+
 Gamma ratios are assembled in log space (one exponential at the end) so
 that ratios of four gammas do not lose digits to intermediate overflow or
 cancellation.  Gamma factors in denominators are applied as reciprocal
@@ -46,6 +49,16 @@ def check_d(d: complex) -> complex:
             "non-positive integer"
         )
     return d
+
+
+SERIES = {
+    "gauss_unit": lambda a, b, c: ((a, b), (c,), 1),
+    "gauss_ext_unit": lambda a, b, c, d: ((a, b, d + 1), (c + 1, d), 1),
+    "second_gauss_half": lambda a, b: ((a, b), ((a + b + 1) / 2,), 0.5),
+    "bailey_half": lambda a, c: ((a, 1 - a), (c,), 0.5),
+    "second_gauss_ext_half": lambda a, b, d: ((a, b, d + 1), ((a + b + 3) / 2, d), 0.5),
+    "bailey_ext_half": lambda a, c, d: ((a, 1 - a, d + 1), (c + 1, d), 0.5),
+}
 
 
 def gamma_ratio(numerator, denominator) -> complex:

@@ -9,6 +9,18 @@ three independent routes to one number:
                      always evaluated through math.exp, never through the
                      hypergeometric machinery.
 
+Each closed route is a weighted sum of the summation theorems of
+closed_forms, stated once as members (weight, theorem, args): a member
+adds weight * theorem(*args) to the closed route and weight times the sum
+of closed_forms.SERIES[theorem](*args) to the series route.  A case
+without series members is documented only.  No case sets a tolerance:
+closed routes compare at CLOSED_TOL = 1e-12, and each series member is
+compared and summed at the (comparison, summation) pair its argument
+selects, (1e-6, 3e-8) at z = 1 (Levin-accelerated), (1e-11, 1e-13) at
+z = 1/2 (geometric) and (1e-13, 1e-15) for any other (entire) series;
+summation is tighter because weighted combinations cancel (cor2 builds
+n*e^(-pi) out of components ~12n: a ~270x loss).
+
 Rational parameters (the corollary families are parameterized by exact
 fractions like 2/(5n-1)) are carried as Fraction values and rounded to
 binary64 once, at plan construction.  Each corollary family is one row of
@@ -41,21 +53,9 @@ from .series import SeriesSpec, SumPolicy, SumStatus, sum_pfq
 
 I = 1j
 
-# Comparison tolerances by argument family: closed forms at z=1 are pure
-# gamma ratios (~1e-13 per gamma); z=1 series are acceleration-limited;
-# z=1/2 series are geometric and essentially exact.
-CLOSED_TOL_UNIT = 1e-12
-CLOSED_TOL_HALF = 1e-11
-CLOSED_TOL_LAMBDA = 1e-11
-SERIES_TOL_UNIT = 1e-6
-SERIES_TOL_HALF = 1e-11
-SERIES_TOL_DIRECT = 1e-13
-# summation tolerances requested from the engine, tighter than the
-# comparison tolerances above because weighted case combinations cancel
-# (cor2 builds n*e^(-pi) out of components ~12n: a ~270x loss)
-SUM_TOL_UNIT = 3e-8
-SUM_TOL_HALF = 1e-13
-SUM_TOL_DIRECT = 1e-15
+CLOSED_TOL = 1e-12    # gamma ratios, ~1e-13 per gamma
+TOLERANCES_BY_ARGUMENT = {1.0: (1e-6, 3e-8), 0.5: (1e-11, 1e-13)}
+OTHER_ARGUMENT_TOLERANCES = (1e-13, 1e-15)
 
 LAMBDA_LIMIT = 15.0
 
@@ -65,6 +65,11 @@ class ExpTerm(NamedTuple):
 
     coef: Fraction | float
     power: Fraction | float
+
+
+def series_tolerances(spec: SeriesSpec) -> tuple[float, float]:
+    """(comparison, summation) tolerance of one series member."""
+    return TOLERANCES_BY_ARGUMENT.get(spec.argument, OTHER_ARGUMENT_TOLERANCES)
 
 
 def expected_value(terms: tuple[ExpTerm, ...]) -> float:
@@ -80,12 +85,21 @@ class IdentityCase:
     lhs_plan: tuple[tuple[SeriesSpec, complex], ...]
     rhs_plan: tuple[tuple[complex, Callable[[], complex]], ...] | None
     expected: tuple[ExpTerm, ...] | None
-    series_tol: float = SERIES_TOL_UNIT
-    closed_tol: float = CLOSED_TOL_UNIT
-    sum_tol: float = SUM_TOL_UNIT
     expect_divergent: bool = False
-    documented_only: bool = False
     erratum: str | None = None
+
+    closed_tol = CLOSED_TOL   # a class constant, not a field
+
+    @property
+    def series_tol(self) -> float | None:
+        """The loosest comparison tolerance of the series members."""
+        return max((series_tolerances(spec)[0] for spec, _ in self.lhs_plan),
+                   default=None)
+
+    @property
+    def documented_only(self) -> bool:
+        """Recorded but never evaluated: the case has no series member."""
+        return not self.lhs_plan
 
 
 @dataclass(frozen=True)
@@ -135,8 +149,7 @@ def theorem2_coefficients(d1: Fraction, d2: Fraction) -> tuple[Fraction, Fractio
 
 def gelfond() -> float:
     """e^pi from the two unit-argument Gauss values."""
-    value = cf.gauss_unit(I, -I, 0.5) + 2.0 * cf.gauss_unit(0.5 + I, 0.5 - I, 1.5)
-    return value.real
+    return gelfond_lambda(1.0)
 
 
 def gelfond_lambda(lam: float) -> float:
@@ -168,13 +181,20 @@ def sqrt_gelfond_pair() -> tuple[float, float]:
 # case constructors
 # ----------------------------------------------------------------------
 
-def _unit_ext_plan(d1: Fraction, d2: Fraction, second_lower: Fraction
-                   ) -> tuple[tuple[SeriesSpec, complex], ...]:
-    f1, f2 = float(d1), float(d2)
-    return (
-        (SeriesSpec((I, -I, float(d1 + 1)), (1.5, f1), 1.0), 1.0 + 0.0j),
-        (SeriesSpec((0.5 + I, 0.5 - I, float(d2 + 1)),
-                    (float(second_lower), f2), 1.0), 2.0 + 0.0j),
+def _theorem_case(case_id: str, description: str, parameters: dict,
+                  expected: tuple[ExpTerm, ...], *members) -> IdentityCase:
+    """The case whose two routes are the weighted sums of its members
+    (weight, theorem, args), with ``theorem`` a closed_forms function name;
+    exact Fraction arguments reach SeriesSpec unrounded and round there."""
+    return IdentityCase(
+        id=case_id,
+        description=description,
+        parameters=parameters,
+        lhs_plan=tuple((SeriesSpec(*cf.SERIES[theorem](*args)), complex(w))
+                       for w, theorem, args in members),
+        rhs_plan=tuple((complex(w), partial(getattr(cf, theorem), *args))
+                       for w, theorem, args in members),
+        expected=expected,
     )
 
 
@@ -190,17 +210,13 @@ def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
     """Unit-argument extension identity at exact rational (d1, d2)."""
     d1, d2 = _exact_d(d1), _exact_d(d2)
     c_plus, c_minus = theorem1_coefficients(d1, d2)
-    f1, f2 = float(d1), float(d2)
-    return IdentityCase(
-        id=case_id or f"thm1-d1={d1}-d2={d2}",
-        description=f"unit-argument extension at d1={d1}, d2={d2}",
-        parameters={"d1": d1, "d2": d2},
-        lhs_plan=_unit_ext_plan(d1, d2, Fraction(5, 2)),
-        rhs_plan=(
-            (1.0 + 0.0j, partial(cf.gauss_ext_unit, I, -I, 0.5, f1)),
-            (2.0 + 0.0j, partial(cf.gauss_ext_unit, 0.5 + I, 0.5 - I, 1.5, f2)),
-        ),
-        expected=(ExpTerm(c_plus, 1), ExpTerm(c_minus, -1)),
+    return _theorem_case(
+        case_id or f"thm1-d1={d1}-d2={d2}",
+        f"unit-argument extension at d1={d1}, d2={d2}",
+        {"d1": d1, "d2": d2},
+        (ExpTerm(c_plus, 1), ExpTerm(c_minus, -1)),
+        (1, "gauss_ext_unit", (I, -I, 0.5, d1)),
+        (2, "gauss_ext_unit", (0.5 + I, 0.5 - I, 1.5, d2)),
     )
 
 
@@ -208,25 +224,13 @@ def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
     """Half-argument extension identity at exact rational (d1, d2)."""
     d1, d2 = _exact_d(d1), _exact_d(d2)
     c_plus, c_minus = theorem2_coefficients(d1, d2)
-    f1, f2 = float(d1), float(d2)
-    root2 = math.sqrt(2.0)
-    return IdentityCase(
-        id=case_id or f"thm2-d1={d1}-d2={d2}",
-        description=f"half-argument extension at d1={d1}, d2={d2}",
-        parameters={"d1": d1, "d2": d2},
-        lhs_plan=(
-            (SeriesSpec((I, -I, float(d1 + 1)), (1.5, f1), 0.5), 1.0 + 0.0j),
-            (SeriesSpec((0.5 + I, 0.5 - I, float(d2 + 1)), (2.5, f2), 0.5),
-             complex(root2)),
-        ),
-        rhs_plan=(
-            (1.0 + 0.0j, partial(cf.second_gauss_ext_half, I, -I, f1)),
-            (complex(root2), partial(cf.bailey_ext_half, 0.5 + I, 1.5, f2)),
-        ),
-        expected=(ExpTerm(c_plus, Fraction(1, 2)), ExpTerm(c_minus, Fraction(-1, 2))),
-        series_tol=SERIES_TOL_HALF,
-        closed_tol=CLOSED_TOL_HALF,
-        sum_tol=SUM_TOL_HALF,
+    return _theorem_case(
+        case_id or f"thm2-d1={d1}-d2={d2}",
+        f"half-argument extension at d1={d1}, d2={d2}",
+        {"d1": d1, "d2": d2},
+        (ExpTerm(c_plus, Fraction(1, 2)), ExpTerm(c_minus, Fraction(-1, 2))),
+        (1, "second_gauss_ext_half", (I, -I, d1)),
+        (math.sqrt(2.0), "bailey_ext_half", (0.5 + I, 1.5, d2)),
     )
 
 
@@ -341,9 +345,12 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
                    erratum=variant.erratum)
     if variant.second_lower is None:
         return case
-    # the as-printed companion diverges: no closed route, claimed terms only
+    # the as-printed companion diverges: the second series takes the printed
+    # lower parameter, and there is no closed route, claimed terms only
+    first, (second, weight) = case.lhs_plan
+    printed = replace(second, lower=(variant.second_lower, *second.lower[1:]))
     return replace(case,
-                   lhs_plan=_unit_ext_plan(d1, d2, variant.second_lower),
+                   lhs_plan=(first, (printed, weight)),
                    rhs_plan=None,
                    expected=tuple(t for t in case.expected if t.coef),
                    expect_divergent=True)
@@ -353,71 +360,39 @@ def _lambda_case(lam, case_id: str) -> IdentityCase:
     """e^(pi*lam) = 2F1(i lam, -i lam; 1/2; 1)
     + 2 lam * 2F1(1/2 + i lam, 1/2 - i lam; 3/2; 1)."""
     f = float(lam)
-    return IdentityCase(
-        id=case_id,
-        description=f"parameterized constant identity at lambda = {lam}",
-        parameters={"lambda": f},
-        lhs_plan=(
-            (SeriesSpec((I * f, -I * f), (0.5,), 1.0), 1.0 + 0.0j),
-            (SeriesSpec((0.5 + I * f, 0.5 - I * f), (1.5,), 1.0), complex(2 * f)),
-        ),
-        rhs_plan=(
-            (1.0 + 0.0j, partial(cf.gauss_unit, I * f, -I * f, 0.5)),
-            (complex(2 * f), partial(cf.gauss_unit, 0.5 + I * f, 0.5 - I * f, 1.5)),
-        ),
-        expected=(ExpTerm(Fraction(1), lam),),
-        closed_tol=CLOSED_TOL_LAMBDA,
+    return _theorem_case(
+        case_id,
+        f"parameterized constant identity at lambda = {lam}",
+        {"lambda": f},
+        (ExpTerm(Fraction(1), lam),),
+        (1, "gauss_unit", (I * f, -I * f, 0.5)),
+        (2 * f, "gauss_unit", (0.5 + I * f, 0.5 - I * f, 1.5)),
     )
 
 
 def _direct_case(case_id: str, description: str,
                  *lhs_plan: tuple[SeriesSpec, complex]) -> IdentityCase:
     """e^pi from series summed directly, with no closed route."""
-    return IdentityCase(
-        id=case_id,
-        description=description,
-        parameters={},
-        lhs_plan=lhs_plan,
-        rhs_plan=None,
-        expected=(ExpTerm(Fraction(1), 1),),
-        series_tol=SERIES_TOL_DIRECT,
-        sum_tol=SUM_TOL_DIRECT,
-    )
+    return IdentityCase(case_id, description, {}, lhs_plan, None,
+                        (ExpTerm(Fraction(1), 1),))
 
 
 def _sqrt_case(case_id: str, sign: int) -> IdentityCase:
     """e^(+/- pi/2) = 2F1(i,-i;1/2;1/2) +/- sqrt(2) 2F1(1/2+i,1/2-i;3/2;1/2)."""
-    w = complex(sign * math.sqrt(2.0))
-    return IdentityCase(
-        id=case_id,
-        description=f"e^({'+' if sign > 0 else '-'}pi/2) from half-argument "
-                    "second-Gauss and Bailey values",
-        parameters={},
-        lhs_plan=(
-            (SeriesSpec((I, -I), (0.5,), 0.5), 1.0 + 0.0j),
-            (SeriesSpec((0.5 + I, 0.5 - I), (1.5,), 0.5), w),
-        ),
-        rhs_plan=(
-            (1.0 + 0.0j, partial(cf.second_gauss_half, I, -I)),
-            (w, partial(cf.bailey_half, 0.5 + I, 1.5)),
-        ),
-        expected=(ExpTerm(Fraction(1), Fraction(sign, 2)),),
-        series_tol=SERIES_TOL_HALF,
-        closed_tol=CLOSED_TOL_UNIT,
-        sum_tol=SUM_TOL_HALF,
+    return _theorem_case(
+        case_id,
+        f"e^({'+' if sign > 0 else '-'}pi/2) from half-argument "
+        "second-Gauss and Bailey values",
+        {},
+        (ExpTerm(Fraction(1), Fraction(sign, 2)),),
+        (1, "second_gauss_half", (I, -I)),
+        (sign * math.sqrt(2.0), "bailey_half", (0.5 + I, 1.5)),
     )
 
 
 def _documented_case(case_id: str, description: str) -> IdentityCase:
-    return IdentityCase(
-        id=case_id,
-        description=description,
-        parameters={},
-        lhs_plan=(),
-        rhs_plan=None,
-        expected=None,
-        documented_only=True,
-    )
+    """A case with no route: recorded, never evaluated."""
+    return IdentityCase(case_id, description, {}, (), None, None)
 
 
 THEOREM1_GRID = (
@@ -446,7 +421,7 @@ def registry() -> list[IdentityCase]:
     cases = [
         replace(_lambda_case(Fraction(1), "eq1.1"),
                 description="e^pi as a sum of two unit-argument Gauss values",
-                parameters={}, closed_tol=CLOSED_TOL_UNIT),
+                parameters={}),
         # e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4)
         _direct_case("0f1-bessel", "e^pi from two 0F1 values at pi^2/4 "
                      "(hyperbolic cosine/sine shapes)",
@@ -506,8 +481,8 @@ def _aggregate_status(statuses: list[SumStatus]) -> str:
 def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationReport:
     """Evaluate one case along every route it defines and compare.
 
-    With ``policy=None`` each series member is summed at the case's own
-    summation tolerance; an explicit policy overrides it (and can
+    With ``policy=None`` each series member is summed at the summation
+    tolerance of its argument; an explicit policy overrides it (and can
     deliberately make the series route fail).  Failures are verdicts, not
     exceptions.  A documented-only case defines no route.
     """
@@ -521,16 +496,14 @@ def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationR
             acc += weight * thunk()
         closed = acc.real
 
-    member_policy = policy if policy is not None else SumPolicy(
-        tolerance=case.sum_tol
-    )
     series_value = None
     series_status = None
     if case.lhs_plan:
         statuses = []
         acc = 0.0 + 0.0j
         for spec, weight in case.lhs_plan:
-            result = sum_pfq(spec, member_policy)
+            result = sum_pfq(spec, policy if policy is not None else
+                             SumPolicy(tolerance=series_tolerances(spec)[1]))
             statuses.append(result.status)
             acc += weight * result.value
         series_status = _aggregate_status(statuses)

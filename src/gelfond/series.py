@@ -369,7 +369,11 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
             den = (n + 1) + 0.0j
             for b in lower:
                 den *= b + n
-            t = terms[-1] * z * num / den
+            try:
+                t = terms[-1] * z * num / den
+            except ZeroDivisionError:
+                raise RangeError(
+                    f"term {n + 1}: denominator underflowed to 0") from None
             if not cmath.isfinite(t):
                 raise RangeError(f"term {n + 1}: not finite")
             terms.append(t)

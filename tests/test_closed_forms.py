@@ -16,6 +16,7 @@ from gelfond import (
     sum_pfq,
     sum_pfq_unit,
 )
+from gelfond.closed_forms import SERIES
 from conftest import (
     COSH_HALF_PI,
     COSH_PI,
@@ -109,6 +110,12 @@ def _half_policy():
     return SumPolicy(tolerance=1e-15)
 
 
+def _series(theorem, *args):
+    """The spec of the series ``theorem`` sums, from the table the registry
+    builds its series routes from."""
+    return SeriesSpec(*SERIES[theorem](*args))
+
+
 def _admissible(*params, floor=0.05):
     for p in params:
         if abs(p.imag) < 1e-6 and p.real < 0.5 and abs(p.real - round(p.real)) < floor:
@@ -124,7 +131,7 @@ def test_second_gauss_half_vs_series(rng):
         if not _admissible(c):
             continue
         closed = second_gauss_half(a, b)
-        r = sum_pfq(SeriesSpec((a, b), (c,), 0.5), _half_policy())
+        r = sum_pfq(_series("second_gauss_half", a, b), _half_policy())
         assert abs(closed - r.value) <= 1e-11 * max(1.0, abs(r.value))
         checked += 1
 
@@ -136,7 +143,7 @@ def test_bailey_half_vs_series(rng):
         if not _admissible(c):
             continue
         closed = bailey_half(a, c)
-        r = sum_pfq(SeriesSpec((a, 1 - a), (c,), 0.5), _half_policy())
+        r = sum_pfq(_series("bailey_half", a, c), _half_policy())
         assert abs(closed - r.value) <= 1e-11 * max(1.0, abs(r.value))
         checked += 1
 
@@ -153,7 +160,7 @@ def test_second_gauss_ext_half_vs_series(rng):
             closed = second_gauss_ext_half(a, b, d)
         except PoleError:
             continue
-        r = sum_pfq(SeriesSpec((a, b, d + 1), (c, d), 0.5), _half_policy())
+        r = sum_pfq(_series("second_gauss_ext_half", a, b, d), _half_policy())
         assert abs(closed - r.value) <= 1e-11 * max(1.0, abs(r.value))
         checked += 1
 
@@ -169,7 +176,7 @@ def test_bailey_ext_half_vs_series(rng):
             closed = bailey_ext_half(a, c, d)
         except PoleError:
             continue
-        r = sum_pfq(SeriesSpec((a, 1 - a, d + 1), (c + 1, d), 0.5), _half_policy())
+        r = sum_pfq(_series("bailey_ext_half", a, c, d), _half_policy())
         assert abs(closed - r.value) <= 1e-11 * max(1.0, abs(r.value))
         checked += 1
 
@@ -191,7 +198,7 @@ def test_gauss_unit_vs_accelerated_series(rng):
             continue
         if abs(closed) < 1.0:
             continue
-        r = sum_pfq_unit(SeriesSpec((a, b), (c,), 1.0), SumPolicy(tolerance=1e-8))
+        r = sum_pfq_unit(_series("gauss_unit", a, b, c), SumPolicy(tolerance=1e-8))
         assert rel_err(r.value, closed) <= 1e-6
         checked += 1
 
@@ -210,7 +217,7 @@ def test_gauss_ext_unit_vs_accelerated_series(rng):
             continue
         if abs(closed) < 1.0:
             continue
-        r = sum_pfq_unit(SeriesSpec((a, b, d + 1), (c + 1, d), 1.0),
+        r = sum_pfq_unit(_series("gauss_ext_unit", a, b, c, d),
                          SumPolicy(tolerance=1e-8))
         assert rel_err(r.value, closed) <= 1e-6
         checked += 1

@@ -319,6 +319,14 @@ def test_unit_non_finite_term_is_range_error():
         sum_pfq_unit(SeriesSpec((1e154, 1e154), (3e154,), 1.0))
 
 
+def test_unit_denominator_underflow_is_range_error():
+    # 43F42(1e-8, ...; 1e-8, ..., 3; 1): the lower Pochhammer
+    # product (1e-8)^41 * 3 underflows to 0 at the first term
+    spec = SeriesSpec((1e-8,) * 43, (1e-8,) * 41 + (3.0,), 1.0)
+    with pytest.raises(RangeError, match="term 1: denominator underflowed to 0"):
+        sum_pfq_unit(spec)
+
+
 def test_unit_requires_argument_one():
     with pytest.raises(ValueError):
         sum_pfq_unit(SeriesSpec((I, -I), (0.5,), 0.5))
