@@ -144,9 +144,18 @@ def parse_complex(text: str) -> complex:
 
 
 def _parse_complex_list(text: str) -> list[complex]:
+    """Comma-separated literals; a ParseError's position counts from the
+    start of text, not of the element."""
     if not text:
         return []
-    return [parse_complex(part) for part in text.split(",")]
+    values, start = [], 0
+    for part in text.split(","):
+        try:
+            values.append(parse_complex(part))
+        except ParseError as exc:
+            raise ParseError(exc.message, start + exc.position) from None
+        start += len(part) + 1
+    return values
 
 
 # ----------------------------------------------------------------------

@@ -64,14 +64,11 @@ class DDReal:
         s, e = quick_two_sum(hi, lo)
         return DDReal(s, e)
 
-    def to_float(self) -> float:
-        return self.hi + self.lo
-
     def to_fraction(self) -> Fraction:
         return Fraction(self.hi) + Fraction(self.lo)
 
     def __float__(self) -> float:
-        return self.to_float()
+        return self.hi + self.lo
 
     def __neg__(self) -> "DDReal":
         return DDReal(-self.hi, -self.lo)

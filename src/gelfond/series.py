@@ -2,15 +2,15 @@
 
 sum_pfq evaluates pFq(upper; lower; z) by direct term recurrence
 (t_{n+1}/t_n = z * prod(upper_j + n) / (prod(lower_k + n) * (n + 1))).
-The direct sum is one loop that keeps only the current term, so it stores
-no terms; a real spec runs it on float, which gives the same bits as
-complex arithmetic because CPython's complex * and / reduce, for zero
-imaginary parts, to the very float operations on the real parts.  A
-denominator product that reaches the binary64 limit raises RangeError, in
-float and complex alike, since the terms after it can be 0 or NaN.  At unit
-argument the series with p = q + 1 converge only algebraically
-(term magnitudes ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so
-sum_pfq_unit accelerates the partial sums with a Levin u-transform.
+One rule routes every spec: a polynomial (an upper parameter exactly at a
+non-positive integer, where truncation_degree() cuts the series) is summed
+directly at every z, and only a series that does not terminate is checked for
+divergence (p > q+1 refused for z != 0, p = q+1 for |z| > 1 and |z| = 1 off 1).
+The direct sum keeps only the current term, in floats for a real spec with
+the bits of complex arithmetic (see _direct_sum).  At unit argument a
+non-polynomial p = q+1 series converges only algebraically (term magnitudes
+~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq_unit
+accelerates its partial sums with a Levin u-transform.
 
 The u-transform itself is evaluated in exact integer arithmetic, on the
 binary64 terms scaled to Gaussian integers by one common power of two: at
@@ -57,7 +57,8 @@ class SumStatus(Enum):
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """One pFq evaluation: upper parameter list, lower parameter list, argument."""
+    """One pFq evaluation: upper parameter list, lower parameter list, argument;
+    p > q+1 is refused unless the series terminates (see _may_diverge) or z = 0."""
 
     upper: tuple[complex, ...]
     lower: tuple[complex, ...]
@@ -70,9 +71,6 @@ class SeriesSpec:
         self._validate()
 
     def _validate(self) -> None:
-        p, q = len(self.upper), len(self.lower)
-        if p > q + 1:
-            raise ValueError(f"p = {p} > q + 1 = {q + 1}: series diverges for z != 0")
         named = ([("upper parameter", a) for a in self.upper]
                  + [("lower parameter", b) for b in self.lower]
                  + [("argument", self.argument)])
@@ -80,6 +78,9 @@ class SeriesSpec:
             if not cmath.isfinite(x):
                 raise RangeError(f"{name} {x} is not finite")
         trunc = self.truncation_degree()
+        p, q = len(self.upper), len(self.lower)
+        if p > q + 1 and self.argument != 0 and _may_diverge(self):
+            raise ValueError(f"p = {p} > q + 1 = {q + 1}: series diverges for z != 0")
         for b in self.lower:
             k = nearest_nonpositive_int(b, NEAR_INT_TOLERANCE)
             if k is None:
@@ -138,8 +139,8 @@ def _observed_tail(abs_t: float, prev_abs: float) -> float:
 
 
 def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
-    """Plain term-by-term accumulation; used away from the unit circle and
-    for polynomial (truncating) series.
+    """Plain term-by-term accumulation; used for every spec but a p = q+1
+    series at z = 1 that does not terminate.
 
     No term is stored: one loop keeps the current term and steps it to the
     next, so memory does not grow with the number of terms.  A spec whose
@@ -429,44 +430,42 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     return SumResult(best_val, len(terms), tail, SumStatus.MAX_TERMS_EXCEEDED)
 
 
+def _may_diverge(spec: SeriesSpec) -> bool:
+    """True for a p >= q+1 series not cut at an exact non-positive integer."""
+    k = spec.truncation_degree()
+    return len(spec.upper) > len(spec.lower) and (k is None or -k not in spec.upper)
+
+
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     """Evaluate a pFq series at z = 1.
 
-    For p = q+1 the convergence parameter s = Re(sum(lower) - sum(upper))
-    gates evaluation: s <= 0 returns status Divergent without summing.
-    Convergent cases are accelerated; achievable tolerance is ~1e-6 for
-    s <= 1 and improves with s.
+    A polynomial, or a series with p <= q, is summed directly.  Only a p = q+1
+    series that does not terminate is gated, by s = Re(sum(lower) -
+    sum(upper)): s <= 0 returns status Divergent without summing, and s > 0
+    is accelerated; achievable tolerance is ~1e-6 for s <= 1.
     """
     if spec.argument != 1.0 + 0.0j:
         raise ValueError("sum_pfq_unit requires argument z = 1")
-    if spec.truncation_degree() is not None:
-        return _direct_sum(spec, policy)
-    if len(spec.upper) == len(spec.lower) + 1:
+    if _may_diverge(spec):
         if spec.convergence_parameter() <= 0.0:
             return SumResult(0.0 + 0.0j, 0, math.inf, SumStatus.DIVERGENT)
         return _accelerated_unit_sum(spec, policy)
-    # p <= q: entire in z, direct summation converges superexponentially
     return _direct_sum(spec, policy)
 
 
 def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     """Evaluate pFq(upper; lower; z) to the policy tolerance.
 
-    p = q+1 series require |z| < 1; z = 1 exactly is routed to
-    sum_pfq_unit, and other unit-modulus arguments are not supported.
+    z = 1 goes to sum_pfq_unit.  Otherwise a polynomial is summed directly
+    at every z, and only a p = q+1 series that does not terminate is checked
+    for divergence: DivergentError for |z| > 1, ValueError for |z| = 1.
     """
-    if len(spec.upper) == len(spec.lower) + 1:
+    if spec.argument == 1.0 + 0.0j:
+        return sum_pfq_unit(spec, policy)
+    if _may_diverge(spec):
         r = abs(spec.argument)
         if r > 1.0:
-            raise DivergentError(
-                f"p = q+1 series diverges for |z| = {r} > 1"
-            )
+            raise DivergentError(f"p = q+1 series diverges for |z| = {r} > 1")
         if r == 1.0:
-            if spec.argument == 1.0 + 0.0j:
-                return sum_pfq_unit(spec, policy)
-            if spec.truncation_degree() is None:
-                raise ValueError(
-                    "unit-modulus arguments other than z = 1 are not supported"
-                )
+            raise ValueError("unit-modulus arguments other than z = 1 are not supported")
     return _direct_sum(spec, policy)
-

@@ -76,6 +76,14 @@ def test_eval_divergent_request_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_divergent_near_polynomial_is_usage_error(capsys):
+    # -2.9999999999 is within 1e-9 of -3 but the series does not end there
+    code = main(["eval", "--upper=-2.9999999999,1/2", "--lower", "3/2", "--z", "1e8"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: p = q+1 series diverges for |z| = 100000000.0 > 1\n")
+
+
 def test_eval_divergent_unit_argument_is_usage_error(capsys):
     # s = Re(c - a - b) = -1 at z = 1: the row is still printed, but the
     # request was invalid, like |z| > 1 above
@@ -247,6 +255,17 @@ def test_parse_error_exit_code(capsys):
     code = main(["eval", "--upper", "i,-i", "--lower", "1/2", "--z", "1+"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("upper, lower, message", [
+    ("1,1", "1/2,1/0", "zero denominator (at position 6)"),
+    ("1,,2", "1", "empty input (at position 2)"),
+    ("1,2", "1,2+", "expected a number (at position 4)"),
+])
+def test_list_parse_error_position_counts_from_option_value(upper, lower, message,
+                                                           capsys):
+    assert main(["eval", "--upper", upper, "--lower", lower, "--z", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_overflowing_literal_is_parse_error(capsys):

@@ -2,7 +2,9 @@ import cmath
 import math
 import random
 import re
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,7 @@ from gelfond import (
     sum_pfq,
     sum_pfq_unit,
 )
+from gelfond.closed_forms import gauss_unit
 from conftest import (
     COSH_HALF_PI,
     COSH_PI,
@@ -39,6 +42,15 @@ I = 1j
 def test_spec_rejects_p_greater_than_q_plus_one():
     with pytest.raises(ValueError):
         SeriesSpec((1, 2, 3), (4,), 0.1)
+    # 1e-6 from -2 is beyond NEAR_INT_TOLERANCE: not a polynomial
+    with pytest.raises(ValueError, match="series diverges for z != 0"):
+        SeriesSpec((-2 + 1e-6, 1, 1), (1,), 5)
+
+
+def test_spec_p_greater_than_q_plus_one_at_zero_is_one():
+    r = sum_pfq(SeriesSpec((1, 2, 3), (4,), 0))
+    assert r.status is SumStatus.CONVERGED
+    assert r.value == 1.0 + 0.0j
 
 
 def test_spec_rejects_nonpositive_integer_lower():
@@ -125,6 +137,77 @@ def test_polynomial_truncation_degree():
     )
     assert r.status is SumStatus.TRUNCATED
     assert rel_err(r.value.real, expected) <= 1e-14
+
+
+def _exact_polynomial(spec: SeriesSpec) -> tuple[complex, float]:
+    """(value, sum of |t_k|) of a terminating pFq by exact Gaussian-rational
+    arithmetic on the spec's binary64 parameters."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def div(x, y):
+        norm = y[0] * y[0] + y[1] * y[1]
+        return (x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm
+
+    z = Fraction(spec.argument.real), Fraction(spec.argument.imag)
+    t, total, mass = (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)), 1.0
+    for n in range(spec.truncation_degree()):
+        for a in spec.upper:
+            t = mul(t, (Fraction(a.real) + n, Fraction(a.imag)))
+        for b in spec.lower + (complex(1.0),):
+            t = div(t, (Fraction(b.real) + n, Fraction(b.imag)))
+        t = mul(t, z)
+        total = total[0] + t[0], total[1] + t[1]
+        mass += abs(complex(float(t[0]), float(t[1])))
+    return complex(float(total[0]), float(total[1])), mass
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((-3, 0.5), (1.5,), 2),                        # 0.2571428...
+    ((-3, 0.5), (1.5,), -7.5),
+    ((-3, 0.5), (1.5,), 3 + 4j),
+    ((-3, 0.5), (1.5,), 1e3),
+    ((-4, 1 + 2j), (0.3 - 1j,), -2.5 + 6j),
+    ((-2, 1, 1), (1,), 5),                         # 3F1(-2, 1, 1; 1; 5) = 41
+    ((0.7, -5, 2.5j, 1.1), (-0.4, 3.3), -1.5 - 2j),
+])
+def test_polynomial_summed_at_every_z(upper, lower, z):
+    """An upper parameter at a non-positive integer makes pFq a polynomial,
+    finite for every p, q and z: summed, never refused as divergent."""
+    spec = SeriesSpec(upper, lower, z)
+    r = sum_pfq(spec)
+    exact, mass = _exact_polynomial(spec)
+    assert r.status is SumStatus.TRUNCATED
+    assert abs(r.value - exact) <= 8 * sys.float_info.epsilon * mass
+
+
+@pytest.mark.parametrize("upper, lower, z, error, message", [
+    ((-3 + 1e-10, 0.5), (1.5,), 1e8, DivergentError, "diverges for"),
+    ((-3 + 1e-10, 0.5), (1.5,), 2, DivergentError, "diverges for"),
+    ((-3 + 1e-10, 0.5), (1.5,), 1j, ValueError, "unit-modulus"),
+    ((-2 + 1e-10, 1, 1), (1,), 5, ValueError, "series diverges for z != 0"),
+    # exactly -5 would end the series at degree 5, but it is cut at 2
+    ((-5, -2 + 1e-10), (1.5,), 2, DivergentError, "diverges for"),
+])
+def test_near_polynomial_is_checked_for_divergence(upper, lower, z, error, message):
+    """An upper parameter within NEAR_INT_TOLERANCE of a non-positive integer,
+    but not at it, leaves a series that does not terminate: it is refused
+    where such a series diverges, never summed as a polynomial."""
+    with pytest.raises(error, match=message):
+        sum_pfq(SeriesSpec(upper, lower, z))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (-1 - 3e-11, 0.6, 1.3),
+    (3e-11, 0.6, 1.3),
+    (-2 + 3e-11, 0.25, 0.5),
+])
+def test_near_polynomial_at_unit_argument_is_accelerated(a, b, c):
+    """At z = 1 a near-polynomial goes on past its cut and is summed to
+    Gauss's closed form, where truncation was off by 5e-12 to 3e-11."""
+    r = sum_pfq(SeriesSpec((a, b), (c,), 1))
+    assert r.status is SumStatus.CONVERGED
+    assert abs(r.value - gauss_unit(a, b, c)) <= 1e-15
 
 
 def test_divergent_outside_unit_disk():
