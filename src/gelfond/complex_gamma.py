@@ -1,8 +1,15 @@
 """Complex gamma and log-gamma via the Lanczos approximation.
 
 Uses the fixed g=7 coefficient set (9 terms) for Re z >= 1/2 and the
-reflection formula Gamma(z)Gamma(1-z) = pi/sin(pi z) otherwise.  Relative
-accuracy is ~1e-13 over the region exercised here (|z| <= 50).
+reflection formula Gamma(z)Gamma(1-z) = pi/sin(pi z) otherwise.  The set
+has no proven bound; the envelope is measured.  Against mpmath.loggamma at
+30 digits (3,000 seeded points per region, up to the multiple of 2 pi i of
+log_gamma's branch), |log_gamma error| reached 1.7e-13 over
+0.5 <= Re z <= 50 and over -50 <= Re z < 0.5, both with |Im z| <= 30, and
+3.0e-13 over Re z >= 1/2, |z| <= 100.  The relative error of gamma() is
+about the same.  Against |Gamma(x+iy)|^2 of DLMF 5.4.3-5.4.4, for
+x = 1/2, 1, ..., 19/2 and 0.1 <= y <= 30, 2 Re log_gamma is within 3.3e-13;
+tests/test_complex_gamma.py holds it to 1e-12.
 """
 
 from __future__ import annotations
@@ -55,7 +62,16 @@ def sin_pi(z: complex) -> complex:
 
 
 def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma(z).
+    """A logarithm of Gamma(z): exp(log_gamma(z)) is Gamma(z), which is how
+    every caller uses it.
+
+    For Re z >= 1/2 it is the continuous branch (real on the positive axis,
+    the branch of mpmath.loggamma).  For Re z < 1/2 the reflection formula,
+    with principal logs, is off that branch by an exact multiple of 2 pi i,
+    non-zero almost everywhere: at 2,940 of 3,000 seeded points with
+    -50 <= Re z < 1/2 and |Im z| <= 30.  For example
+    log_gamma(-7.3-12j).imag is -28.32 where the continuous branch has
+    -3.19.  It is not the principal log of Gamma(z) either.
 
     Raises PoleError within ``POLE_TOLERANCE`` of a non-positive integer and
     RangeError when the reflection path would need |Im z| > 30.

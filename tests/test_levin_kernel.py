@@ -89,6 +89,9 @@ def test_registry_windows(monkeypatch):
     monkeypatch.undo()
     assert len(windows) >= 100
     assert {beta for _, beta in windows} != {1}
+    # conjugate-pair upper parameters make every registry term real, so
+    # these windows all take the kernel's real path
+    assert all(t.imag == 0.0 for terms, _ in windows for t in terms)
     assert_same_orders(windows)
 
 
@@ -109,7 +112,8 @@ def test_random_windows(rng):
     # sizes up to 40 run past LEVIN_MAX_ORDER + 1 terms, so every cached
     # weight row is used and terms beyond the last order only enter the
     # products; the all-real windows (a quarter, with +0.0 and -0.0
-    # imaginary parts) give orders with both signs of the real denominator
+    # imaginary parts) take the kernel's real path and give orders with
+    # both signs of the real denominator
     windows = []
     for n in range(64):
         size = rng.randint(3, 40)
@@ -121,5 +125,13 @@ def test_random_windows(rng):
             terms = [complex(t.real, rng.choice((0.0, -0.0))) for t in terms]
         windows.append((terms, rng.randint(1, 60)))
     assert sum(len(terms) > series.LEVIN_MAX_ORDER + 1 for terms, _ in windows) >= 20
-    windows.append(([1.0 + 0.0j, 0.5 + 0.5j, 0.0j, 0.25 + 0.0j], 1))   # no orders
+    real = [all(t.imag == 0.0 for t in terms) for terms, _ in windows]
+    assert real.count(True) >= 16 and real.count(False) >= 16
+    # a zero term leaves no orders, on either path
+    for terms in ([1.0 + 0.0j, 0.5 + 0.5j, 0.0j, 0.25 + 0.0j],
+                  [1.0 + 0.0j, complex(-0.5, -0.0), 0.0j, 0.25 + 0.0j]):
+        assert series._levin_orders(terms, 1) is None
+        windows.append((terms, 1))
+    # order 1 is exactly 0 over a negative denominator: +0.0, not -0.0
+    windows.append(([1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j], 1))
     assert_same_orders(windows)
