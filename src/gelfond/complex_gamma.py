@@ -44,8 +44,8 @@ def nearest_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> int | No
     """The k in 0, -1, -2, ... within ``tol`` of z, or None.
 
     Three tolerances are in use: POLE_TOLERANCE = 1e-12 for the poles of
-    gamma, series.NEAR_INT_TOLERANCE = 1e-9 for series parameters (the
-    truncation and lower-pole guards), and closed_forms.D_POLE_TOLERANCE =
+    gamma, series.NEAR_INT_TOLERANCE = 1e-9 for the lower-pole guard of
+    series parameters, and closed_forms.D_POLE_TOLERANCE =
     1e-6 for the extension parameter d.
     """
     k = round(z.real)

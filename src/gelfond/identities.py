@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
@@ -83,7 +82,7 @@ class IdentityCase:
     description: str
     parameters: dict
     lhs_plan: tuple[tuple[SeriesSpec, complex], ...]
-    rhs_plan: tuple[tuple[complex, Callable[[], complex]], ...] | None
+    rhs_plan: tuple[tuple[complex, str, tuple], ...] | None
     expected: tuple[ExpTerm, ...] | None
     expect_divergent: bool = False
     erratum: str | None = None
@@ -152,6 +151,27 @@ def gelfond() -> float:
     return gelfond_lambda(1.0)
 
 
+def closed_route(members) -> complex:
+    """The weighted sum of the closed forms of members (weight, theorem, args)."""
+    acc = 0.0 + 0.0j
+    for weight, theorem, args in members:
+        acc += complex(weight) * getattr(cf, theorem)(*args)
+    return acc
+
+
+def _lambda_members(lam: float) -> tuple:
+    """e^(pi*lam) = 2F1(i lam, -i lam; 1/2; 1)
+    + 2 lam * 2F1(1/2 + i lam, 1/2 - i lam; 3/2; 1)."""
+    return ((1, "gauss_unit", (I * lam, -I * lam, 0.5)),
+            (2 * lam, "gauss_unit", (0.5 + I * lam, 0.5 - I * lam, 1.5)))
+
+
+def _sqrt_members(sign: int) -> tuple:
+    """e^(+/- pi/2) = 2F1(i,-i;1/2;1/2) +/- sqrt(2) 2F1(1/2+i,1/2-i;3/2;1/2)."""
+    return ((1, "second_gauss_half", (I, -I)),
+            (sign * math.sqrt(2.0), "bailey_half", (0.5 + I, 1.5)))
+
+
 def gelfond_lambda(lam: float) -> float:
     """e^(pi*lam) from the parameterized pair of unit-argument Gauss values;
     real lam with |lam| <= 15 (gamma accuracy domain)."""
@@ -159,22 +179,16 @@ def gelfond_lambda(lam: float) -> float:
     if not (abs(lam) <= LAMBDA_LIMIT):
         raise RangeError(f"lambda = {lam} outside |lambda| <= {LAMBDA_LIMIT}")
     if lam < 0.0:
-        # the cosh- and sinh-sized terms below cancel for lam < 0
+        # the cosh- and sinh-sized members cancel for lam < 0
         return 1.0 / gelfond_lambda(-lam)
-    value = (
-        cf.gauss_unit(I * lam, -I * lam, 0.5)
-        + 2.0 * lam * cf.gauss_unit(0.5 + I * lam, 0.5 - I * lam, 1.5)
-    )
-    return value.real
+    return closed_route(_lambda_members(lam)).real
 
 
 def sqrt_gelfond_pair() -> tuple[float, float]:
-    """(e^(pi/2), e^(-pi/2)) as S +/- sqrt(2)*B with S the second-Gauss
-    value at (i, -i) and B the Bailey value at (1/2+i, 3/2)."""
-    s = cf.second_gauss_half(I, -I).real
-    b = cf.bailey_half(0.5 + I, 1.5).real
-    r = math.sqrt(2.0)
-    return s + r * b, s - r * b
+    """(e^(pi/2), e^(-pi/2)) as S +/- sqrt(2)*B, the closed routes of eq. 4.1
+    with each of its members S and sqrt(2)*B evaluated once."""
+    s, rb = (closed_route((member,)).real for member in _sqrt_members(+1))
+    return s + rb, s - rb
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +206,7 @@ def _theorem_case(case_id: str, description: str, parameters: dict,
         parameters=parameters,
         lhs_plan=tuple((SeriesSpec(*cf.SERIES[theorem](*args)), complex(w))
                        for w, theorem, args in members),
-        rhs_plan=tuple((complex(w), partial(getattr(cf, theorem), *args))
-                       for w, theorem, args in members),
+        rhs_plan=members,
         expected=expected,
     )
 
@@ -357,16 +370,13 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
 
 
 def _lambda_case(lam, case_id: str) -> IdentityCase:
-    """e^(pi*lam) = 2F1(i lam, -i lam; 1/2; 1)
-    + 2 lam * 2F1(1/2 + i lam, 1/2 - i lam; 3/2; 1)."""
-    f = float(lam)
+    """The members of _lambda_members at lam, against e^(pi*lam)."""
     return _theorem_case(
         case_id,
         f"parameterized constant identity at lambda = {lam}",
-        {"lambda": f},
+        {"lambda": float(lam)},
         (ExpTerm(Fraction(1), lam),),
-        (1, "gauss_unit", (I * f, -I * f, 0.5)),
-        (2 * f, "gauss_unit", (0.5 + I * f, 0.5 - I * f, 1.5)),
+        *_lambda_members(float(lam)),
     )
 
 
@@ -378,15 +388,14 @@ def _direct_case(case_id: str, description: str,
 
 
 def _sqrt_case(case_id: str, sign: int) -> IdentityCase:
-    """e^(+/- pi/2) = 2F1(i,-i;1/2;1/2) +/- sqrt(2) 2F1(1/2+i,1/2-i;3/2;1/2)."""
+    """The members of _sqrt_members at sign, against e^(sign pi/2)."""
     return _theorem_case(
         case_id,
         f"e^({'+' if sign > 0 else '-'}pi/2) from half-argument "
         "second-Gauss and Bailey values",
         {},
         (ExpTerm(Fraction(1), Fraction(sign, 2)),),
-        (1, "second_gauss_half", (I, -I)),
-        (sign * math.sqrt(2.0), "bailey_half", (0.5 + I, 1.5)),
+        *_sqrt_members(sign),
     )
 
 
@@ -489,12 +498,7 @@ def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationR
     lam = case.parameters.get("lambda")
     expected = expected_value(case.expected) if case.expected else None
 
-    closed = None
-    if case.rhs_plan is not None:
-        acc = 0.0 + 0.0j
-        for weight, thunk in case.rhs_plan:
-            acc += weight * thunk()
-        closed = acc.real
+    closed = closed_route(case.rhs_plan).real if case.rhs_plan is not None else None
 
     series_value = None
     series_status = None

@@ -3,9 +3,10 @@
 sum_pfq evaluates pFq(upper; lower; z) by direct term recurrence
 (t_{n+1}/t_n = z * prod(upper_j + n) / (prod(lower_k + n) * (n + 1))).
 One rule routes every spec: a polynomial (an upper parameter exactly at a
-non-positive integer, where truncation_degree() cuts the series) is summed
-directly at every z, and only a series that does not terminate is checked for
-divergence (p > q+1 refused for z != 0, p = q+1 for |z| > 1 and |z| = 1 off 1).
+non-positive integer, not merely near one; see truncation_degree()) is
+summed directly at every z, and only a series that does not terminate is
+checked for divergence (p > q+1 refused for z != 0, p = q+1 for |z| > 1
+and |z| = 1 off 1).
 The direct sum keeps only the current term, in floats for a real spec with
 the bits of complex arithmetic (see _direct_sum).  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
@@ -42,8 +43,7 @@ from .errors import DivergentError, InsufficientTermsError, PoleError, RangeErro
 
 _EPS = 2.220446049250313e-16
 
-# Parameters within this distance of a non-positive integer are treated as
-# exactly polynomial-truncating (upper) or as pole-hitting (lower).
+# Lower parameters this near a non-positive integer are taken as poles.
 NEAR_INT_TOLERANCE = 1e-9
 
 LEVIN_MAX_ORDER = 20
@@ -61,7 +61,7 @@ class SumStatus(Enum):
 @dataclass(frozen=True)
 class SeriesSpec:
     """One pFq evaluation: upper parameter list, lower parameter list, argument;
-    p > q+1 is refused unless the series terminates (see _may_diverge) or z = 0."""
+    p > q+1 is refused unless the series terminates or z = 0."""
 
     upper: tuple[complex, ...]
     lower: tuple[complex, ...]
@@ -82,7 +82,7 @@ class SeriesSpec:
                 raise RangeError(f"{name} {x} is not finite")
         trunc = self.truncation_degree()
         p, q = len(self.upper), len(self.lower)
-        if p > q + 1 and self.argument != 0 and _may_diverge(self):
+        if p > q + 1 and self.argument != 0 and trunc is None:
             raise ValueError(f"p = {p} > q + 1 = {q + 1}: series diverges for z != 0")
         for b in self.lower:
             k = nearest_nonpositive_int(b, NEAR_INT_TOLERANCE)
@@ -98,15 +98,12 @@ class SeriesSpec:
                 )
 
     def truncation_degree(self) -> int | None:
-        """Highest term index kept when an upper parameter is a non-positive
-        integer (the series is then a polynomial of that degree); None when
-        no upper parameter truncates."""
-        degrees = []
-        for a in self.upper:
-            k = nearest_nonpositive_int(a, NEAR_INT_TOLERANCE)
-            if k is not None:
-                degrees.append(-k)
-        return min(degrees) if degrees else None
+        """The smallest -a over upper parameters a with zero imaginary part
+        and a real part that is a non-positive integer (the series is then a
+        polynomial of that degree); None when no upper parameter truncates."""
+        return min((-int(a.real) for a in self.upper
+                    if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer()),
+                   default=None)
 
     def convergence_parameter(self) -> float:
         """s = Re(sum(lower) - sum(upper)); at z=1 a p = q+1 series converges
@@ -213,8 +210,7 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
                 den *= b + n
             t = t * z * num / den
             if n == trunc:
-                # polynomial case: the remaining terms vanish (or are negligible
-                # for parameters merely near a non-positive integer)
+                # polynomial case: the remaining terms vanish
                 if not (isfinite(t) and isfinite(2.0 * den)):
                     raise RangeError(f"term {n + 1}: tail out of the binary64 range")
                 return SumResult(complex(total), n + 1, abs(t), SumStatus.TRUNCATED)
@@ -465,9 +461,8 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
 
 
 def _may_diverge(spec: SeriesSpec) -> bool:
-    """True for a p >= q+1 series not cut at an exact non-positive integer."""
-    k = spec.truncation_degree()
-    return len(spec.upper) > len(spec.lower) and (k is None or -k not in spec.upper)
+    """True for a p >= q+1 series that does not terminate."""
+    return len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None
 
 
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:

@@ -23,7 +23,7 @@ from gelfond import (
     verify,
     verify_all,
 )
-from gelfond.identities import expected_value
+from gelfond.identities import _lambda_case, closed_route, expected_value
 from conftest import COSH_PI, E_MINUS_PI, E_PI, rel_err
 
 I = 1j
@@ -98,6 +98,17 @@ def test_sqrt_gelfond_pair():
     assert abs(plus * minus - 1.0) <= 1e-12
 
 
+def test_constants_are_the_closed_routes_of_their_cases():
+    # bit for bit: the constants evaluate the registry's member lists
+    for k in range(301):
+        lam = Fraction(k, 20)
+        case = _lambda_case(lam, "lambda")
+        assert gelfond_lambda(k / 20) == closed_route(case.rhs_plan).real, lam
+    cases = {c.id: c for c in registry()}
+    assert sqrt_gelfond_pair() == tuple(
+        closed_route(cases[i].rhs_plan).real for i in ("eq4.1a", "eq4.1b"))
+
+
 # ----------------------------------------------------------------------
 # theorem constructors
 # ----------------------------------------------------------------------
@@ -135,7 +146,7 @@ def test_theorem1_closed_vs_expected_random(rng):
         d1 = F(rng.uniform(0.3, 5.0)).limit_denominator(997)
         d2 = F(rng.uniform(0.3, 5.0)).limit_denominator(997)
         case = theorem1(d1, d2)
-        closed = sum((w * f()).real for w, f in case.rhs_plan)
+        closed = closed_route(case.rhs_plan).real
         assert rel_err(closed, expected_value(case.expected)) <= 1e-12
 
 
@@ -273,7 +284,7 @@ def test_registry_realness():
         if case.documented_only or case.expect_divergent:
             continue
         if case.rhs_plan:
-            value = sum(w * f() for w, f in case.rhs_plan)
+            value = closed_route(case.rhs_plan)
             assert abs(value.imag) <= 1e-12 * max(1.0, abs(value)), case.id
         value = sum(w * sum_pfq(spec, policy).value for spec, w in case.lhs_plan)
         assert abs(value.imag) <= 1e-12 * max(1.0, abs(value)), case.id

@@ -42,7 +42,7 @@ I = 1j
 def test_spec_rejects_p_greater_than_q_plus_one():
     with pytest.raises(ValueError):
         SeriesSpec((1, 2, 3), (4,), 0.1)
-    # 1e-6 from -2 is beyond NEAR_INT_TOLERANCE: not a polynomial
+    # not exactly -2: the series does not terminate, so it is no polynomial
     with pytest.raises(ValueError, match="series diverges for z != 0"):
         SeriesSpec((-2 + 1e-6, 1, 1), (1,), 5)
 
@@ -65,6 +65,9 @@ def test_spec_lower_pole_allowed_behind_truncation():
         SeriesSpec((-5.0, 1.0), (-2.0,), 0.5)
     with pytest.raises(PoleError):
         SeriesSpec((-3.0, 1.0), (-3.0,), 0.5)
+    # near -2 is not at -2: nothing truncates before the pole
+    with pytest.raises(PoleError):
+        SeriesSpec((-2 + 1e-10, 1.0), (-5.0,), 0.5)
 
 
 @pytest.mark.parametrize("upper, lower, z, named", [
@@ -139,9 +142,10 @@ def test_polynomial_truncation_degree():
     assert rel_err(r.value.real, expected) <= 1e-14
 
 
-def _exact_polynomial(spec: SeriesSpec) -> tuple[complex, float]:
-    """(value, sum of |t_k|) of a terminating pFq by exact Gaussian-rational
-    arithmetic on the spec's binary64 parameters."""
+def _exact_sum(spec: SeriesSpec, degree: int | None = None) -> tuple[complex, float]:
+    """(value, sum of |t_k|) of the terms 0..degree of pFq, by default those
+    of a terminating pFq, by exact Gaussian-rational arithmetic on the spec's
+    binary64 parameters."""
     def mul(x, y):
         return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
@@ -151,7 +155,7 @@ def _exact_polynomial(spec: SeriesSpec) -> tuple[complex, float]:
 
     z = Fraction(spec.argument.real), Fraction(spec.argument.imag)
     t, total, mass = (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)), 1.0
-    for n in range(spec.truncation_degree()):
+    for n in range(spec.truncation_degree() if degree is None else degree):
         for a in spec.upper:
             t = mul(t, (Fraction(a.real) + n, Fraction(a.imag)))
         for b in spec.lower + (complex(1.0),):
@@ -170,13 +174,15 @@ def _exact_polynomial(spec: SeriesSpec) -> tuple[complex, float]:
     ((-4, 1 + 2j), (0.3 - 1j,), -2.5 + 6j),
     ((-2, 1, 1), (1,), 5),                         # 3F1(-2, 1, 1; 1; 5) = 41
     ((0.7, -5, 2.5j, 1.1), (-0.4, 3.3), -1.5 - 2j),
+    # cut at the exact -5, not near -2
+    ((-5, -2 + 1e-10), (1.5,), 2),                 # 35.666666671520886
 ])
 def test_polynomial_summed_at_every_z(upper, lower, z):
     """An upper parameter at a non-positive integer makes pFq a polynomial,
     finite for every p, q and z: summed, never refused as divergent."""
     spec = SeriesSpec(upper, lower, z)
     r = sum_pfq(spec)
-    exact, mass = _exact_polynomial(spec)
+    exact, mass = _exact_sum(spec)
     assert r.status is SumStatus.TRUNCATED
     assert abs(r.value - exact) <= 8 * sys.float_info.epsilon * mass
 
@@ -186,15 +192,28 @@ def test_polynomial_summed_at_every_z(upper, lower, z):
     ((-3 + 1e-10, 0.5), (1.5,), 2, DivergentError, "diverges for"),
     ((-3 + 1e-10, 0.5), (1.5,), 1j, ValueError, "unit-modulus"),
     ((-2 + 1e-10, 1, 1), (1,), 5, ValueError, "series diverges for z != 0"),
-    # exactly -5 would end the series at degree 5, but it is cut at 2
-    ((-5, -2 + 1e-10), (1.5,), 2, DivergentError, "diverges for"),
 ])
 def test_near_polynomial_is_checked_for_divergence(upper, lower, z, error, message):
-    """An upper parameter within NEAR_INT_TOLERANCE of a non-positive integer,
-    but not at it, leaves a series that does not terminate: it is refused
-    where such a series diverges, never summed as a polynomial."""
+    """An upper parameter near a non-positive integer, but not at it, leaves
+    a series that does not terminate: it is refused where such a series
+    diverges, never summed as a polynomial."""
     with pytest.raises(error, match=message):
         sum_pfq(SeriesSpec(upper, lower, z))
+
+
+@pytest.mark.parametrize("upper, lower, z, tol", [
+    ((-2.9999999999, 0.5), (1.5,), 0.5, 1e-15),    # 0.63214285715010731...
+    ((-2 + 1e-10,), (1.5,), 3, 1e-13),
+])
+def test_near_polynomial_is_summed_past_its_cut(upper, lower, z, tol):
+    """Where a series that does not terminate converges, a near-polynomial
+    is summed on past its would-be cut, where cutting it was off by 1.9e-13
+    and 8.3e-11, more than the tail it reported."""
+    spec = SeriesSpec(upper, lower, z)
+    r = sum_pfq(spec, SumPolicy(tolerance=tol))
+    exact, mass = _exact_sum(spec, 100)   # terms past 100 are below 1e-40
+    assert r.status is SumStatus.CONVERGED
+    assert abs(r.value - exact) <= r.tail_estimate + 8 * sys.float_info.epsilon * mass
 
 
 @pytest.mark.parametrize("a, b, c", [
@@ -306,7 +325,7 @@ def test_direct_sum_matches_reference(monkeypatch):
     ((), (1e200, 1e200, 1e200), 0.5),           # term 1's denominator overflows
     ((-2,), (-2.7, 6e307, -0.9), 0.5),          # ... that of the truncation term
     ((0,), (1e200, 1e200, 1e200), 0.5),         # ... that of the truncation tail
-    ((-1 + 1e-12,), (1.0,), 1e160),             # the truncation tail overflows
+    ((-1,), (1.0,), 1e160),                     # the truncation tail overflows
     ((), (1e-5,) * 70, 0.5),                    # the denominator underflows to 0
     ((1.7e308,), (1.7e308,), 0.5),              # e^(1/2), term 2's denominator
     ((1e308 + 1j,), (1e308,), 0.5 + 0.1j),      # ... the same in complex
@@ -318,6 +337,13 @@ def test_direct_sum_beyond_float_range_raises(upper, lower, z):
     it 0 or NaN, real or complex: the sum is refused, never returned."""
     with pytest.raises(RangeError, match="term"):
         sum_pfq(SeriesSpec(upper, lower, z))
+
+
+def test_direct_sum_accumulation_overflow_raises():
+    """1F1(-1 + 1e-12; 1; 1e160) does not terminate: its partial sums leave
+    the binary64 range and the sum is refused."""
+    with pytest.raises(RangeError, match="overflowed binary64"):
+        sum_pfq(SeriesSpec((-1 + 1e-12,), (1.0,), 1e160))
 
 
 def _edge_case(rng: random.Random) -> tuple[SeriesSpec, complex, float]:
