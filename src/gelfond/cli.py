@@ -215,16 +215,10 @@ def report_row(report: VerificationReport) -> dict:
 # subcommands: each returns (rows, text lines, exit code) and writes nothing
 # ----------------------------------------------------------------------
 
-def _policy_from_args(args) -> SumPolicy | None:
-    fields = {"tolerance": args.tol, "max_terms": args.max_terms}
-    given = {name: value for name, value in fields.items() if value is not None}
-    return SumPolicy(**given) if given else None
-
-
 def _cmd_eval(args) -> tuple[list[dict], list[str], int]:
     spec = SeriesSpec(_parse_complex_list(args.upper),
                       _parse_complex_list(args.lower), parse_complex(args.z))
-    result = sum_pfq(spec, _policy_from_args(args) or SumPolicy())
+    result = sum_pfq(spec, SumPolicy(args.tol, args.max_terms))
     row = {
         "value_re": result.value.real,
         "value_im": result.value.imag,
@@ -239,17 +233,18 @@ def _cmd_eval(args) -> tuple[list[dict], list[str], int]:
 
 
 def _cmd_verify(args) -> tuple[list[dict], list[str], int]:
-    policy = _policy_from_args(args)
+    # bad flag values are a usage error even when no case is selected
+    SumPolicy(SumPolicy.tolerance if args.tol is None else args.tol,
+              args.max_terms)
     cases = registry()
     if args.id:
         cases = [c for c in cases if fnmatch.fnmatchcase(c.id, args.id)]
     if args.n is not None:
-        cases = [c for c in cases if c.parameters.get("n") == args.n]
+        cases = [c for c in cases if c.n == args.n]
     if args.lam is not None:
         cases = [c for c in cases
-                 if c.parameters.get("lambda") is not None
-                 and abs(float(c.parameters["lambda"]) - args.lam) < 1e-12]
-    reports = [verify(case, policy) for case in cases]
+                 if c.lam is not None and abs(c.lam - args.lam) < 1e-12]
+    reports = [verify(case, args.tol, args.max_terms) for case in cases]
     verdicts = [r.verdict for r in reports]
     passed, failed = verdicts.count("Pass"), verdicts.count("Fail")
     lines = []
@@ -334,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--lower", default="",
                         help="comma-separated lower parameters, e.g. 1/2")
     p_eval.add_argument("--z", required=True, help="argument, e.g. 1 or 0.5")
-    p_eval.add_argument("--tol", type=float, default=None)
-    p_eval.add_argument("--max-terms", dest="max_terms", type=int, default=None)
+    p_eval.add_argument("--tol", type=float, default=SumPolicy.tolerance,
+                        help="summation tolerance (default %(default)g)")
+    p_eval.add_argument("--max-terms", dest="max_terms", type=int,
+                        default=SumPolicy.max_terms,
+                        help="most terms summed (default %(default)d)")
     common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -346,8 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lambda", dest="lam", type=float, default=None,
                           help="filter parameterized cases by lambda")
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override the per-case summation tolerance")
-    p_verify.add_argument("--max-terms", dest="max_terms", type=int, default=None)
+                          help="summation tolerance of every series member, "
+                               "in place of each member's own")
+    p_verify.add_argument("--max-terms", dest="max_terms", type=int,
+                          default=SumPolicy.max_terms,
+                          help="most terms summed per series member; each "
+                               "member keeps its own tolerance "
+                               "(default %(default)d)")
     common(p_verify, ("text", "json", "csv"))
     p_verify.set_defaults(func=_cmd_verify)
 

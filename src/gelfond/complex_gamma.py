@@ -46,8 +46,11 @@ def nearest_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> int | No
     Three tolerances are in use: POLE_TOLERANCE = 1e-12 for the poles of
     gamma, series.NEAR_INT_TOLERANCE = 1e-9 for the lower-pole guard of
     series parameters, and closed_forms.D_POLE_TOLERANCE =
-    1e-6 for the extension parameter d.
+    1e-6 for the extension parameter d.  Every gamma routine sees its
+    argument here first, so a non-finite z raises RangeError here.
     """
+    if not cmath.isfinite(z):
+        raise RangeError(f"argument {z} is not finite")
     k = round(z.real)
     return k if k <= 0 and abs(z - k) <= tol else None
 

@@ -19,7 +19,8 @@ compared and summed at the (comparison, summation) pair its argument
 selects, (1e-6, 3e-8) at z = 1 (Levin-accelerated), (1e-11, 1e-13) at
 z = 1/2 (geometric) and (1e-13, 1e-15) for any other (entire) series;
 summation is tighter because weighted combinations cancel (cor2 builds
-n*e^(-pi) out of components ~12n: a ~270x loss).
+n*e^(-pi) out of components ~12n: a ~270x loss).  A tolerance given to
+verify replaces every member's summation tolerance, never a comparison one.
 
 Rational parameters (the corollary families are parameterized by exact
 fractions like 2/(5n-1)) are carried as Fraction values and rounded to
@@ -80,10 +81,11 @@ def expected_value(terms: tuple[ExpTerm, ...]) -> float:
 class IdentityCase:
     id: str
     description: str
-    parameters: dict
     lhs_plan: tuple[tuple[SeriesSpec, complex], ...]
     rhs_plan: tuple[tuple[complex, str, tuple], ...] | None
     expected: tuple[ExpTerm, ...] | None
+    n: int | None = None         # corollary index
+    lam: float | None = None     # lambda of the parameterized identity
     expect_divergent: bool = False
     erratum: str | None = None
 
@@ -113,10 +115,7 @@ class VerificationReport:
     rel_residual: float | None
     series_status: str | None
     verdict: str
-    closed_tol: float | None = None
-    series_tol: float | None = None
-    erratum: str | None = None
-    description: str = ""
+    erratum: str | None
 
 
 # ----------------------------------------------------------------------
@@ -195,25 +194,27 @@ def sqrt_gelfond_pair() -> tuple[float, float]:
 # case constructors
 # ----------------------------------------------------------------------
 
-def _theorem_case(case_id: str, description: str, parameters: dict,
-                  expected: tuple[ExpTerm, ...], *members) -> IdentityCase:
+def _theorem_case(case_id: str, description: str, expected: tuple[ExpTerm, ...],
+                  *members, **fields) -> IdentityCase:
     """The case whose two routes are the weighted sums of its members
     (weight, theorem, args), with ``theorem`` a closed_forms function name;
     exact Fraction arguments reach SeriesSpec unrounded and round there."""
     return IdentityCase(
         id=case_id,
         description=description,
-        parameters=parameters,
         lhs_plan=tuple((SeriesSpec(*cf.SERIES[theorem](*args)), complex(w))
                        for w, theorem, args in members),
         rhs_plan=members,
         expected=expected,
+        **fields,
     )
 
 
 def _exact_d(d) -> Fraction:
     """d as an exact fraction, rejected by the same pole guard the closed
     forms apply, so that every case that constructs also evaluates."""
+    if isinstance(d, float) and not math.isfinite(d):
+        raise RangeError(f"extension parameter d = {d} is not finite")
     d = Fraction(d)
     cf.check_d(d)
     return d
@@ -226,7 +227,6 @@ def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
     return _theorem_case(
         case_id or f"thm1-d1={d1}-d2={d2}",
         f"unit-argument extension at d1={d1}, d2={d2}",
-        {"d1": d1, "d2": d2},
         (ExpTerm(c_plus, 1), ExpTerm(c_minus, -1)),
         (1, "gauss_ext_unit", (I, -I, 0.5, d1)),
         (2, "gauss_ext_unit", (0.5 + I, 0.5 - I, 1.5, d2)),
@@ -240,7 +240,6 @@ def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
     return _theorem_case(
         case_id or f"thm2-d1={d1}-d2={d2}",
         f"half-argument extension at d1={d1}, d2={d2}",
-        {"d1": d1, "d2": d2},
         (ExpTerm(c_plus, Fraction(1, 2)), ExpTerm(c_minus, Fraction(-1, 2))),
         (1, "second_gauss_ext_half", (I, -I, d1)),
         (math.sqrt(2.0), "bailey_ext_half", (0.5 + I, 1.5, d2)),
@@ -354,7 +353,7 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     case = replace(case,
                    id=f"{kind}-n{n}{variant.suffix}",
                    description=variant.description.format(n=n),
-                   parameters={"n": n, "d1": d1, "d2": d2},
+                   n=n,
                    erratum=variant.erratum)
     if variant.second_lower is None:
         return case
@@ -374,16 +373,16 @@ def _lambda_case(lam, case_id: str) -> IdentityCase:
     return _theorem_case(
         case_id,
         f"parameterized constant identity at lambda = {lam}",
-        {"lambda": float(lam)},
         (ExpTerm(Fraction(1), lam),),
         *_lambda_members(float(lam)),
+        lam=float(lam),
     )
 
 
 def _direct_case(case_id: str, description: str,
                  *lhs_plan: tuple[SeriesSpec, complex]) -> IdentityCase:
     """e^pi from series summed directly, with no closed route."""
-    return IdentityCase(case_id, description, {}, lhs_plan, None,
+    return IdentityCase(case_id, description, lhs_plan, None,
                         (ExpTerm(Fraction(1), 1),))
 
 
@@ -393,7 +392,6 @@ def _sqrt_case(case_id: str, sign: int) -> IdentityCase:
         case_id,
         f"e^({'+' if sign > 0 else '-'}pi/2) from half-argument "
         "second-Gauss and Bailey values",
-        {},
         (ExpTerm(Fraction(1), Fraction(sign, 2)),),
         *_sqrt_members(sign),
     )
@@ -401,7 +399,7 @@ def _sqrt_case(case_id: str, sign: int) -> IdentityCase:
 
 def _documented_case(case_id: str, description: str) -> IdentityCase:
     """A case with no route: recorded, never evaluated."""
-    return IdentityCase(case_id, description, {}, (), None, None)
+    return IdentityCase(case_id, description, (), None, None)
 
 
 THEOREM1_GRID = (
@@ -430,7 +428,7 @@ def registry() -> list[IdentityCase]:
     cases = [
         replace(_lambda_case(Fraction(1), "eq1.1"),
                 description="e^pi as a sum of two unit-argument Gauss values",
-                parameters={}),
+                lam=None),
         # e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4)
         _direct_case("0f1-bessel", "e^pi from two 0F1 values at pi^2/4 "
                      "(hyperbolic cosine/sine shapes)",
@@ -487,27 +485,31 @@ def _aggregate_status(statuses: list[SumStatus]) -> str:
     return SumStatus.CONVERGED.value
 
 
-def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationReport:
+def verify(case: IdentityCase, tolerance: float | None = None,
+           max_terms: int = SumPolicy.max_terms) -> VerificationReport:
     """Evaluate one case along every route it defines and compare.
 
-    With ``policy=None`` each series member is summed at the summation
-    tolerance of its argument; an explicit policy overrides it (and can
-    deliberately make the series route fail).  Failures are verdicts, not
+    Each series member is summed at SumPolicy(tolerance, max_terms), with
+    the summation tolerance of its argument when ``tolerance`` is None; a
+    given tolerance replaces every member's (and a loose one can
+    deliberately make the series route fail).  Invalid arguments raise
+    ValueError, for every case; failures of the routes are verdicts, not
     exceptions.  A documented-only case defines no route.
     """
-    lam = case.parameters.get("lambda")
+    policy = SumPolicy(SumPolicy.tolerance if tolerance is None else tolerance,
+                       max_terms)
     expected = expected_value(case.expected) if case.expected else None
 
     closed = closed_route(case.rhs_plan).real if case.rhs_plan is not None else None
 
-    series_value = None
-    series_status = None
+    series_value = series_status = None
     if case.lhs_plan:
         statuses = []
         acc = 0.0 + 0.0j
         for spec, weight in case.lhs_plan:
-            result = sum_pfq(spec, policy if policy is not None else
-                             SumPolicy(tolerance=series_tolerances(spec)[1]))
+            if tolerance is None:
+                policy = SumPolicy(series_tolerances(spec)[1], max_terms)
+            result = sum_pfq(spec, policy)
             statuses.append(result.status)
             acc += weight * result.value
         series_status = _aggregate_status(statuses)
@@ -522,40 +524,29 @@ def verify(case: IdentityCase, policy: SumPolicy | None = None) -> VerificationR
         verdict = ("SkippedDivergent"
                    if series_status == SumStatus.DIVERGENT.value else "Fail")
     else:
-        closed_ok = True
-        closed_rel = None
+        closed_rel = series_rel = None
         if closed is not None and expected is not None:
             closed_rel = abs(closed - expected) / scale
-            closed_ok = closed_rel <= case.closed_tol
-        series_ok = True
-        series_rel = None
-        if case.lhs_plan:
-            # the verdict is residual-based: a member that could not certify
-            # its own tail (MaxTermsExceeded) still passes if its value meets
-            # the comparison tolerance; divergence can never pass here
-            if series_value is not None and expected is not None:
-                series_rel = abs(series_value - expected) / scale
-                series_ok = series_rel <= case.series_tol
-            else:
-                series_ok = False
+        # the verdict is residual-based: a member that could not certify
+        # its own tail (MaxTermsExceeded) still passes if its value meets
+        # the comparison tolerance; divergence can never pass here
+        if series_value is not None and expected is not None:
+            series_rel = abs(series_value - expected) / scale
+        passed = ((closed_rel is None or closed_rel <= case.closed_tol)
+                  and series_rel is not None and series_rel <= case.series_tol)
         primary_rel = closed_rel if closed is not None else series_rel
-        verdict = "Pass" if (closed_ok and series_ok) else "Fail"
+        verdict = "Pass" if passed else "Fail"
 
-    evaluated = not case.documented_only
     return VerificationReport(
-        id=case.id, n=case.parameters.get("n"),
-        lam=float(lam) if lam is not None else None,
+        id=case.id, n=case.n, lam=case.lam,
         closed_value=closed, series_value=series_value, expected_value=expected,
         abs_residual=(primary_rel * scale) if primary_rel is not None else None,
         rel_residual=primary_rel, series_status=series_status, verdict=verdict,
-        closed_tol=case.closed_tol if evaluated else None,
-        series_tol=case.series_tol if evaluated else None,
-        erratum=case.erratum, description=case.description,
+        erratum=case.erratum,
     )
 
 
-def verify_all(policy: SumPolicy | None = None,
-               cases: list[IdentityCase] | None = None) -> list[VerificationReport]:
-    if cases is None:
-        cases = registry()
-    return [verify(case, policy) for case in cases]
+def verify_all(tolerance: float | None = None,
+               max_terms: int = SumPolicy.max_terms) -> list[VerificationReport]:
+    """verify(case, tolerance, max_terms) for every registry case."""
+    return [verify(case, tolerance, max_terms) for case in registry()]

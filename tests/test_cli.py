@@ -180,6 +180,29 @@ def test_verify_corrupted_budget_exits_one(capsys):
     assert "failed=0" not in out.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_default_max_terms_changes_nothing(fmt, capsys):
+    # --max-terms only caps the terms; each member keeps its own tolerance
+    assert main(["verify", "--format", fmt]) == 0
+    default = capsys.readouterr().out
+    assert main(["verify", "--max-terms", "1000000", "--format", fmt]) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--id", "nomatch", "--tol", "1e-16"], "tolerance must be finite and >= 1e-15"),
+    (["--tol", "inf"], "tolerance must be finite and >= 1e-15"),
+    (["--max-terms", "5"], "max_terms must be an int >= 10"),
+])
+def test_verify_bad_policy_flags_are_usage_errors(flags, message, capsys):
+    # guard: rejected once, up front, even when the filters select no case
+    # and so no series member ever builds a policy
+    assert main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_constants_command(capsys):
     code = main(["constants", "--lambda", "2", "--format", "json"])
     rows = json.loads(capsys.readouterr().out)

@@ -3,7 +3,17 @@ import math
 
 import pytest
 
-from gelfond import PoleError, RangeError, gamma, log_gamma, reciprocal_gamma, sin_pi
+from gelfond import (
+    PoleError,
+    RangeError,
+    gamma,
+    gauss_ext_unit,
+    gauss_unit,
+    log_gamma,
+    reciprocal_gamma,
+    sin_pi,
+    theorem1,
+)
 from conftest import COSH_PI, SINH_PI, random_complex, rel_err
 
 
@@ -144,3 +154,17 @@ def test_gamma_modulus_against_dlmf(rng):
                 assert abs(error) <= GAMMA_MODULUS_TOL, (re, y)
             half *= (x + 0.5) ** 2 + y * y
             whole *= (x + 1) ** 2 + y * y
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_gamma(complex(1, math.inf)),
+    lambda: gamma(math.nan),
+    lambda: reciprocal_gamma(math.nan),
+    lambda: gauss_unit(math.nan, 1, 3),
+    lambda: gauss_ext_unit(1j, -1j, 0.5, math.nan),
+    lambda: theorem1(math.inf, 1),
+], ids=["log_gamma-inf", "gamma-nan", "reciprocal_gamma-nan", "gauss_unit-nan",
+        "gauss_ext_unit-nan-d", "theorem1-inf-d"])
+def test_non_finite_arguments_raise_range_error(call):
+    with pytest.raises(RangeError):
+        call()

@@ -265,16 +265,12 @@ def test_verify_all_registry_green():
     assert {r.id for r in skipped} == {f"cor2-n{n}-printed" for n in (1, 2, 3)}
 
 
-def test_verify_all_empty_selection():
-    # an empty list selects no case; only None means the whole registry
-    assert verify_all(cases=[]) == []
-
-
 def test_verify_verdict_consistent_with_recorded_tolerance():
-    for report in verify_all():
+    for case in registry():
+        report = verify(case)
         if report.verdict == "Pass" and report.rel_residual is not None:
-            assert report.rel_residual <= report.closed_tol or \
-                report.rel_residual <= report.series_tol
+            assert report.rel_residual <= case.closed_tol or \
+                report.rel_residual <= case.series_tol
 
 
 def test_registry_realness():
@@ -293,5 +289,13 @@ def test_registry_realness():
 def test_verify_with_corrupted_policy_fails():
     # a deliberately loose budget breaks the direct-summation cases
     case = next(c for c in registry() if c.id == "sphere-volume")
-    report = verify(case, SumPolicy(tolerance=9.9))
+    report = verify(case, tolerance=9.9)
     assert report.verdict == "Fail"
+
+
+@pytest.mark.parametrize("case", registry(), ids=lambda case: case.id)
+def test_verify_rejects_bad_tolerance_for_every_case(case):
+    # the arguments are checked before any route runs, so the
+    # documented-only cases, which sum no series, reject them too
+    with pytest.raises(ValueError, match="tolerance must be"):
+        verify(case, tolerance=1e-16)
