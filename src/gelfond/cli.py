@@ -13,9 +13,13 @@ exit code.  Only ``main`` picks the format and writes, once, to stdout or
 to ``--out``.
 
 The tool is a pure function of argv: no config files, environment
-variables, or network access.  JSON and CSV are the stable machine
-formats (fixed field order, floats at 17 significant digits, absent
-values as null/empty); the text format is for humans and may change.
+variables, or network access.  ``main`` builds its parser once per
+process, on its first call, and reuses it; ``parse_args`` leaves the
+parser unchanged, so every call still depends on its argv alone.
+
+JSON and CSV are the stable machine formats (fixed field order, floats
+at 17 significant digits, absent values as null/empty); the text format
+is for humans and may change.
 
 Exit codes: 0 all verdicts pass, 1 any failure, 2 usage or parse error.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import fnmatch
+import functools
 import io
 import math
 import sys
@@ -368,8 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rows, lines, code = args.func(args)
     except (ValueError, ArithmeticError) as exc:

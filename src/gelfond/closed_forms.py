@@ -27,7 +27,7 @@ import cmath
 import math
 
 from .complex_gamma import log_gamma, nearest_nonpositive_int, reciprocal_gamma
-from .errors import ConvergenceDomainError, PoleError
+from .errors import ConvergenceDomainError, PoleError, RangeError
 
 # 1/d appears in every extension theorem; closer to zero than this and the
 # formula's value is dominated by the uncertainty of d itself.
@@ -39,8 +39,12 @@ _LN2 = math.log(2.0)
 
 def check_d(d: complex) -> complex:
     """d as a complex number, or PoleError if no extension formula admits
-    it; the theorem constructors in identities apply the same rule."""
-    d = complex(d)
+    it, or RangeError if it lies beyond binary64; the theorem constructors
+    in identities apply the same rule."""
+    try:
+        d = complex(d)
+    except OverflowError:
+        raise RangeError("extension parameter d overflows binary64") from None
     if abs(d) < D_MIN_ABS:
         raise PoleError(f"extension parameter d = {d} is too close to 0")
     if nearest_nonpositive_int(d, D_POLE_TOLERANCE) is not None:

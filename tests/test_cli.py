@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from fractions import Fraction
@@ -301,3 +302,20 @@ def test_csv_rejected_outside_verify():
     with pytest.raises(SystemExit) as excinfo:
         main(["heegner", "--format", "csv"])
     assert excinfo.value.code == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    main(["constants"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["eval", "--z", "0.5"], ["verify", "--id", "eq1.1"],
+                 ["constants", "--lambda", "2"], ["heegner", "--n", "19"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []

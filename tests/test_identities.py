@@ -141,6 +141,16 @@ def test_theorems_reject_d_near_pole_at_construction(theorem, near_pole):
         theorem(F(1, 2), near_pole)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: theorem1(10**400, 1),
+    lambda: theorem1(F(10**400), 1),
+    lambda: gauss_ext_unit(I, -I, 0.5, 10**400),
+], ids=["theorem1-int", "theorem1-fraction", "gauss_ext_unit-int"])
+def test_finite_d_beyond_binary64_raises_range_error(call):
+    with pytest.raises(RangeError):
+        call()
+
+
 def test_theorem1_closed_vs_expected_random(rng):
     for _ in range(100):
         d1 = F(rng.uniform(0.3, 5.0)).limit_denominator(997)
