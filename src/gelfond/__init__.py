@@ -5,8 +5,8 @@ Library layout:
   complex_gamma   complex gamma / log-gamma (Lanczos + reflection)
   series          pFq summation, unit-argument acceleration (Levin u)
   closed_forms    the six gamma-ratio summation theorems
-  identities      identity registry (one table row per corollary family),
-                  exact coefficient algebra, verifier
+  identities      identity registry (one row per registry variant of a
+                  corollary family), exact coefficient algebra, verifier
   ddreal          double-double arithmetic and exp for the Heegner table
   heegner         near-integer table e^(pi sqrt n) for n in {19,43,67,163}
   cli             command-line interface (eval / verify / constants / heegner)

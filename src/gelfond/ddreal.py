@@ -169,7 +169,10 @@ def dd_round(x: DDReal) -> int:
 
 def dd_to_decimal(x: DDReal, digits: int = 31) -> str:
     """Decimal string with ``digits`` significant digits, computed exactly
-    from the underlying rational value (no float formatting involved)."""
+    from the underlying rational value (no float formatting involved);
+    ``digits`` below 1 raises ValueError."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     frac = x.to_fraction()
     if frac == 0:
         return "0." + "0" * (digits - 1) + "e+0"

@@ -24,13 +24,14 @@ verify replaces every member's summation tolerance, never a comparison one.
 
 Rational parameters (the corollary families are parameterized by exact
 fractions like 2/(5n-1)) are carried as Fraction values and rounded to
-binary64 once, at plan construction.  Each corollary family is one row of
-COROLLARIES: the theorem it instantiates at an exact (d1, d2) depending on
-n, the coefficients it claims, and its registry variants.
+binary64 once, at plan construction.  COROLLARIES holds one row per
+registry variant of a corollary family: its kind, id suffix and printed
+flag, the theorem it instantiates at an exact (d1, d2) depending on n, the
+coefficients it claims there, and its erratum.
 
 Two printed corollary families do not follow from the main extension
-theorem as stated; both are kept in corrected and as-printed variants so
-the report shows exactly which form is reproducible:
+theorem as stated; each has an as-printed and a corrected row, so the
+report shows exactly which form is reproducible:
 
   * cor2: the as-printed second series (first lower parameter 3/2) has
     unit-argument convergence parameter -1/2 and diverges; the corrected
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
@@ -80,7 +82,6 @@ def expected_value(terms: tuple[ExpTerm, ...]) -> float:
 @dataclass(frozen=True, eq=False)
 class IdentityCase:
     id: str
-    description: str
     lhs_plan: tuple[tuple[SeriesSpec, complex], ...]
     rhs_plan: tuple[tuple[complex, str, tuple], ...] | None
     expected: tuple[ExpTerm, ...] | None
@@ -194,14 +195,13 @@ def sqrt_gelfond_pair() -> tuple[float, float]:
 # case constructors
 # ----------------------------------------------------------------------
 
-def _theorem_case(case_id: str, description: str, expected: tuple[ExpTerm, ...],
+def _theorem_case(case_id: str, expected: tuple[ExpTerm, ...],
                   *members, **fields) -> IdentityCase:
     """The case whose two routes are the weighted sums of its members
     (weight, theorem, args), with ``theorem`` a closed_forms function name;
     exact Fraction arguments reach SeriesSpec unrounded and round there."""
     return IdentityCase(
         id=case_id,
-        description=description,
         lhs_plan=tuple((SeriesSpec(*cf.SERIES[theorem](*args)), complex(w))
                        for w, theorem, args in members),
         rhs_plan=members,
@@ -226,7 +226,6 @@ def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
     c_plus, c_minus = theorem1_coefficients(d1, d2)
     return _theorem_case(
         case_id or f"thm1-d1={d1}-d2={d2}",
-        f"unit-argument extension at d1={d1}, d2={d2}",
         (ExpTerm(c_plus, 1), ExpTerm(c_minus, -1)),
         (1, "gauss_ext_unit", (I, -I, 0.5, d1)),
         (2, "gauss_ext_unit", (0.5 + I, 0.5 - I, 1.5, d2)),
@@ -239,130 +238,96 @@ def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
     c_plus, c_minus = theorem2_coefficients(d1, d2)
     return _theorem_case(
         case_id or f"thm2-d1={d1}-d2={d2}",
-        f"half-argument extension at d1={d1}, d2={d2}",
         (ExpTerm(c_plus, Fraction(1, 2)), ExpTerm(c_minus, Fraction(-1, 2))),
         (1, "second_gauss_ext_half", (I, -I, d1)),
         (math.sqrt(2.0), "bailey_ext_half", (0.5 + I, 1.5, d2)),
     )
 
 
-class _Variant(NamedTuple):
-    """One registry entry of a corollary family."""
+class _Corollary(NamedTuple):
+    """One registry variant of a corollary family, with id
+    "<kind>-n<n><suffix>": ``theorem`` at the exact (d1, d2) = ``d(n)``,
+    claimed to give the coefficients (c+, c-) = ``claim(n)``."""
 
+    kind: str
+    suffix: str
     printed: bool
-    suffix: str                  # appended to the id "<kind>-n<n>"
-    description: str             # format template over n
+    theorem: Callable[..., IdentityCase]
+    d: Callable[[int], tuple[Fraction, Fraction]]
+    claim: Callable[[int], tuple[Fraction, Fraction]]
     erratum: str | None = None
-    # as-printed d1 in place of the family's, and the (c+, c-) it gives
-    d1: Callable[[int], Fraction] | None = None
-    value: Callable[[int], tuple[Fraction, Fraction]] | None = None
     # as-printed second lower parameter that makes the series diverge
     second_lower: Fraction | None = None
 
 
-class _Family(NamedTuple):
-    """A corollary family: ``theorem`` at the exact (d1, d2) = ``d(n)``,
-    claimed to give the coefficients (c+, c-) = ``claim(n)``."""
+# in registry order; a family's rows are adjacent
+COROLLARIES = (
+    _Corollary("cor1", "", False, theorem1,
+               lambda n: (Fraction(2, 5 * n - 1), Fraction(15, 2 * (8 * n - 3))),
+               lambda n: (Fraction(n), Fraction(0))),
+    _Corollary("cor2", "", False, theorem1,
+               lambda n: (Fraction(2, 5 * n - 1), Fraction(-15, 2 * (8 * n + 3))),
+               lambda n: (Fraction(0), Fraction(n)),
+               erratum="second series lower parameter 5/2, not the printed 3/2"),
+    _Corollary("cor2", "-printed", True, theorem1,
+               lambda n: (Fraction(2, 5 * n - 1), Fraction(-15, 2 * (8 * n + 3))),
+               lambda n: (Fraction(0), Fraction(n)),
+               erratum="as printed the second series diverges; "
+                       "corrected companion uses lower parameter 5/2",
+               second_lower=Fraction(3, 2)),
+    _Corollary("cor3", "-printed", True, theorem1,
+               lambda n: (Fraction(1, 2 * (10 * n - 1)), Fraction(-5, 2)),
+               lambda n: (4 * n - Fraction(3, 10),) * 2,
+               erratum="printed d1 = 1/(2(10n-1)) does not reproduce "
+                       "n(e^pi+e^-pi); corrected companion uses d1 = 2/(10n-1)"),
+    _Corollary("cor3", "-corrected", False, theorem1,
+               lambda n: (Fraction(2, 10 * n - 1), Fraction(-5, 2)),
+               lambda n: (Fraction(n), Fraction(n)),
+               erratum="d1 corrected from the printed 1/(2(10n-1)) to 2/(10n-1)"),
+    _Corollary("cor4", "", False, theorem2,
+               lambda n: (Fraction(1, 7 * n - 5), Fraction(15, 24 * n - 14)),
+               lambda n: (Fraction(n), Fraction(0))),
+)
 
-    theorem: Callable[..., IdentityCase]
-    d: Callable[[int], tuple[Fraction, Fraction]]
-    claim: Callable[[int], tuple[Fraction, Fraction]]
-    variants: tuple[_Variant, ...]     # in registry order
 
-
-COROLLARIES = {
-    "cor1": _Family(
-        theorem1,
-        lambda n: (Fraction(2, 5 * n - 1), Fraction(15, 2 * (8 * n - 3))),
-        lambda n: (Fraction(n), Fraction(0)),
-        (_Variant(False, "", "corollary family 1, n={n}: n*e^pi"),),
-    ),
-    "cor2": _Family(
-        theorem1,
-        lambda n: (Fraction(2, 5 * n - 1), Fraction(-15, 2 * (8 * n + 3))),
-        lambda n: (Fraction(0), Fraction(n)),
-        (
-            _Variant(False, "",
-                     "corollary family 2, n={n}: n*e^-pi "
-                     "(second series lower parameter corrected to 5/2)",
-                     erratum="second series lower parameter 5/2, "
-                             "not the printed 3/2"),
-            _Variant(True, "-printed",
-                     "corollary family 2, n={n}, as printed: second series "
-                     "lower parameter 3/2 gives convergence parameter -1/2",
-                     erratum="as printed the second series diverges; "
-                             "corrected companion uses lower parameter 5/2",
-                     second_lower=Fraction(3, 2)),
-        ),
-    ),
-    "cor3": _Family(
-        theorem1,
-        lambda n: (Fraction(2, 10 * n - 1), Fraction(-5, 2)),
-        lambda n: (Fraction(n), Fraction(n)),
-        (
-            _Variant(True, "-printed",
-                     "corollary family 3, n={n}, as-printed d1: evaluates to "
-                     "(4n-3/10)(e^pi+e^-pi), not the claimed n(e^pi+e^-pi)",
-                     erratum="printed d1 = 1/(2(10n-1)) does not reproduce "
-                             "n(e^pi+e^-pi); corrected companion uses "
-                             "d1 = 2/(10n-1)",
-                     d1=lambda n: Fraction(1, 2 * (10 * n - 1)),
-                     value=lambda n: (4 * n - Fraction(3, 10),) * 2),
-            _Variant(False, "-corrected",
-                     "corollary family 3, n={n}, corrected d1 = 2/(10n-1): "
-                     "n(e^pi+e^-pi)",
-                     erratum="d1 corrected from the printed 1/(2(10n-1)) "
-                             "to 2/(10n-1)"),
-        ),
-    ),
-    "cor4": _Family(
-        theorem2,
-        lambda n: (Fraction(1, 7 * n - 5), Fraction(15, 24 * n - 14)),
-        lambda n: (Fraction(n), Fraction(0)),
-        (_Variant(False, "", "corollary family 4, n={n}: n*e^(pi/2)"),),
-    ),
-}
+def _corollary_rows(kind: str, n: int) -> list[_Corollary]:
+    """The rows of family ``kind``, once n and kind are checked."""
+    if n < 1:
+        raise ValueError("corollary index n must be >= 1")
+    rows = [row for row in COROLLARIES if row.kind == kind]
+    if not rows:
+        raise ValueError(f"unknown corollary kind {kind!r}")
+    return rows
 
 
 def corollary_parameters(kind: str, n: int, printed: bool = False
                          ) -> tuple[Fraction, Fraction]:
     """Exact (d1, d2) for the four corollary families at index n;
-    ``printed=True`` gives the as-printed d1 where it differs (cor3)."""
-    if n < 1:
-        raise ValueError("corollary index n must be >= 1")
-    if kind not in COROLLARIES:
-        raise ValueError(f"unknown corollary kind {kind!r}")
-    d1, d2 = COROLLARIES[kind].d(n)
-    for variant in COROLLARIES[kind].variants:
-        if variant.printed == printed and variant.d1 is not None:
-            d1 = variant.d1(n)
-    return d1, d2
+    ``printed=True`` gives the as-printed d1 where it differs (cor3), and
+    a family with one row (cor1, cor4) gives that row's either way."""
+    rows = _corollary_rows(kind, n)
+    return next((r for r in rows if r.printed == printed), rows[0]).d(n)
 
 
 def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     """One corollary-family case.  ``printed=True`` selects the as-printed
     variant for cor2 (divergent companion) and cor3 (wrong-multiple
     variant); cor1 and cor4 have no distinct printed variant."""
-    d1, d2 = corollary_parameters(kind, n, printed)
-    family = COROLLARIES[kind]
-    variant = next((v for v in family.variants if v.printed == printed), None)
-    if variant is None:
+    row = next((r for r in _corollary_rows(kind, n) if r.printed == printed),
+               None)
+    if row is None:
         raise ValueError(f"{kind} has no distinct printed variant")
-    case = family.theorem(d1, d2)
-    assert tuple(t.coef for t in case.expected) == (variant.value or family.claim)(n)
-    case = replace(case,
-                   id=f"{kind}-n{n}{variant.suffix}",
-                   description=variant.description.format(n=n),
-                   n=n,
-                   erratum=variant.erratum)
-    if variant.second_lower is None:
+    case = row.theorem(*row.d(n), f"{kind}-n{n}{row.suffix}")
+    assert tuple(t.coef for t in case.expected) == row.claim(n)
+    case = replace(case, n=n, erratum=row.erratum)
+    if row.second_lower is None:
         return case
     # the as-printed companion diverges: the second series takes the printed
     # lower parameter, and there is no closed route, claimed terms only
     first, (second, weight) = case.lhs_plan
-    printed = replace(second, lower=(variant.second_lower, *second.lower[1:]))
+    diverging = replace(second, lower=(row.second_lower, *second.lower[1:]))
     return replace(case,
-                   lhs_plan=(first, (printed, weight)),
+                   lhs_plan=(first, (diverging, weight)),
                    rhs_plan=None,
                    expected=tuple(t for t in case.expected if t.coef),
                    expect_divergent=True)
@@ -370,36 +335,14 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
 
 def _lambda_case(lam, case_id: str) -> IdentityCase:
     """The members of _lambda_members at lam, against e^(pi*lam)."""
-    return _theorem_case(
-        case_id,
-        f"parameterized constant identity at lambda = {lam}",
-        (ExpTerm(Fraction(1), lam),),
-        *_lambda_members(float(lam)),
-        lam=float(lam),
-    )
-
-
-def _direct_case(case_id: str, description: str,
-                 *lhs_plan: tuple[SeriesSpec, complex]) -> IdentityCase:
-    """e^pi from series summed directly, with no closed route."""
-    return IdentityCase(case_id, description, lhs_plan, None,
-                        (ExpTerm(Fraction(1), 1),))
+    return _theorem_case(case_id, (ExpTerm(Fraction(1), lam),),
+                         *_lambda_members(float(lam)), lam=float(lam))
 
 
 def _sqrt_case(case_id: str, sign: int) -> IdentityCase:
     """The members of _sqrt_members at sign, against e^(sign pi/2)."""
-    return _theorem_case(
-        case_id,
-        f"e^({'+' if sign > 0 else '-'}pi/2) from half-argument "
-        "second-Gauss and Bailey values",
-        (ExpTerm(Fraction(1), Fraction(sign, 2)),),
-        *_sqrt_members(sign),
-    )
-
-
-def _documented_case(case_id: str, description: str) -> IdentityCase:
-    """A case with no route: recorded, never evaluated."""
-    return IdentityCase(case_id, description, (), None, None)
+    return _theorem_case(case_id, (ExpTerm(Fraction(1), Fraction(sign, 2)),),
+                         *_sqrt_members(sign))
 
 
 THEOREM1_GRID = (
@@ -425,47 +368,39 @@ def registry() -> list[IdentityCase]:
     """Deterministic, stable-ordered list of every identity this package
     verifies, plus two documented-but-never-evaluated entries."""
     quarter_pi2 = math.pi * math.pi / 4.0
+    e_pi = (ExpTerm(Fraction(1), 1),)
     cases = [
-        replace(_lambda_case(Fraction(1), "eq1.1"),
-                description="e^pi as a sum of two unit-argument Gauss values",
-                lam=None),
-        # e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4)
-        _direct_case("0f1-bessel", "e^pi from two 0F1 values at pi^2/4 "
-                     "(hyperbolic cosine/sine shapes)",
-                     (SeriesSpec((), (0.5,), quarter_pi2), 1.0 + 0.0j),
-                     (SeriesSpec((), (1.5,), quarter_pi2), complex(math.pi))),
+        # e^pi as a sum of two unit-argument Gauss values
+        replace(_lambda_case(Fraction(1), "eq1.1"), lam=None),
+        # e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4), summed directly
+        IdentityCase("0f1-bessel",
+                     ((SeriesSpec((), (0.5,), quarter_pi2), 1.0 + 0.0j),
+                      (SeriesSpec((), (1.5,), quarter_pi2), complex(math.pi))),
+                     None, e_pi),
         # e^pi = sum over n of pi^n / n! (even-dimension unit-ball volumes)
-        _direct_case("sphere-volume", "e^pi as the sum of even-dimension "
-                     "unit-ball volumes pi^n / n!",
-                     (SeriesSpec((), (), math.pi), 1.0 + 0.0j)),
+        IdentityCase("sphere-volume",
+                     ((SeriesSpec((), (), math.pi), 1.0 + 0.0j),), None, e_pi),
     ]
     for k, (d1, d2) in enumerate(THEOREM1_GRID, start=1):
         cases.append(theorem1(d1, d2, case_id=f"thm1-g{k}"))
-    for kind, family in COROLLARIES.items():
-        for n in (1, 2, 3):
-            cases.extend(corollary_case(kind, n, variant.printed)
-                         for variant in family.variants)
+    for kind, rows in groupby(COROLLARIES, key=lambda row: row.kind):
+        printed = [row.printed for row in rows]
+        cases.extend(corollary_case(kind, n, p)
+                     for n in (1, 2, 3) for p in printed)
     cases.append(_sqrt_case("eq4.1a", +1))
     cases.append(_sqrt_case("eq4.1b", -1))
     for k, (d1, d2) in enumerate(THEOREM2_GRID, start=1):
         cases.append(theorem2(d1, d2, case_id=f"thm2-g{k}"))
     for lam in LAMBDA_GRID:
         cases.append(_lambda_case(lam, f"eq4.6-lam{float(lam):g}"))
-    cases.append(replace(
-        _lambda_case(Fraction(-1, 2), "eq4.7"),
-        description="alternative e^(-pi/2) expression "
-                    "(lambda = -1/2 in the parameterized identity)",
-    ))
-    cases.append(_documented_case(
-        "mobius-product",
-        "infinite product over k of k^(-mu(k)/k), power sqrt(6 zeta(2)); "
-        "conditionally convergent, recorded but never evaluated",
-    ))
-    cases.append(_documented_case(
-        "leibniz-power",
-        "alternating-factorial sum raised to -4 * (Leibniz 1-1/3+1/5-...); "
-        "too slowly convergent, recorded but never evaluated",
-    ))
+    # alternative e^(-pi/2) expression: lambda = -1/2
+    cases.append(_lambda_case(Fraction(-1, 2), "eq4.7"))
+    # recorded, never evaluated: the product over k of k^(-mu(k)/k) to the
+    # power sqrt(6 zeta(2)), conditionally convergent, and an alternating-
+    # factorial sum to the power -4 * (1 - 1/3 + 1/5 - ...), too slowly
+    # convergent
+    cases.append(IdentityCase("mobius-product", (), None, None))
+    cases.append(IdentityCase("leibniz-power", (), None, None))
     ids = [c.id for c in cases]
     assert len(ids) == len(set(ids)), "registry ids must be unique"
     return cases

@@ -49,6 +49,11 @@ def test_parse_scientific_notation():
     ("-1e400", 1),
     ("2+1e400i", 2),
     ("-1e999i", 1),
+    ("/3", 0),
+    ("1/", 2),
+    ("1e", 2),
+    ("1+2", 3),
+    ("1+2i3", 4),
 ])
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(ParseError) as excinfo:

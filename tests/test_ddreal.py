@@ -206,3 +206,13 @@ def test_dd_to_decimal_roundtrip():
     assert dd_to_decimal(dd_pi(), 31) == "3.141592653589793238462643383280e+0"
     assert dd_to_decimal(DDReal(0.0)).startswith("0.")
     assert dd_to_decimal(DDReal(-2.0), 5) == "-2.0000e+0"
+
+
+def test_dd_to_decimal_round_up_carries_into_exponent():
+    assert dd_to_decimal(DDReal(9.9999), 3) == "1.00e+1"
+
+
+@pytest.mark.parametrize("digits", [0, -3])
+def test_dd_to_decimal_rejects_fewer_than_one_digit(digits):
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        dd_to_decimal(DDReal(5.0), digits)

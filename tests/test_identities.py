@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gelfond import (
     PoleError,
     RangeError,
+    SeriesSpec,
     SumPolicy,
     corollary_case,
     corollary_parameters,
@@ -28,6 +31,7 @@ from conftest import COSH_PI, E_MINUS_PI, E_PI, rel_err
 
 I = 1j
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +218,17 @@ def test_cor1_and_cor4_have_no_printed_variant():
         corollary_case("cor4", 2, printed=True)
 
 
+@pytest.mark.parametrize("kind, n, message", [
+    ("cor1", 0, "corollary index n must be >= 1"),
+    ("cor9", 1, "unknown corollary kind 'cor9'"),
+])
+@pytest.mark.parametrize("call", [corollary_parameters, corollary_case])
+def test_corollary_rejects_bad_index_and_kind(call, kind, n, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(kind, n)
+    assert str(excinfo.value) == message
+
+
 # ----------------------------------------------------------------------
 # registry and verifier
 # ----------------------------------------------------------------------
@@ -231,6 +246,13 @@ def test_registry_stable_order():
     assert ids[3:8] == [f"thm1-g{k}" for k in range(1, 6)]
     assert ids[-2:] == ["mobius-product", "leibniz-power"]
     assert registry()[0].id == "eq1.1"  # construction is deterministic
+
+
+def test_registry_matches_golden():
+    # every field a route or a report reads, one line per case in order
+    lines = [repr((c.id, c.lhs_plan, c.rhs_plan, c.expected, c.n, c.lam,
+                   c.erratum, c.expect_divergent)) for c in registry()]
+    assert lines == (GOLDEN / "registry.txt").read_text().splitlines()
 
 
 def test_registry_erratum_flags():
@@ -264,6 +286,18 @@ def test_verify_documented_only_skipped():
     report = verify(case)
     assert report.verdict == "SkippedDocumented"
     assert report.closed_value is None and report.series_value is None
+
+
+def test_verify_status_truncated_only_when_every_member_terminates():
+    eq11 = next(c for c in registry() if c.id == "eq1.1")
+    # (1 - z)^3 and 2F1(-2, 1; 1/2; z), both polynomials
+    polynomials = ((SeriesSpec((-3,), (), 0.5), 1.0 + 0j),
+                   (SeriesSpec((-2, 1), (0.5,), 0.7), 2.0 + 0j))
+    report = verify(replace(eq11, lhs_plan=polynomials))
+    assert report.series_status == "Truncated"
+    assert report.series_value == pytest.approx(0.125 + 2 * (1 - 4 * 0.7 + 8 / 3 * 0.49))
+    mixed = (polynomials[0], eq11.lhs_plan[0])
+    assert verify(replace(eq11, lhs_plan=mixed)).series_status == "Converged"
 
 
 def test_verify_all_registry_green():
