@@ -316,7 +316,9 @@ def _cmd_heegner(args) -> tuple[list[dict], list[str], int]:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call, not at import."""
     parser = argparse.ArgumentParser(
         prog="gelfond",
         description="Evaluate hypergeometric series and verify the "
@@ -371,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_heeg)
     p_heeg.set_defaults(func=_cmd_heegner)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses, built on its first call, not at import."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -29,9 +29,9 @@ import math
 from .complex_gamma import log_gamma, nearest_nonpositive_int, reciprocal_gamma
 from .errors import ConvergenceDomainError, PoleError, RangeError
 
-# 1/d appears in every extension theorem; closer to zero than this and the
-# formula's value is dominated by the uncertainty of d itself.
-D_MIN_ABS = 1e-6
+# d = 0 is the pole of the 1/d in every extension theorem, and d at a
+# negative integer is a pole of the series; closer than this to either and
+# the formula's value is dominated by the uncertainty of d itself.
 D_POLE_TOLERANCE = 1e-6
 
 _LN2 = math.log(2.0)
@@ -45,8 +45,6 @@ def check_d(d: complex) -> complex:
         d = complex(d)
     except OverflowError:
         raise RangeError("extension parameter d overflows binary64") from None
-    if abs(d) < D_MIN_ABS:
-        raise PoleError(f"extension parameter d = {d} is too close to 0")
     if nearest_nonpositive_int(d, D_POLE_TOLERANCE) is not None:
         raise PoleError(
             f"extension parameter d = {d} is within {D_POLE_TOLERANCE} of a "

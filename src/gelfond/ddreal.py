@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .errors import DomainError, RangeError
@@ -161,36 +162,20 @@ def dd_exp(x: DDReal) -> DDReal:
 
 
 def dd_round(x: DDReal) -> int:
-    """Nearest integer to hi + lo, exact for |x| within binary64 int range."""
-    base = int(round(x.hi))
-    frac = dd_add(DDReal(x.hi - base), DDReal(x.lo))
-    return base + int(round(frac.hi))
+    """Nearest integer to hi + lo, exact at every finite value (ties to even)."""
+    return round(x.to_fraction())
 
 
 def dd_to_decimal(x: DDReal, digits: int = 31) -> str:
-    """Decimal string with ``digits`` significant digits, computed exactly
-    from the underlying rational value (no float formatting involved);
-    ``digits`` below 1 raises ValueError."""
+    """Decimal string of hi + lo correctly rounded (ties away from zero) to
+    ``digits`` significant digits, with no float formatting involved;
+    ``digits`` below 1 or a non-finite x raises ValueError."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    frac = x.to_fraction()
-    if frac == 0:
-        return "0." + "0" * (digits - 1) + "e+0"
-    sign = "-" if frac < 0 else ""
-    frac = abs(frac)
-    exponent = 0
-    while frac >= 10:
-        frac /= 10
-        exponent += 1
-    while frac < 1:
-        frac *= 10
-        exponent -= 1
-    scaled = frac * Fraction(10) ** (digits - 1)
-    mantissa = int(scaled)
-    if scaled - mantissa >= Fraction(1, 2):
-        mantissa += 1
-        if mantissa >= 10 ** digits:
-            mantissa //= 10
-            exponent += 1
-    text = str(mantissa)
-    return f"{sign}{text[0]}.{text[1:]}e{exponent:+d}"
+    value = Context(prec=digits, rounding=ROUND_HALF_UP).add(Decimal(x.hi),
+                                                             Decimal(x.lo))
+    if not value.is_finite():
+        raise ValueError(f"cannot format non-finite {x}")
+    text = "".join(map(str, value.as_tuple().digits)).ljust(digits, "0")
+    sign = "-" if value < 0 else ""
+    return f"{sign}{text[0]}.{text[1:]}e{value.adjusted():+d}"

@@ -290,33 +290,33 @@ COROLLARIES = (
 )
 
 
-def _corollary_rows(kind: str, n: int) -> list[_Corollary]:
-    """The rows of family ``kind``, once n and kind are checked."""
+def _corollary_row(kind: str, n: int, printed: bool) -> _Corollary:
+    """The row of family ``kind`` with this ``printed`` flag, once n and
+    kind are checked; cor1 and cor4 have no printed row."""
     if n < 1:
         raise ValueError("corollary index n must be >= 1")
     rows = [row for row in COROLLARIES if row.kind == kind]
     if not rows:
         raise ValueError(f"unknown corollary kind {kind!r}")
-    return rows
+    row = next((r for r in rows if r.printed == printed), None)
+    if row is None:
+        raise ValueError(f"{kind} has no distinct printed variant")
+    return row
 
 
 def corollary_parameters(kind: str, n: int, printed: bool = False
                          ) -> tuple[Fraction, Fraction]:
-    """Exact (d1, d2) for the four corollary families at index n;
-    ``printed=True`` gives the as-printed d1 where it differs (cor3), and
-    a family with one row (cor1, cor4) gives that row's either way."""
-    rows = _corollary_rows(kind, n)
-    return next((r for r in rows if r.printed == printed), rows[0]).d(n)
+    """Exact (d1, d2) of the row that corollary_case(kind, n, printed)
+    takes: ``printed=True`` gives the as-printed d1 of cor3, and raises
+    ValueError for cor1 and cor4, which have no printed row."""
+    return _corollary_row(kind, n, printed).d(n)
 
 
 def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     """One corollary-family case.  ``printed=True`` selects the as-printed
     variant for cor2 (divergent companion) and cor3 (wrong-multiple
     variant); cor1 and cor4 have no distinct printed variant."""
-    row = next((r for r in _corollary_rows(kind, n) if r.printed == printed),
-               None)
-    if row is None:
-        raise ValueError(f"{kind} has no distinct printed variant")
+    row = _corollary_row(kind, n, printed)
     case = row.theorem(*row.d(n), f"{kind}-n{n}{row.suffix}")
     assert tuple(t.coef for t in case.expected) == row.claim(n)
     case = replace(case, n=n, erratum=row.erratum)

@@ -22,11 +22,9 @@ consecutive-order differences estimate faithfully.  The long products run
 over the scaled terms alone: the factors beta + j of the remainder estimates
 sit in small integer weights, cached per beta.  A window whose terms are
 all real, as every window of the identity registry is, runs in plain ints:
-one multiplication per product where Gaussian integers take four, which
-cut the registry benchmark's pass time by about 14% (Python 3.11, medians
-of 10 runs each).  Each part of each order is one correctly rounded
-int / int, so the orders are the binary64 roundings of the exact rational
-transform values.
+one multiplication per product where Gaussian integers take four.  Each
+part of each order is one correctly rounded int / int, so the orders are
+the binary64 roundings of the exact rational transform values.
 """
 
 from __future__ import annotations
@@ -380,8 +378,9 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     on deep windows, the local one on shallow).  A candidate's certificate
     is its two-difference consistency score; the best certificate, times a
     safety factor, is the tail estimate.  Windows over nearly flat tails
-    carry no curvature and only get flatter, so two of them in a row end
-    the ladder, as does a long run of windows without score improvement.
+    carry no curvature and only get flatter, so the second flat window ends
+    the ladder, adjacent to the first or not, as does a long run of windows
+    without score improvement.
     """
     tol = policy.tolerance
     upper, lower, z = spec.upper, spec.lower, spec.argument
@@ -390,7 +389,7 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     candidates: list[tuple[float, complex]] = []   # (estimate, value)
     head = 0.0 + 0.0j
     consumed = 0
-    flat_streak = 0
+    flat_windows = 0
     stall = 0
     for offset in _offset_ladder(policy.max_terms):
         for n in range(len(terms) - 1, offset + window - 1):
@@ -418,11 +417,12 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         flat = not growing and last > 0.0 and peak < 2.0 * last
         if growing or flat:
             # still growing near the window's end: decay information lies
-            # deeper; flat: no curvature for the remainder model, and two
-            # flat windows in a row mean deeper offsets only get flatter
+            # deeper; flat: no curvature for the remainder model, and a
+            # second flat window anywhere on the ladder means deeper
+            # offsets only get flatter
             if flat:
-                flat_streak += 1
-                if flat_streak >= 2:
+                flat_windows += 1
+                if flat_windows >= 2:
                     break
             continue
         improved = False

@@ -65,6 +65,11 @@ def test_gauss_ext_unit_values():
     assert abs(gauss_ext_unit(0.5 + I, 0.5 - I, 1.5, -2.5)) <= 1e-13
 
 
+def test_gauss_ext_unit_convergence_domain():
+    with pytest.raises(ConvergenceDomainError):
+        gauss_ext_unit(1, 1, 1.5, 2)
+
+
 def test_gauss_ext_unit_d_guards():
     for d in (0.0, -1.0, -3.0, 5e-7):
         with pytest.raises(PoleError):

@@ -1,10 +1,11 @@
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from gelfond import DDReal, DomainError, RangeError
+from gelfond import DDReal, DomainError, RangeError, heegner_table
 from gelfond.ddreal import (
     dd_add,
     dd_exp,
@@ -201,6 +202,63 @@ def test_dd_round():
     assert dd_round(dd_sub(DDReal(1e17), DDReal(0.6))) == 10**17 - 1
 
 
+@pytest.mark.parametrize("x, nearest", [
+    (DDReal(2.5, 1e-20), 3),
+    (DDReal(1.5, -1e-20), 1),
+    (DDReal(-2.5, -1e-20), -3),
+    (DDReal(2.5), 2),           # an exact tie goes to even
+])
+def test_dd_round_near_ties_follow_lo(x, nearest):
+    assert dd_round(x) == nearest
+
+
+@functools.cache
+def _scientific(frac: Fraction) -> tuple[Fraction, int]:
+    """(m, e) with frac = m * 10**e and 1 <= m < 10, for frac > 0."""
+    exponent = 0
+    while frac >= 10:
+        frac /= 10
+        exponent += 1
+    while frac < 1:
+        frac *= 10
+        exponent -= 1
+    return frac, exponent
+
+
+def _decimal_reference(x: DDReal, digits: int) -> str:
+    """dd_to_decimal by exact Fraction digit extraction, ties away from 0."""
+    frac = x.to_fraction()
+    if frac == 0:
+        return "0." + "0" * (digits - 1) + "e+0"
+    sign = "-" if frac < 0 else ""
+    frac, exponent = _scientific(abs(frac))
+    scaled = frac * Fraction(10) ** (digits - 1)
+    mantissa = int(scaled)
+    if scaled - mantissa >= Fraction(1, 2):
+        mantissa += 1
+        if mantissa >= 10 ** digits:
+            mantissa //= 10
+            exponent += 1
+    text = str(mantissa)
+    return f"{sign}{text[0]}.{text[1:]}e{exponent:+d}"
+
+
+def test_dd_to_decimal_matches_exact_reference(rng):
+    values = [DDReal(0.0), DDReal(-0.0), DDReal(9.9999), DDReal(-9.9999),
+              DDReal(5e-183), DDReal(1e17, 0.5), DDReal(-1e17, -0.5)]
+    values += [DDReal(k + 0.5) for k in range(-3, 3)]       # exact ties
+    for row in heegner_table():
+        values += [row.value, row.deviation]
+    for _ in range(600):
+        hi = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 300)
+        values.append(DDReal(*two_sum(rng.choice((1, -1)) * hi,
+                                      rng.uniform(-0.5, 0.5) * math.ulp(hi))))
+    for x in values:
+        for digits in (1, 3, 12, 31, rng.randint(1, 40)):
+            assert dd_to_decimal(x, digits) == _decimal_reference(x, digits), \
+                (x, digits)
+
+
 def test_dd_to_decimal_roundtrip():
     # pi's 32nd digit is 5, so the 31-digit mantissa rounds up to ...280
     assert dd_to_decimal(dd_pi(), 31) == "3.141592653589793238462643383280e+0"
@@ -216,3 +274,9 @@ def test_dd_to_decimal_round_up_carries_into_exponent():
 def test_dd_to_decimal_rejects_fewer_than_one_digit(digits):
     with pytest.raises(ValueError, match="digits must be >= 1"):
         dd_to_decimal(DDReal(5.0), digits)
+
+
+@pytest.mark.parametrize("x", [DDReal(math.inf), DDReal(1.0, math.nan)])
+def test_dd_to_decimal_rejects_non_finite(x):
+    with pytest.raises(ValueError, match="non-finite"):
+        dd_to_decimal(x)

@@ -212,10 +212,12 @@ def test_cor3_variants_disagree_with_claim():
 
 
 def test_cor1_and_cor4_have_no_printed_variant():
-    with pytest.raises(ValueError):
-        corollary_case("cor1", 1, printed=True)
-    with pytest.raises(ValueError):
-        corollary_case("cor4", 2, printed=True)
+    # one rule for both lookups: no printed row, so no printed parameters
+    for call in (corollary_parameters, corollary_case):
+        for kind, n in (("cor1", 1), ("cor4", 2)):
+            with pytest.raises(ValueError,
+                               match=f"{kind} has no distinct printed variant"):
+                call(kind, n, printed=True)
 
 
 @pytest.mark.parametrize("kind, n, message", [
