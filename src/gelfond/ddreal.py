@@ -135,18 +135,28 @@ _INV_FACTORIAL = tuple(
     for f in (Fraction(1, math.factorial(k))
               for k in range(1, _EXP_TAYLOR_ORDER + 1))
 )
+# the same 1/k! as float tuples (hi, lo, Veltkamp halves of hi), so that
+# dd_exp splits each coefficient once per process, not once per call
+_INV_FACTORIAL_PARTS = tuple((c.hi, c.lo) + split(c.hi) for c in _INV_FACTORIAL)
 
 
 def dd_exp(x: DDReal) -> DDReal:
-    """e^x in double-double for |x| <= 700.
+    """e^x in double-double for |x| <= 700; a larger |hi| or a low part
+    that is not finite raises RangeError.
 
     Reduces x = k*ln2 + r with |r| <= ln2/2 (the k*ln2 product is formed
     from the exact three-part ln 2 so the constant contributes ~1e-35, not
     k ulps), sums the order-30 Taylor series of e^r, multiplying each power
-    r^k by the tabulated 1/k!, and scales by 2^k.
+    r^k by the tabulated 1/k!, and scales by 2^k.  The Taylor loop runs on
+    (hi, lo) float pairs: each step performs the operations of
+    power = dd_mul(power, r) and total = dd_add(total, dd_mul(power, 1/k!))
+    in their order, with the Veltkamp splits of r and of 1/k! formed once
+    and that of each power once, so it gives their bits without building a
+    DDReal per operation.
     """
-    if not (abs(x.hi) <= EXP_ARG_LIMIT):
-        raise RangeError(f"dd_exp argument {x.hi} outside |x| <= {EXP_ARG_LIMIT}")
+    if not (abs(x.hi) <= EXP_ARG_LIMIT and math.isfinite(x.lo)):
+        raise RangeError(f"dd_exp argument ({x.hi}, {x.lo}) outside |x| <= "
+                         f"{EXP_ARG_LIMIT} or not finite")
     k = round(x.hi / _LN2_P1)
     r = x
     if k != 0:
@@ -154,11 +164,41 @@ def dd_exp(x: DDReal) -> DDReal:
         r = dd_sub(r, DDReal(k * _LN2_P2))          # exact product
         p, e = two_prod(float(k), _LN2_P3)
         r = dd_sub(r, DDReal(p, e))
-    total = power = DDReal(1.0)
-    for coef in _INV_FACTORIAL:
-        power = dd_mul(power, r)
-        total = dd_add(total, dd_mul(power, coef))
-    return DDReal(math.ldexp(total.hi, k), math.ldexp(total.lo, k))
+    rh, rl = r.hi, r.lo
+    rh_hi, rh_lo = split(rh)
+    th, tl = ph, pl = 1.0, 0.0
+    ph_hi, ph_lo = split(ph)
+    for ch, cl, ch_hi, ch_lo in _INV_FACTORIAL_PARTS:
+        # power = dd_mul(power, r)
+        p = ph * rh
+        e = ((ph_hi * rh_hi - p) + ph_hi * rh_lo + ph_lo * rh_hi) + ph_lo * rh_lo
+        e += ph * rl + pl * rh
+        ph = p + e
+        pl = e - (ph - p)
+        c = _SPLITTER * ph
+        ph_hi = c - (c - ph)
+        ph_lo = ph - ph_hi
+        # term = dd_mul(power, coef)
+        p = ph * ch
+        e = ((ph_hi * ch_hi - p) + ph_hi * ch_lo + ph_lo * ch_hi) + ph_lo * ch_lo
+        e += ph * cl + pl * ch
+        qh = p + e
+        ql = e - (qh - p)
+        # total = dd_add(total, term)
+        s = th + qh
+        bb = s - th
+        e = (th - (s - bb)) + (qh - bb)
+        t = tl + ql
+        bb = t - tl
+        f = (tl - (t - bb)) + (ql - bb)
+        e += t
+        th = s + e
+        e -= th - s
+        e += f
+        s = th + e
+        tl = e - (s - th)
+        th = s
+    return DDReal(math.ldexp(th, k), math.ldexp(tl, k))
 
 
 def dd_round(x: DDReal) -> int:

@@ -21,10 +21,12 @@ evaluation leaves only the transform's model truncation error, which the
 consecutive-order differences estimate faithfully.  The long products run
 over the scaled terms alone: the factors beta + j of the remainder estimates
 sit in small integer weights, cached per beta.  A window whose terms are
-all real, as every window of the identity registry is, runs in plain ints:
-one multiplication per product where Gaussian integers take four.  Each
-part of each order is one correctly rounded int / int, so the orders are
-the binary64 roundings of the exact rational transform values.
+all real, as every window of the identity registry is, is recognised
+before any scaling, so only its real parts are scaled, and it runs in
+plain ints: one multiplication per product where Gaussian integers take
+four.  Each part of each order is one correctly rounded int / int, so the
+orders are the binary64 roundings of the exact rational transform values;
+an order beyond the binary64 range raises RangeError.
 """
 
 from __future__ import annotations
@@ -240,7 +242,8 @@ def _levin_weights(beta: int) -> tuple[tuple[int, ...], ...]:
 def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
     """u-transform values for orders 1..LEVIN_MAX_ORDER on a term window,
     computed exactly in integers.  None when a term is exactly zero
-    (remainder estimates omega_j = (beta+j) t_j are then undefined).
+    (remainder estimates omega_j = (beta+j) t_j are then undefined), and
+    RangeError when an order lies beyond the binary64 range.
 
     Every binary64 part is dyadic, so with one common power of two D each
     term is a Gaussian integer m_j / D.  Scaling S_j/omega_j and 1/omega_j by
@@ -248,21 +251,28 @@ def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
     M_j the partial sums of the m_j and the weights v_kj of _levin_weights
     (which absorb the 1/(beta+j), so the long products carry no beta),
         u_k = sum_j v_kj M_j R_j / (D sum_j v_kj R_j).
-    A window whose imaginary parts are all zero (+0.0 or -0.0), as are all
-    124 windows of verify_all(), goes to _real_levin_orders: one int
-    multiplication per product where a Gaussian product takes four, and two
-    accumulators per weight where a Gaussian row takes four.  Otherwise
-    each part of u_k is one correctly rounded int / int over D |den|^2, and
-    an order whose denominator is 0 is skipped.
+    The window is tested for a nonzero imaginary part before any scaling.
+    One whose imaginary parts are all zero (+0.0 or -0.0), as are all 124
+    windows of verify_all(), scales its real parts alone and goes to
+    _real_levin_orders: one int multiplication per product where a
+    Gaussian product takes four, and two accumulators per weight where a
+    Gaussian row takes four.  Otherwise each part of u_k is one correctly
+    rounded int / int over D |den|^2, and an order whose denominator is 0
+    is skipped.
     """
+    rows = _levin_weights(beta)[:len(terms) - 1]
+    if not any(t.imag for t in terms):
+        ratios = [t.real.as_integer_ratio() for t in terms]
+        scale = max(d for _, d in ratios)
+        m = [a * (scale // d) for a, d in ratios]
+        if 0 in m:
+            return None
+        return _real_levin_orders(m, scale, rows)
     parts = [(t.real.as_integer_ratio(), t.imag.as_integer_ratio()) for t in terms]
     scale = max(max(da, db) for (_, da), (_, db) in parts)
     m = [(a * (scale // da), b * (scale // db)) for (a, da), (b, db) in parts]
     if (0, 0) in m:
         return None
-    rows = _levin_weights(beta)[:len(terms) - 1]
-    if not any(b for _, b in m):
-        return _real_levin_orders([a for a, _ in m], scale, rows)
     prefix = [(1, 0)]
     for x in m[:-1]:
         prefix.append(_gauss_mul(prefix[-1], x))
@@ -278,16 +288,19 @@ def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
         si += b
         mr.append(_gauss_mul((sr, si), rj))
     out: list[complex] = []
-    for row in rows:
-        nr = ni = dr = di = 0
-        for v, (ar, ai), (br, bi) in zip(row, mr, r):
-            nr += v * ar
-            ni += v * ai
-            dr += v * br
-            di += v * bi
-        norm = scale * (dr * dr + di * di)
-        if norm:
-            out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
+    try:
+        for row in rows:
+            nr = ni = dr = di = 0
+            for v, (ar, ai), (br, bi) in zip(row, mr, r):
+                nr += v * ar
+                ni += v * ai
+                dr += v * br
+                di += v * bi
+            norm = scale * (dr * dr + di * di)
+            if norm:
+                out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
+    except OverflowError:
+        raise RangeError("a Levin order lies beyond the binary64 range") from None
     return out if out else None
 
 
@@ -311,30 +324,35 @@ def _real_levin_orders(m: list[int], scale: int,
         s += a
         mr.append(s * rj)
     out: list[complex] = []
-    for row in rows:
-        nr = dr = 0
-        for v, a, b in zip(row, mr, r):
-            nr += v * a
-            dr += v * b
-        if dr:
-            if dr < 0:
-                nr, dr = -nr, -dr
-            out.append(complex(nr / (scale * dr)))
+    try:
+        for row in rows:
+            nr = dr = 0
+            for v, a, b in zip(row, mr, r):
+                nr += v * a
+                dr += v * b
+            if dr:
+                if dr < 0:
+                    nr, dr = -nr, -dr
+                out.append(complex(nr / (scale * dr)))
+    except OverflowError:
+        raise RangeError("a Levin order lies beyond the binary64 range") from None
     return out if out else None
 
 
 def _pick_transform(values: list[complex]) -> tuple[complex, float] | None:
     """Select the transform order whose two trailing consecutive differences
     are jointly smallest.  A single spuriously small difference between two
-    equally wrong orders cannot pass this two-difference consistency check."""
+    equally wrong orders cannot pass this two-difference consistency check.
+    Each difference is formed once; on equal scores the lowest order wins."""
     if len(values) < 3:
         return None
-    best: tuple[float, complex] | None = None
-    for k in range(2, len(values)):
-        score = max(abs(values[k] - values[k - 1]), abs(values[k - 1] - values[k - 2]))
-        if best is None or score < best[0]:
-            best = (score, values[k])
-    return best[1], best[0]
+    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
+    best_score, best_value = max(diffs[1], diffs[0]), values[2]
+    for value, d1, d0 in zip(values[3:], diffs[2:], diffs[1:]):
+        score = max(d1, d0)
+        if score < best_score:
+            best_score, best_value = score, value
+    return best_value, best_score
 
 
 def levin_accelerate(terms) -> tuple[complex, float]:

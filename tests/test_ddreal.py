@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gelfond import DDReal, DomainError, RangeError, heegner_table
+from gelfond import DDReal, DomainError, RangeError, ddreal, heegner_table
 from gelfond.ddreal import (
     dd_add,
     dd_exp,
@@ -170,6 +170,44 @@ def test_exp_range_limit():
     with pytest.raises(RangeError):
         dd_exp(DDReal(701.0))
     dd_exp(DDReal(699.9))
+
+
+@pytest.mark.parametrize("x", [DDReal(1.0, math.nan), DDReal(1.0, math.inf),
+                               DDReal(0.0, -math.inf), DDReal(math.nan),
+                               DDReal(-math.inf)])
+def test_exp_rejects_non_finite_parts(x):
+    with pytest.raises(RangeError):
+        dd_exp(x)
+
+
+def _reference_exp(x: DDReal) -> DDReal:
+    """dd_exp as it stood with its Taylor loop on DDReal values, through
+    dd_mul and dd_add; dd_exp must give these very bits."""
+    k = round(x.hi / ddreal._LN2_P1)
+    r = x
+    if k != 0:
+        r = dd_sub(r, DDReal(k * ddreal._LN2_P1))
+        r = dd_sub(r, DDReal(k * ddreal._LN2_P2))
+        p, e = two_prod(float(k), ddreal._LN2_P3)
+        r = dd_sub(r, DDReal(p, e))
+    total = power = DDReal(1.0)
+    for coef in ddreal._INV_FACTORIAL:
+        power = dd_mul(power, r)
+        total = dd_add(total, dd_mul(power, coef))
+    return DDReal(math.ldexp(total.hi, k), math.ldexp(total.lo, k))
+
+
+def test_exp_matches_reference_loop_bit_for_bit(rng):
+    # repr tells -0.0 from 0.0, so every bit of both parts is compared
+    values = [DDReal(0.0), DDReal(-0.0), DDReal(700.0), DDReal(-700.0)]
+    values += [dd_mul(dd_pi(), dd_sqrt(DDReal.from_int(n))) for n in (19, 43, 67, 163)]
+    half_ln2 = math.log(2.0) / 2
+    for n in range(20_000):
+        hi = rng.uniform(-half_ln2, half_ln2) if n % 2 else rng.uniform(-700.0, 700.0)
+        values.append(DDReal(hi, hi * rng.uniform(-1e-16, 1e-16)))
+    for x in values:
+        got, want = dd_exp(x), _reference_exp(x)
+        assert repr((got.hi, got.lo)) == repr((want.hi, want.lo)), x
 
 
 def test_exp_against_binary64_for_moderate_args(rng):

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import islice
 from math import comb
 
-from gelfond import SeriesSpec, identities, series
+import pytest
+
+from gelfond import RangeError, SeriesSpec, identities, series
 from conftest import random_complex
 
 
@@ -135,3 +137,49 @@ def test_random_windows(rng):
     # order 1 is exactly 0 over a negative denominator: +0.0, not -0.0
     windows.append(([1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j], 1))
     assert_same_orders(windows)
+
+
+def test_order_beyond_binary64_is_range_error():
+    # terms near the top of the binary64 range give orders above it; the
+    # int / int rounding of such an order must not leak an OverflowError
+    real = [complex(1e307 * (1 + 0.01 * j) ** -2) for j in range(21)]
+    skew = [t * (1 + 1j) for t in real]
+    for terms in (real, skew):
+        with pytest.raises(RangeError):
+            series._levin_orders(terms, 1)
+        with pytest.raises(RangeError):
+            series.levin_accelerate(terms)
+
+
+def reference_pick_transform(values):
+    """_pick_transform as it stood with both differences of each order
+    formed in the loop; the kernel's selection must match it bit for bit."""
+    if len(values) < 3:
+        return None
+    best = None
+    for k in range(2, len(values)):
+        score = max(abs(values[k] - values[k - 1]), abs(values[k - 1] - values[k - 2]))
+        if best is None or score < best[0]:
+            best = (score, values[k])
+    return best[1], best[0]
+
+
+def test_pick_transform_matches_reference(rng):
+    # repeated values give equal scores, where the first order must win,
+    # and +-1e308 entries give infinite differences and scores
+    for n in range(4000):
+        values = []
+        for _ in range(rng.randint(3, 20)):
+            draw = rng.random()
+            if draw < 0.25 and values:
+                values.append(rng.choice(values))
+            elif draw < 0.35:
+                values.append(complex(rng.choice((1e308, -1e308)),
+                                      rng.choice((0.0, -0.0, 1e308)) if n % 2 else 0.0))
+            elif n % 2:
+                values.append(random_complex(rng))
+            else:
+                values.append(complex(rng.uniform(-2.0, 2.0)))
+        assert repr(series._pick_transform(values)) == \
+            repr(reference_pick_transform(values)), values
+    assert series._pick_transform([1.0 + 0.0j, 2.0 + 0.0j]) is None
