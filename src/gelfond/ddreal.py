@@ -141,23 +141,26 @@ _INV_FACTORIAL_PARTS = tuple((c.hi, c.lo) + split(c.hi) for c in _INV_FACTORIAL)
 
 
 def dd_exp(x: DDReal) -> DDReal:
-    """e^x in double-double for |x| <= 700; a larger |hi| or a low part
-    that is not finite raises RangeError.
+    """e^x in double-double for |hi + lo| <= 700; a larger or non-finite
+    hi + lo raises RangeError.
 
-    Reduces x = k*ln2 + r with |r| <= ln2/2 (the k*ln2 product is formed
-    from the exact three-part ln 2 so the constant contributes ~1e-35, not
-    k ulps), sums the order-30 Taylor series of e^r, multiplying each power
-    r^k by the tabulated 1/k!, and scales by 2^k.  The Taylor loop runs on
+    Reduces x = k*ln2 + r with |r| <= ln2/2, k taken from hi + lo so that
+    an x whose lo is not below ulp(hi) is reduced by its value (the k*ln2
+    product is formed from the exact three-part ln 2 so the constant
+    contributes ~1e-35, not k ulps), sums the order-30 Taylor series of
+    e^r, multiplying each power r^k by the tabulated 1/k!, and scales by
+    2^k.  The Taylor loop runs on
     (hi, lo) float pairs: each step performs the operations of
     power = dd_mul(power, r) and total = dd_add(total, dd_mul(power, 1/k!))
     in their order, with the Veltkamp splits of r and of 1/k! formed once
     and that of each power once, so it gives their bits without building a
     DDReal per operation.
     """
-    if not (abs(x.hi) <= EXP_ARG_LIMIT and math.isfinite(x.lo)):
+    value = x.hi + x.lo
+    if not abs(value) <= EXP_ARG_LIMIT:
         raise RangeError(f"dd_exp argument ({x.hi}, {x.lo}) outside |x| <= "
                          f"{EXP_ARG_LIMIT} or not finite")
-    k = round(x.hi / _LN2_P1)
+    k = round(value / _LN2_P1)
     r = x
     if k != 0:
         r = dd_sub(r, DDReal(k * _LN2_P1))          # exact product

@@ -452,7 +452,7 @@ def verify(case: IdentityCase, tolerance: float | None = None,
             series_value = acc.real
 
     scale = max(abs(expected), 1e-300) if expected is not None else 1.0
-    primary_rel = None
+    primary_abs = None
     if case.documented_only:
         verdict = "SkippedDocumented"
     elif case.expect_divergent:
@@ -469,15 +469,17 @@ def verify(case: IdentityCase, tolerance: float | None = None,
             series_rel = abs(series_value - expected) / scale
         passed = ((closed_rel is None or closed_rel <= case.closed_tol)
                   and series_rel is not None and series_rel <= case.series_tol)
-        primary_rel = closed_rel if closed is not None else series_rel
+        primary = closed if closed is not None else series_value
+        if primary is not None and expected is not None:
+            primary_abs = abs(primary - expected)
         verdict = "Pass" if passed else "Fail"
 
     return VerificationReport(
         id=case.id, n=case.n, lam=case.lam,
         closed_value=closed, series_value=series_value, expected_value=expected,
-        abs_residual=(primary_rel * scale) if primary_rel is not None else None,
-        rel_residual=primary_rel, series_status=series_status, verdict=verdict,
-        erratum=case.erratum,
+        abs_residual=primary_abs,
+        rel_residual=primary_abs / scale if primary_abs is not None else None,
+        series_status=series_status, verdict=verdict, erratum=case.erratum,
     )
 
 

@@ -2,16 +2,16 @@
 
 sum_pfq evaluates pFq(upper; lower; z) by direct term recurrence
 (t_{n+1}/t_n = z * prod(upper_j + n) / (prod(lower_k + n) * (n + 1))).
-One rule routes every spec: a polynomial (an upper parameter exactly at a
-non-positive integer, not merely near one; see truncation_degree()) is
-summed directly at every z, and only a series that does not terminate is
-checked for divergence (p > q+1 refused for z != 0, p = q+1 for |z| > 1
-and |z| = 1 off 1).
+sum_pfq holds the one rule that routes every spec: a polynomial (an upper
+parameter exactly at a non-positive integer, not merely near one; see
+truncation_degree()) is summed directly at every z and ends at its last
+term, and only a series that does not terminate is checked for divergence
+(p > q+1 refused for z != 0, p = q+1 for |z| > 1 and |z| = 1 off 1).
 The direct sum keeps only the current term, in floats for a real spec with
 the bits of complex arithmetic (see _direct_sum).  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
-~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq_unit
-accelerates its partial sums with a Levin u-transform.
+~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq accelerates
+its partial sums with a Levin u-transform.
 
 The u-transform itself is evaluated in exact integer arithmetic, on the
 binary64 terms scaled to Gaussian integers by one common power of two: at
@@ -149,15 +149,16 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     numbers with zero imaginary parts perform the very float operations the
     float loop performs on the real parts, so the float sum has the bits of
     the complex one.  The tail estimate is worked out only at the exits that
-    report it.
+    report it; a polynomial returns at its last term with tail 0, since the
+    term after it, zero by construction, is never formed.
 
     A denominator product at the binary64 limit, one with a part of 2^1023
     or more so that 2 * den is not finite, can make the next term 0 or NaN:
     float division by inf gives 0, and complex division scales by
     |den|^2 / max(|Re den|, |Im den|), which then overflows.  No value
     summed past it can be trusted, so RangeError is raised for a zero term
-    or the truncation term after such a denominator, for a truncation tail
-    that is not finite, and for a denominator that underflows to 0.
+    or a polynomial's last term after such a denominator, and for a
+    denominator that underflows to 0.
     """
     upper, lower, z = spec.upper, spec.lower, spec.argument
     isfinite = cmath.isfinite
@@ -182,26 +183,28 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
             total += t
             if not isfinite(total):
                 raise RangeError("series accumulation overflowed binary64")
-            if n != trunc:
-                abs_t = abs(t)
-                if abs_t <= tol or abs_t <= tol * abs(total):
-                    if not abs_t and not isfinite(2.0 * den):
-                        raise RangeError(f"term {n}: denominator at the binary64 limit")
-                    small_streak += 1
-                    if small_streak >= 2:
-                        tail = _observed_tail(abs_t, prev_abs)
-                        if tail <= tol or tail <= tol * abs(total):
-                            return SumResult(complex(total), n + 1, tail,
-                                             SumStatus.CONVERGED)
-                else:
-                    small_streak = 0
-                if n >= last:
-                    return SumResult(complex(total), n + 1,
-                                     _observed_tail(abs_t, prev_abs),
-                                     SumStatus.MAX_TERMS_EXCEEDED)
-                prev_abs = abs_t
-            elif not isfinite(2.0 * den):
-                raise RangeError(f"term {n}: denominator at the binary64 limit")
+            if n == trunc:
+                if not isfinite(2.0 * den):
+                    raise RangeError(f"term {n}: denominator at the binary64 limit")
+                # polynomial case: the remaining terms vanish
+                return SumResult(complex(total), n + 1, 0.0, SumStatus.TRUNCATED)
+            abs_t = abs(t)
+            if abs_t <= tol or abs_t <= tol * abs(total):
+                if not abs_t and not isfinite(2.0 * den):
+                    raise RangeError(f"term {n}: denominator at the binary64 limit")
+                small_streak += 1
+                if small_streak >= 2:
+                    tail = _observed_tail(abs_t, prev_abs)
+                    if tail <= tol or tail <= tol * abs(total):
+                        return SumResult(complex(total), n + 1, tail,
+                                         SumStatus.CONVERGED)
+            else:
+                small_streak = 0
+            if n >= last:
+                return SumResult(complex(total), n + 1,
+                                 _observed_tail(abs_t, prev_abs),
+                                 SumStatus.MAX_TERMS_EXCEEDED)
+            prev_abs = abs_t
             num = 1.0
             for a in upper:
                 num *= a + n
@@ -209,11 +212,6 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
             for b in lower:
                 den *= b + n
             t = t * z * num / den
-            if n == trunc:
-                # polynomial case: the remaining terms vanish
-                if not (isfinite(t) and isfinite(2.0 * den)):
-                    raise RangeError(f"term {n + 1}: tail out of the binary64 range")
-                return SumResult(complex(total), n + 1, abs(t), SumStatus.TRUNCATED)
             n += 1
     except ZeroDivisionError:
         raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
@@ -362,12 +360,15 @@ def levin_accelerate(terms) -> tuple[complex, float]:
     Returns (value, error_estimate) where the estimate is the difference of
     the last two transform orders used.  Requires at least 8 terms of a
     series whose terms eventually decay smoothly or with constant sign.
+    A term that is not finite raises RangeError.
     """
     terms = [complex(t) for t in terms]
     if len(terms) < 8:
         raise InsufficientTermsError(
             f"levin_accelerate needs >= 8 terms, got {len(terms)}"
         )
+    if not all(map(cmath.isfinite, terms)):
+        raise RangeError("levin_accelerate: a term is not finite")
     values = _levin_orders(terms, 1)
     if values is None:
         raise ValueError("levin_accelerate: zero term in input (omega undefined)")
@@ -478,38 +479,28 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     return SumResult(best_val, len(terms), tail, SumStatus.MAX_TERMS_EXCEEDED)
 
 
-def _may_diverge(spec: SeriesSpec) -> bool:
-    """True for a p >= q+1 series that does not terminate."""
-    return len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None
-
-
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
-    """Evaluate a pFq series at z = 1.
-
-    A polynomial, or a series with p <= q, is summed directly.  Only a p = q+1
-    series that does not terminate is gated, by s = Re(sum(lower) -
-    sum(upper)): s <= 0 returns status Divergent without summing, and s > 0
-    is accelerated; achievable tolerance is ~1e-6 for s <= 1.
-    """
+    """sum_pfq for an argument of exactly z = 1; ValueError for any other."""
     if spec.argument != 1.0 + 0.0j:
         raise ValueError("sum_pfq_unit requires argument z = 1")
-    if _may_diverge(spec):
-        if spec.convergence_parameter() <= 0.0:
-            return SumResult(0.0 + 0.0j, 0, math.inf, SumStatus.DIVERGENT)
-        return _accelerated_unit_sum(spec, policy)
-    return _direct_sum(spec, policy)
+    return sum_pfq(spec, policy)
 
 
 def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     """Evaluate pFq(upper; lower; z) to the policy tolerance.
 
-    z = 1 goes to sum_pfq_unit.  Otherwise a polynomial is summed directly
-    at every z, and only a p = q+1 series that does not terminate is checked
-    for divergence: DivergentError for |z| > 1, ValueError for |z| = 1.
+    A polynomial, or a series with p <= q, is summed directly at every z.
+    Only a p = q+1 series that does not terminate is routed by its
+    argument: at z = 1 by s = Re(sum(lower) - sum(upper)), where s <= 0
+    returns status Divergent without summing and s > 0 is accelerated
+    (achievable tolerance is ~1e-6 for s <= 1); DivergentError for
+    |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1.
     """
-    if spec.argument == 1.0 + 0.0j:
-        return sum_pfq_unit(spec, policy)
-    if _may_diverge(spec):
+    if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
+        if spec.argument == 1.0:
+            if spec.convergence_parameter() <= 0.0:
+                return SumResult(0.0 + 0.0j, 0, math.inf, SumStatus.DIVERGENT)
+            return _accelerated_unit_sum(spec, policy)
         r = abs(spec.argument)
         if r > 1.0:
             raise DivergentError(f"p = q+1 series diverges for |z| = {r} > 1")

@@ -170,6 +170,10 @@ def test_exp_range_limit():
     with pytest.raises(RangeError):
         dd_exp(DDReal(701.0))
     dd_exp(DDReal(699.9))
+    # the limit holds for hi + lo, not for hi alone
+    for x in (DDReal(1.0, 800.0), DDReal(700.0, 1.0)):
+        with pytest.raises(RangeError):
+            dd_exp(x)
 
 
 @pytest.mark.parametrize("x", [DDReal(1.0, math.nan), DDReal(1.0, math.inf),
@@ -178,6 +182,16 @@ def test_exp_range_limit():
 def test_exp_rejects_non_finite_parts(x):
     with pytest.raises(RangeError):
         dd_exp(x)
+
+
+def test_exp_reduces_by_the_value_of_an_unnormalised_argument():
+    # all of x in the low part: k comes from hi + lo = 40, not from hi = 0
+    r = dd_exp(DDReal(0.0, 40.0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = Decimal(40).exp()
+        err = abs((Decimal(r.hi) + Decimal(r.lo) - ref) / ref)
+    assert err <= Decimal("1e-30"), err
 
 
 def _reference_exp(x: DDReal) -> DDReal:

@@ -311,6 +311,25 @@ def test_verify_all_registry_green():
     assert {r.id for r in skipped} == {f"cor2-n{n}-printed" for n in (1, 2, 3)}
 
 
+@pytest.mark.parametrize("max_terms", [SumPolicy.max_terms, 25])
+def test_verify_abs_residual_is_the_difference_it_names(max_terms):
+    """abs_residual is |primary - expected| to the bit, the primary value
+    being the closed route's where there is one and the series' otherwise,
+    and rel_residual is that divided by |expected|."""
+    checked = 0
+    for report in verify_all(max_terms=max_terms):
+        if report.abs_residual is None:
+            assert report.rel_residual is None
+            continue
+        primary = (report.closed_value if report.closed_value is not None
+                   else report.series_value)
+        assert report.abs_residual == abs(primary - report.expected_value), report.id
+        assert report.rel_residual == (report.abs_residual
+                                       / abs(report.expected_value)), report.id
+        checked += 1
+    assert checked >= 30
+
+
 def test_verify_verdict_consistent_with_recorded_tolerance():
     for case in registry():
         report = verify(case)

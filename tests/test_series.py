@@ -15,6 +15,7 @@ from gelfond import (
     RangeError,
     SeriesSpec,
     SumPolicy,
+    SumResult,
     SumStatus,
     levin_accelerate,
     series,
@@ -323,9 +324,7 @@ def test_direct_sum_matches_reference(monkeypatch):
 
 @pytest.mark.parametrize("upper, lower, z", [
     ((), (1e200, 1e200, 1e200), 0.5),           # term 1's denominator overflows
-    ((-2,), (-2.7, 6e307, -0.9), 0.5),          # ... that of the truncation term
-    ((0,), (1e200, 1e200, 1e200), 0.5),         # ... that of the truncation tail
-    ((-1,), (1.0,), 1e160),                     # the truncation tail overflows
+    ((-2,), (-2.7, 6e307, -0.9), 0.5),          # ... that of the last term
     ((), (1e-5,) * 70, 0.5),                    # the denominator underflows to 0
     ((1.7e308,), (1.7e308,), 0.5),              # e^(1/2), term 2's denominator
     ((1e308 + 1j,), (1e308,), 0.5 + 0.1j),      # ... the same in complex
@@ -337,6 +336,21 @@ def test_direct_sum_beyond_float_range_raises(upper, lower, z):
     it 0 or NaN, real or complex: the sum is refused, never returned."""
     with pytest.raises(RangeError, match="term"):
         sum_pfq(SeriesSpec(upper, lower, z))
+
+
+@pytest.mark.parametrize("upper, lower, z, value, terms", [
+    # the denominator after the last term overflows, or underflows to 0
+    ((0,), (1e200, 1e200, 1e200), 0.5, 1.0, 1),
+    ((0,), (1e-5,) * 70, 0.5, 1.0, 1),
+    # z times the last term overflows
+    ((-1,), (1.0,), 1e160, -1e160, 2),
+])
+def test_polynomial_ends_at_its_last_term(upper, lower, z, value, terms):
+    """A polynomial returns at its last term: the term after it, zero by
+    construction, is never formed, so a denominator or product out of the
+    binary64 range past the last term does not refuse the sum."""
+    expected = SumResult(complex(value), terms, 0.0, SumStatus.TRUNCATED)
+    assert repr(sum_pfq(SeriesSpec(upper, lower, z))) == repr(expected)
 
 
 def test_direct_sum_accumulation_overflow_raises():
@@ -489,6 +503,12 @@ def test_levin_insufficient_terms():
 def test_levin_zero_term_rejected():
     with pytest.raises(ValueError):
         levin_accelerate([1.0, 0.0] + [0.5**k for k in range(10)])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1.0, math.inf)])
+def test_levin_non_finite_term_is_range_error(bad):
+    with pytest.raises(RangeError, match="not finite"):
+        levin_accelerate([1.0] * 7 + [bad])
 
 
 # ----------------------------------------------------------------------
