@@ -325,6 +325,8 @@ def test_direct_sum_matches_reference(monkeypatch):
 @pytest.mark.parametrize("upper, lower, z", [
     ((), (1e200, 1e200, 1e200), 0.5),           # term 1's denominator overflows
     ((-2,), (-2.7, 6e307, -0.9), 0.5),          # ... that of the last term
+    ((-1,), (1e200, 1e200, 1e200), 0.5),        # ... that of the last term, 1
+    ((-1,), (1e-5,) * 70, 0.5),                 # ... the same, underflowing to 0
     ((), (1e-5,) * 70, 0.5),                    # the denominator underflows to 0
     ((1.7e308,), (1.7e308,), 0.5),              # e^(1/2), term 2's denominator
     ((1e308 + 1j,), (1e308,), 0.5 + 0.1j),      # ... the same in complex
