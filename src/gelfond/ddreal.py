@@ -149,24 +149,23 @@ def dd_exp(x: DDReal) -> DDReal:
     product is formed from the exact three-part ln 2 so the constant
     contributes ~1e-35, not k ulps), sums the order-30 Taylor series of
     e^r, multiplying each power r^k by the tabulated 1/k!, and scales by
-    2^k.  The Taylor loop runs on
-    (hi, lo) float pairs: each step performs the operations of
-    power = dd_mul(power, r) and total = dd_add(total, dd_mul(power, 1/k!))
-    in their order, with the Veltkamp splits of r and of 1/k! formed once
-    and that of each power once, so it gives their bits without building a
-    DDReal per operation.
+    2^k.  Every x takes the three subtractions, k = 0 included (by exact
+    zeros), and dd_sub normalises r on the way, so an unnormalised x loses
+    no digits.  The Taylor loop runs on (hi, lo) float pairs: each step
+    performs the operations of power = dd_mul(power, r) and
+    total = dd_add(total, dd_mul(power, 1/k!)) in their order, with the
+    Veltkamp splits of r and of 1/k! formed once and that of each power
+    once, so it gives their bits without building a DDReal per operation.
     """
     value = x.hi + x.lo
     if not abs(value) <= EXP_ARG_LIMIT:
         raise RangeError(f"dd_exp argument ({x.hi}, {x.lo}) outside |x| <= "
                          f"{EXP_ARG_LIMIT} or not finite")
     k = round(value / _LN2_P1)
-    r = x
-    if k != 0:
-        r = dd_sub(r, DDReal(k * _LN2_P1))          # exact product
-        r = dd_sub(r, DDReal(k * _LN2_P2))          # exact product
-        p, e = two_prod(float(k), _LN2_P3)
-        r = dd_sub(r, DDReal(p, e))
+    r = dd_sub(x, DDReal(k * _LN2_P1))              # exact product
+    r = dd_sub(r, DDReal(k * _LN2_P2))              # exact product
+    p, e = two_prod(float(k), _LN2_P3)
+    r = dd_sub(r, DDReal(p, e))
     rh, rl = r.hi, r.lo
     rh_hi, rh_lo = split(rh)
     th, tl = ph, pl = 1.0, 0.0

@@ -237,11 +237,11 @@ def _levin_weights(beta: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
+def _levin_orders(terms: list[complex], beta: int) -> list[complex]:
     """u-transform values for orders 1..LEVIN_MAX_ORDER on a term window,
-    computed exactly in integers.  None when a term is exactly zero
-    (remainder estimates omega_j = (beta+j) t_j are then undefined), and
-    RangeError when an order lies beyond the binary64 range.
+    computed exactly in integers; RangeError when an order lies beyond the
+    binary64 range.  Every term must be nonzero, since the remainder
+    estimates omega_j = (beta+j) t_j divide; callers refuse a zero term.
 
     Every binary64 part is dyadic, so with one common power of two D each
     term is a Gaussian integer m_j / D.  Scaling S_j/omega_j and 1/omega_j by
@@ -263,14 +263,10 @@ def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
         ratios = [t.real.as_integer_ratio() for t in terms]
         scale = max(d for _, d in ratios)
         m = [a * (scale // d) for a, d in ratios]
-        if 0 in m:
-            return None
         return _real_levin_orders(m, scale, rows)
     parts = [(t.real.as_integer_ratio(), t.imag.as_integer_ratio()) for t in terms]
     scale = max(max(da, db) for (_, da), (_, db) in parts)
     m = [(a * (scale // da), b * (scale // db)) for (a, da), (b, db) in parts]
-    if (0, 0) in m:
-        return None
     prefix = [(1, 0)]
     for x in m[:-1]:
         prefix.append(_gauss_mul(prefix[-1], x))
@@ -299,11 +295,11 @@ def _levin_orders(terms: list[complex], beta: int) -> list[complex] | None:
                 out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
     except OverflowError:
         raise RangeError("a Levin order lies beyond the binary64 range") from None
-    return out if out else None
+    return out
 
 
 def _real_levin_orders(m: list[int], scale: int,
-                       rows: tuple[tuple[int, ...], ...]) -> list[complex] | None:
+                       rows: tuple[tuple[int, ...], ...]) -> list[complex]:
     """_levin_orders on a real window of scaled terms m_j = D t_j, in plain
     ints.  Each order is nr / (D dr), the rational (nr dr) / (D dr^2) that
     the Gaussian formula gives, so it rounds to the same binary64; the sign
@@ -334,7 +330,7 @@ def _real_levin_orders(m: list[int], scale: int,
                 out.append(complex(nr / (scale * dr)))
     except OverflowError:
         raise RangeError("a Levin order lies beyond the binary64 range") from None
-    return out if out else None
+    return out
 
 
 def _pick_transform(values: list[complex]) -> tuple[complex, float] | None:
@@ -360,7 +356,7 @@ def levin_accelerate(terms) -> tuple[complex, float]:
     Returns (value, error_estimate) where the estimate is the difference of
     the last two transform orders used.  Requires at least 8 terms of a
     series whose terms eventually decay smoothly or with constant sign.
-    A term that is not finite raises RangeError.
+    A term that is not finite raises RangeError, a zero term ValueError.
     """
     terms = [complex(t) for t in terms]
     if len(terms) < 8:
@@ -369,10 +365,9 @@ def levin_accelerate(terms) -> tuple[complex, float]:
         )
     if not all(map(cmath.isfinite, terms)):
         raise RangeError("levin_accelerate: a term is not finite")
-    values = _levin_orders(terms, 1)
-    if values is None:
+    if 0 in terms:
         raise ValueError("levin_accelerate: zero term in input (omega undefined)")
-    picked = _pick_transform(values)
+    picked = _pick_transform(_levin_orders(terms, 1))
     if picked is None:
         raise InsufficientTermsError("levin_accelerate: too few usable orders")
     value, err = picked
@@ -399,7 +394,11 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     safety factor, is the tail estimate.  Windows over nearly flat tails
     carry no curvature and only get flatter, so the second flat window ends
     the ladder, adjacent to the first or not, as does a long run of windows
-    without score improvement.
+    without score improvement.  With no candidate from any window, the value
+    is the plain sum of the terms made, with tail inf.  A zero term raises
+    RangeError: the kernel needs nonzero terms, and on this route a zero can
+    only be an underflow (an exact zero makes a polynomial, which sum_pfq
+    sums directly).
     """
     tol = policy.tolerance
     upper, lower, z = spec.upper, spec.lower, spec.argument
@@ -425,6 +424,8 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
                     f"term {n + 1}: denominator underflowed to 0") from None
             if not cmath.isfinite(t):
                 raise RangeError(f"term {n + 1}: not finite")
+            if not t:
+                raise RangeError(f"term {n + 1}: underflowed to 0")
             terms.append(t)
         while consumed < offset:
             head += terms[consumed]
@@ -447,8 +448,7 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         improved = False
         betas = (1,) if offset < 2 else (1, offset + 1)
         for beta in betas:
-            values = _levin_orders(win, beta)
-            picked = _pick_transform(values) if values is not None else None
+            picked = _pick_transform(_levin_orders(win, beta))
             if picked is None:
                 continue
             value, err = picked
@@ -470,7 +470,9 @@ def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         if stall >= 4 and offset >= 30:
             break
     if not candidates:
-        return SumResult(0.0 + 0.0j, len(terms), math.inf,
+        for t in terms[consumed:]:
+            head += t
+        return SumResult(head, len(terms), math.inf,
                          SumStatus.MAX_TERMS_EXCEEDED)
     best_est, best_val = candidates[0]
     tail = _LEVIN_SAFETY * best_est

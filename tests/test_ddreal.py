@@ -194,16 +194,32 @@ def test_exp_reduces_by_the_value_of_an_unnormalised_argument():
     assert err <= Decimal("1e-30"), err
 
 
+@pytest.mark.parametrize("x", [DDReal(0.0, 0.34), DDReal(0.2, 0.1)])
+def test_exp_normalises_an_unnormalised_argument_at_k_zero(x):
+    # |x| < ln2/2, so k = 0 and x itself would be the Taylor argument; its
+    # lo at or above ulp(hi) must not cost the sum its second double
+    r = dd_exp(x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ref = (Decimal(x.hi) + Decimal(x.lo)).exp()
+        err = abs((Decimal(r.hi) + Decimal(r.lo) - ref) / ref)
+    assert err <= Decimal("1e-30"), err
+
+
+def test_exp_of_parts_that_cancel_is_one():
+    # hi + lo = 0 exactly; the parts themselves are far outside the range
+    r = dd_exp(DDReal(1e308, -1e308))
+    assert repr((r.hi, r.lo)) == repr((1.0, 0.0))
+
+
 def _reference_exp(x: DDReal) -> DDReal:
     """dd_exp as it stood with its Taylor loop on DDReal values, through
     dd_mul and dd_add; dd_exp must give these very bits."""
     k = round(x.hi / ddreal._LN2_P1)
-    r = x
-    if k != 0:
-        r = dd_sub(r, DDReal(k * ddreal._LN2_P1))
-        r = dd_sub(r, DDReal(k * ddreal._LN2_P2))
-        p, e = two_prod(float(k), ddreal._LN2_P3)
-        r = dd_sub(r, DDReal(p, e))
+    r = dd_sub(x, DDReal(k * ddreal._LN2_P1))
+    r = dd_sub(r, DDReal(k * ddreal._LN2_P2))
+    p, e = two_prod(float(k), ddreal._LN2_P3)
+    r = dd_sub(r, DDReal(p, e))
     total = power = DDReal(1.0)
     for coef in ddreal._INV_FACTORIAL:
         power = dd_mul(power, r)

@@ -452,6 +452,27 @@ def test_unit_denominator_underflow_is_range_error():
         sum_pfq_unit(spec)
 
 
+def test_unit_term_underflow_is_range_error():
+    # 2F1(1, 1; 1e300; 1): term 1 is 1e-300 and term 2 underflows to 0, a
+    # term the Levin kernel cannot take
+    with pytest.raises(RangeError, match="term 2: underflowed to 0"):
+        sum_pfq(SeriesSpec((1, 1), (1e300,), 1))
+
+
+def test_unit_ladder_without_estimate_returns_partial_sum():
+    # 2F1(10, 10; 20.5; 1): the terms grow until n ~ 53, so every window
+    # of the first 50 terms is still growing and none yields an estimate
+    r = sum_pfq(SeriesSpec((10, 10), (20.5,), 1), SumPolicy(max_terms=50))
+    assert r.status is SumStatus.MAX_TERMS_EXCEEDED
+    assert r.tail_estimate == math.inf
+    assert r.terms_used == 50
+    t = partial = Fraction(1)
+    for n in range(49):
+        t *= Fraction(10 + n) ** 2 / ((Fraction(41, 2) + n) * (n + 1))
+        partial += t
+    assert abs(r.value - float(partial)) <= 1e-13 * float(partial)
+
+
 def test_unit_requires_argument_one():
     with pytest.raises(ValueError):
         sum_pfq_unit(SeriesSpec((I, -I), (0.5,), 0.5))
