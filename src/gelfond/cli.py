@@ -237,7 +237,7 @@ def _cmd_eval(args) -> tuple[list[dict], list[str], int]:
 
 def _cmd_verify(args) -> tuple[list[dict], list[str], int]:
     # bad flag values are a usage error even when no case is selected
-    SumPolicy(SumPolicy.tolerance if args.tol is None else args.tol,
+    SumPolicy(SumPolicy().tolerance if args.tol is None else args.tol,
               args.max_terms)
     cases = registry()
     if args.id:
@@ -334,10 +334,10 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--lower", default="",
                         help="comma-separated lower parameters, e.g. 1/2")
     p_eval.add_argument("--z", required=True, help="argument, e.g. 1 or 0.5")
-    p_eval.add_argument("--tol", type=float, default=SumPolicy.tolerance,
+    p_eval.add_argument("--tol", type=float, default=SumPolicy().tolerance,
                         help="summation tolerance (default %(default)g)")
     p_eval.add_argument("--max-terms", dest="max_terms", type=int,
-                        default=SumPolicy.max_terms,
+                        default=SumPolicy().max_terms,
                         help="most terms summed (default %(default)d)")
     common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
@@ -352,7 +352,7 @@ def _parser() -> argparse.ArgumentParser:
                           help="summation tolerance of every series member, "
                                "in place of each member's own")
     p_verify.add_argument("--max-terms", dest="max_terms", type=int,
-                          default=SumPolicy.max_terms,
+                          default=SumPolicy().max_terms,
                           help="most terms summed per series member; each "
                                "member keeps its own tolerance "
                                "(default %(default)d)")

@@ -15,9 +15,9 @@ subtract, multiply, square root, exp, rounding and exact decimal output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 
@@ -53,19 +53,24 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-@dataclass(frozen=True)
-class DDReal:
+class DDReal(NamedTuple):
+    """hi + lo, an immutable named tuple whose + and * raise TypeError
+    (a tuple's would concatenate and repeat): use dd_add and dd_mul."""
+
     hi: float
     lo: float = 0.0
 
     @staticmethod
     def from_int(value: int) -> "DDReal":
-        hi = float(value)
-        lo = float(value - int(hi))
-        s, e = quick_two_sum(hi, lo)
-        return DDReal(s, e)
+        try:
+            hi = float(value)
+        except OverflowError:
+            raise RangeError(f"{value.bit_length()}-bit int beyond binary64") from None
+        return DDReal(*quick_two_sum(hi, float(value - int(hi))))
 
     def to_fraction(self) -> Fraction:
+        if not (math.isfinite(self.hi) and math.isfinite(self.lo)):
+            raise RangeError(f"DDReal({self.hi}, {self.lo}) is not finite")
         return Fraction(self.hi) + Fraction(self.lo)
 
     def __float__(self) -> float:
@@ -73,6 +78,10 @@ class DDReal:
 
     def __neg__(self) -> "DDReal":
         return DDReal(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        raise TypeError("DDReal has no + or *: use dd_add and dd_mul")
+    __radd__ = __mul__ = __rmul__ = __add__
 
 
 def dd_add(x: DDReal, y: DDReal) -> DDReal:
@@ -97,14 +106,18 @@ def dd_mul(x: DDReal, y: DDReal) -> DDReal:
 
 
 def dd_sqrt(x: DDReal) -> DDReal:
-    """Square root via a double seed plus one Newton correction in dd."""
-    if x.hi < 0.0:
-        raise DomainError(f"dd_sqrt of negative value {x.hi}")
-    if x.hi == 0.0 and x.lo == 0.0:
+    """Square root of hi + lo, normalised first, via a double seed plus one
+    Newton correction in dd; RangeError when not finite, DomainError when < 0."""
+    hi, lo = two_sum(x.hi, x.lo)
+    if not math.isfinite(hi):
+        raise RangeError(f"dd_sqrt of non-finite ({x.hi}, {x.lo})")
+    if hi < 0.0:
+        raise DomainError(f"dd_sqrt of negative value {hi}")
+    if hi == 0.0:
         return DDReal(0.0, 0.0)
-    a = math.sqrt(x.hi)
+    a = math.sqrt(hi)
     p, e = two_prod(a, a)
-    r = dd_sub(x, DDReal(p, e))
+    r = dd_sub(DDReal(hi, lo), DDReal(p, e))
     s, err = quick_two_sum(a, r.hi / (2.0 * a))
     return DDReal(s, err)
 
@@ -204,7 +217,7 @@ def dd_exp(x: DDReal) -> DDReal:
 
 
 def dd_round(x: DDReal) -> int:
-    """Nearest integer to hi + lo, exact at every finite value (ties to even)."""
+    """Nearest integer to hi + lo (ties to even), exact when finite; else RangeError."""
     return round(x.to_fraction())
 
 

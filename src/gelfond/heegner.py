@@ -9,7 +9,7 @@ bound and the n=163 deviation is only meaningful as an order-of-magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ddreal import DDReal, dd_exp, dd_mul, dd_pi, dd_round, dd_sqrt, dd_sub
 
@@ -22,8 +22,7 @@ HEEGNER_BASES = {19: 96, 43: 960, 67: 5280, 163: 640320}
 _ULP = 2.0 ** -106
 
 
-@dataclass(frozen=True)
-class HeegnerRow:
+class HeegnerRow(NamedTuple):
     n: int
     value: DDReal            # e^(pi sqrt n)
     cube_base: int

@@ -44,7 +44,6 @@ report shows exactly which form is reproducible:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 from typing import Callable, NamedTuple
@@ -79,8 +78,7 @@ def expected_value(terms: tuple[ExpTerm, ...]) -> float:
     return math.fsum(float(c) * math.exp(math.pi * float(p)) for c, p in terms)
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     id: str
     lhs_plan: tuple[tuple[SeriesSpec, complex], ...]
     rhs_plan: tuple[tuple[complex, str, tuple], ...] | None
@@ -104,8 +102,7 @@ class IdentityCase:
         return not self.lhs_plan
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     id: str
     n: int | None
     lam: float | None
@@ -319,18 +316,17 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     row = _corollary_row(kind, n, printed)
     case = row.theorem(*row.d(n), f"{kind}-n{n}{row.suffix}")
     assert tuple(t.coef for t in case.expected) == row.claim(n)
-    case = replace(case, n=n, erratum=row.erratum)
+    case = case._replace(n=n, erratum=row.erratum)
     if row.second_lower is None:
         return case
     # the as-printed companion diverges: the second series takes the printed
     # lower parameter, and there is no closed route, claimed terms only
     first, (second, weight) = case.lhs_plan
-    diverging = replace(second, lower=(row.second_lower, *second.lower[1:]))
-    return replace(case,
-                   lhs_plan=(first, (diverging, weight)),
-                   rhs_plan=None,
-                   expected=tuple(t for t in case.expected if t.coef),
-                   expect_divergent=True)
+    diverging = second._replace(lower=(row.second_lower, *second.lower[1:]))
+    return case._replace(lhs_plan=(first, (diverging, weight)),
+                         rhs_plan=None,
+                         expected=tuple(t for t in case.expected if t.coef),
+                         expect_divergent=True)
 
 
 def _lambda_case(lam, case_id: str) -> IdentityCase:
@@ -371,7 +367,7 @@ def registry() -> list[IdentityCase]:
     e_pi = (ExpTerm(Fraction(1), 1),)
     cases = [
         # e^pi as a sum of two unit-argument Gauss values
-        replace(_lambda_case(Fraction(1), "eq1.1"), lam=None),
+        _lambda_case(Fraction(1), "eq1.1")._replace(lam=None),
         # e^pi = 0F1(; 1/2; pi^2/4) + pi * 0F1(; 3/2; pi^2/4), summed directly
         IdentityCase("0f1-bessel",
                      ((SeriesSpec((), (0.5,), quarter_pi2), 1.0 + 0.0j),
@@ -419,7 +415,7 @@ def _aggregate_status(statuses: list[SumStatus]) -> str:
 
 
 def verify(case: IdentityCase, tolerance: float | None = None,
-           max_terms: int = SumPolicy.max_terms) -> VerificationReport:
+           max_terms: int = SumPolicy().max_terms) -> VerificationReport:
     """Evaluate one case along every route it defines and compare.
 
     Each series member is summed at SumPolicy(tolerance, max_terms), with
@@ -429,8 +425,8 @@ def verify(case: IdentityCase, tolerance: float | None = None,
     ValueError, for every case; failures of the routes are verdicts, not
     exceptions.  A documented-only case defines no route.
     """
-    policy = SumPolicy(SumPolicy.tolerance if tolerance is None else tolerance,
-                       max_terms)
+    policy = (SumPolicy(max_terms=max_terms) if tolerance is None
+              else SumPolicy(tolerance, max_terms))
     expected = expected_value(case.expected) if case.expected else None
 
     closed = closed_route(case.rhs_plan).real if case.rhs_plan is not None else None
@@ -482,6 +478,6 @@ def verify(case: IdentityCase, tolerance: float | None = None,
 
 
 def verify_all(tolerance: float | None = None,
-               max_terms: int = SumPolicy.max_terms) -> list[VerificationReport]:
+               max_terms: int = SumPolicy().max_terms) -> list[VerificationReport]:
     """verify(case, tolerance, max_terms) for every registry case."""
     return [verify(case, tolerance, max_terms) for case in registry()]

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .complex_gamma import nearest_nonpositive_int
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
@@ -58,22 +58,22 @@ class SumStatus(Enum):
     DIVERGENT = "Divergent"
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One pFq evaluation: upper parameter list, lower parameter list, argument;
-    p > q+1 is refused unless the series terminates or z = 0."""
-
+class _SeriesSpecFields(NamedTuple):
     upper: tuple[complex, ...]
     lower: tuple[complex, ...]
     argument: complex
 
-    def __init__(self, upper, lower, argument):
-        object.__setattr__(self, "upper", tuple(complex(a) for a in upper))
-        object.__setattr__(self, "lower", tuple(complex(b) for b in lower))
-        object.__setattr__(self, "argument", complex(argument))
-        self._validate()
 
-    def _validate(self) -> None:
+class SeriesSpec(_SeriesSpecFields):
+    """One pFq evaluation, a named tuple of upper parameters, lower parameters
+    and argument, coerced to complex and checked by the constructor, _replace
+    and _make: p > q+1 is refused unless the series terminates or z = 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, upper, lower, argument):
+        self = super().__new__(cls, tuple(complex(a) for a in upper),
+                               tuple(complex(b) for b in lower), complex(argument))
         named = ([("upper parameter", a) for a in self.upper]
                  + [("lower parameter", b) for b in self.lower]
                  + [("argument", self.argument)])
@@ -96,6 +96,9 @@ class SeriesSpec:
                     f"lower parameter {b} is within {NEAR_INT_TOLERANCE} of a "
                     "non-positive integer and no upper parameter truncates first"
                 )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def truncation_degree(self) -> int | None:
         """The smallest -a over upper parameters a with zero imaginary part
@@ -111,20 +114,29 @@ class SeriesSpec:
         return (sum(self.lower) - sum(self.upper)).real
 
 
-@dataclass(frozen=True)
-class SumPolicy:
-    tolerance: float = 1e-13
-    max_terms: int = 10**6
+class _SumPolicyFields(NamedTuple):
+    tolerance: float
+    max_terms: int
 
-    def __post_init__(self):
-        if not (1e-15 <= self.tolerance < math.inf):
+
+class SumPolicy(_SumPolicyFields):
+    """Summation tolerance and term budget, a named tuple; SumPolicy() holds
+    the defaults.  The constructor, _replace and _make refuse a tolerance
+    below 1e-15 or not finite and a max_terms that is not an int >= 10."""
+
+    __slots__ = ()
+
+    def __new__(cls, tolerance: float = 1e-13, max_terms: int = 10**6):
+        if not (1e-15 <= tolerance < math.inf):
             raise ValueError("tolerance must be finite and >= 1e-15")
-        if type(self.max_terms) is not int or self.max_terms < 10:
+        if type(max_terms) is not int or max_terms < 10:
             raise ValueError("max_terms must be an int >= 10")
+        return super().__new__(cls, tolerance, max_terms)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     value: complex
     terms_used: int
     tail_estimate: float

@@ -123,6 +123,29 @@ def test_sqrt_domain():
     assert dd_sqrt(DDReal(0.0)).hi == 0.0
 
 
+@pytest.mark.parametrize("x", [DDReal(math.nan), DDReal(math.inf),
+                               DDReal(1.0, math.nan), DDReal(-math.inf)])
+def test_sqrt_rejects_non_finite(x):
+    with pytest.raises(RangeError):
+        dd_sqrt(x)
+
+
+def test_sqrt_of_a_zero_hi_is_the_root_of_lo():
+    x = DDReal(0.0, 1e-20)
+    r = dd_sqrt(x)
+    assert _normalized(r)
+    assert _rel(_frac(r) ** 2 - _frac(x), _frac(x)) <= 3 * DD_OP_BOUND
+    with pytest.raises(DomainError):
+        dd_sqrt(DDReal(0.0, -1e-20))
+
+
+@pytest.mark.parametrize("value", [2**1024, -(2**1024), 2**4000],
+                         ids=["2^1024", "-2^1024", "2^4000"])
+def test_from_int_beyond_binary64_is_range_error(value):
+    with pytest.raises(RangeError):
+        DDReal.from_int(value)
+
+
 # ----------------------------------------------------------------------
 # constants
 # ----------------------------------------------------------------------
@@ -278,6 +301,13 @@ def test_dd_round():
 ])
 def test_dd_round_near_ties_follow_lo(x, nearest):
     assert dd_round(x) == nearest
+
+
+@pytest.mark.parametrize("x", [DDReal(math.inf), DDReal(math.nan),
+                               DDReal(1.0, -math.inf)])
+def test_dd_round_rejects_non_finite(x):
+    with pytest.raises(RangeError):
+        dd_round(x)
 
 
 @functools.cache

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,11 +294,11 @@ def test_verify_status_truncated_only_when_every_member_terminates():
     # (1 - z)^3 and 2F1(-2, 1; 1/2; z), both polynomials
     polynomials = ((SeriesSpec((-3,), (), 0.5), 1.0 + 0j),
                    (SeriesSpec((-2, 1), (0.5,), 0.7), 2.0 + 0j))
-    report = verify(replace(eq11, lhs_plan=polynomials))
+    report = verify(eq11._replace(lhs_plan=polynomials))
     assert report.series_status == "Truncated"
     assert report.series_value == pytest.approx(0.125 + 2 * (1 - 4 * 0.7 + 8 / 3 * 0.49))
     mixed = (polynomials[0], eq11.lhs_plan[0])
-    assert verify(replace(eq11, lhs_plan=mixed)).series_status == "Converged"
+    assert verify(eq11._replace(lhs_plan=mixed)).series_status == "Converged"
 
 
 def test_verify_all_registry_green():
@@ -311,7 +310,7 @@ def test_verify_all_registry_green():
     assert {r.id for r in skipped} == {f"cor2-n{n}-printed" for n in (1, 2, 3)}
 
 
-@pytest.mark.parametrize("max_terms", [SumPolicy.max_terms, 25])
+@pytest.mark.parametrize("max_terms", [SumPolicy().max_terms, 25])
 def test_verify_abs_residual_is_the_difference_it_names(max_terms):
     """abs_residual is |primary - expected| to the bit, the primary value
     being the closed route's where there is one and the series' otherwise,
