@@ -3,7 +3,7 @@
 Library layout:
 
   complex_gamma   complex gamma / log-gamma (Lanczos + reflection)
-  series          pFq summation, unit-argument acceleration (Levin u)
+  series          pFq summation, unit argument by an asymptotic tail
   closed_forms    the six gamma-ratio summation theorems
   identities      identity registry (one row per registry variant of a
                   corollary family), exact coefficient algebra, verifier

@@ -67,16 +67,19 @@ def gamma_ratio(numerator, denominator) -> complex:
     """prod Gamma(numerator) / prod Gamma(denominator), in log space.
 
     A pole among the numerator arguments raises PoleError; a pole among the
-    denominator arguments makes the ratio zero.
+    denominator arguments makes the ratio zero (scanned for only when
+    log_gamma raises, so each argument is checked once).
     """
-    for z in denominator:
-        if nearest_nonpositive_int(complex(z)) is not None:
-            return 0.0 + 0.0j
     acc = 0.0 + 0.0j
-    for z in numerator:
-        acc += log_gamma(complex(z))
-    for z in denominator:
-        acc -= log_gamma(complex(z))
+    try:
+        for z in numerator:
+            acc += log_gamma(complex(z))
+        for z in denominator:
+            acc -= log_gamma(complex(z))
+    except (PoleError, RangeError):
+        if any(nearest_nonpositive_int(complex(z)) is not None for z in denominator):
+            return 0.0 + 0.0j
+        raise
     return cmath.exp(acc)
 
 

@@ -33,6 +33,7 @@ _LANCZOS_COEF = (
     1.5056327351493116e-7,
 )
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
+_LOG_PI = math.log(math.pi)
 
 POLE_TOLERANCE = 1e-12
 # sin(pi z) in the reflection path uses cosh/sinh of pi*Im(z); beyond this
@@ -82,18 +83,21 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if nearest_nonpositive_int(z) is not None:
         raise PoleError(f"log_gamma: {z} is within {POLE_TOLERANCE} of a pole")
-    if z.real < 0.5:
+    reflect = z.real < 0.5
+    if reflect:
         if abs(z.imag) > REFLECTION_IM_LIMIT:
             raise RangeError(
                 f"log_gamma: |Im z| = {abs(z.imag)} exceeds the reflection strip"
             )
-        return math.log(math.pi) - cmath.log(sin_pi(z)) - log_gamma(1.0 - z)
+        # Re(1 - z) > 1/2, never a pole: the Lanczos sum below applies
+        head, z = _LOG_PI - cmath.log(sin_pi(z)), 1.0 - z
     w = z - 1.0
     acc = complex(_LANCZOS_COEF[0])
     for k in range(1, len(_LANCZOS_COEF)):
         acc += _LANCZOS_COEF[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    value = _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return head - value if reflect else value
 
 
 def gamma(z: complex) -> complex:
@@ -111,7 +115,7 @@ def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z), defined as exactly 0 at (and within POLE_TOLERANCE of)
     the poles of Gamma.  Lets formulas with gamma factors in denominators
     take their finite limits instead of raising."""
-    z = complex(z)
-    if nearest_nonpositive_int(z) is not None:
+    try:
+        return cmath.exp(-log_gamma(z))
+    except PoleError:
         return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))

@@ -224,13 +224,13 @@ def dd_round(x: DDReal) -> int:
 def dd_to_decimal(x: DDReal, digits: int = 31) -> str:
     """Decimal string of hi + lo correctly rounded (ties away from zero) to
     ``digits`` significant digits, with no float formatting involved;
-    ``digits`` below 1 or a non-finite x raises ValueError."""
+    ``digits`` below 1 raises ValueError, a non-finite x RangeError."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     value = Context(prec=digits, rounding=ROUND_HALF_UP).add(Decimal(x.hi),
                                                              Decimal(x.lo))
     if not value.is_finite():
-        raise ValueError(f"cannot format non-finite {x}")
+        raise RangeError(f"cannot format non-finite {x}")
     text = "".join(map(str, value.as_tuple().digits)).ljust(digits, "0")
     sign = "-" if value < 0 else ""
     return f"{sign}{text[0]}.{text[1:]}e{value.adjusted():+d}"

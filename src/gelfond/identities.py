@@ -16,7 +16,7 @@ of closed_forms.SERIES[theorem](*args) to the series route.  A case
 without series members is documented only.  No case sets a tolerance:
 closed routes compare at CLOSED_TOL = 1e-12, and each series member is
 compared and summed at the (comparison, summation) pair its argument
-selects, (1e-6, 3e-8) at z = 1 (Levin-accelerated), (1e-11, 1e-13) at
+selects, (1e-6, 3e-8) at z = 1 (head plus asymptotic tail), (1e-11, 1e-13) at
 z = 1/2 (geometric) and (1e-13, 1e-15) for any other (entire) series;
 summation is tighter because weighted combinations cancel (cor2 builds
 n*e^(-pi) out of components ~12n: a ~270x loss).  A tolerance given to

@@ -10,23 +10,10 @@ term, and only a series that does not terminate is checked for divergence
 The direct sum keeps only the current term, in floats for a real spec with
 the bits of complex arithmetic (see _direct_sum).  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
-~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq accelerates
-its partial sums with a Levin u-transform.
-
-The u-transform itself is evaluated in exact integer arithmetic, on the
-binary64 terms scaled to Gaussian integers by one common power of two: at
-transform order k the alternating binomial weights cancel ~k digits, which
-at k = 20 would otherwise consume most of a binary64 significand.  Exact
-evaluation leaves only the transform's model truncation error, which the
-consecutive-order differences estimate faithfully.  The long products run
-over the scaled terms alone: the factors beta + j of the remainder estimates
-sit in small integer weights, cached per beta.  A window whose terms are
-all real, as every window of the identity registry is, is recognised
-before any scaling, so only its real parts are scaled, and it runs in
-plain ints: one multiplication per product where Gaussian integers take
-four.  Each part of each order is one correctly rounded int / int, so the
-orders are the binary64 roundings of the exact rational transform values;
-an order beyond the binary64 range raises RangeError.
+~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq sums a head of
+terms and adds the rest from the terms' asymptotic expansion (see
+_unit_sum).  levin_accelerate, a Levin u-transform evaluated exactly in
+integers (see _levin_orders), is public but no summation route uses it.
 """
 
 from __future__ import annotations
@@ -34,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -47,8 +35,6 @@ _EPS = 2.220446049250313e-16
 NEAR_INT_TOLERANCE = 1e-9
 
 LEVIN_MAX_ORDER = 20
-_LEVIN_WINDOW = 21          # window of terms per transform base
-_LEVIN_SAFETY = 4.0         # multiplier on the raw error estimate
 
 
 class SumStatus(Enum):
@@ -261,21 +247,12 @@ def _levin_orders(terms: list[complex], beta: int) -> list[complex]:
     M_j the partial sums of the m_j and the weights v_kj of _levin_weights
     (which absorb the 1/(beta+j), so the long products carry no beta),
         u_k = sum_j v_kj M_j R_j / (D sum_j v_kj R_j).
-    The window is tested for a nonzero imaginary part before any scaling.
-    One whose imaginary parts are all zero (+0.0 or -0.0), as are all 124
-    windows of verify_all(), scales its real parts alone and goes to
-    _real_levin_orders: one int multiplication per product where a
-    Gaussian product takes four, and two accumulators per weight where a
-    Gaussian row takes four.  Otherwise each part of u_k is one correctly
-    rounded int / int over D |den|^2, and an order whose denominator is 0
-    is skipped.
+    Each part of u_k is one correctly rounded int / int over D |den|^2, and
+    an order whose denominator is 0 is skipped.  A real window has ni = di
+    = 0, so its real part is the rational nr / (D dr) and its imaginary part
+    +0.0.
     """
     rows = _levin_weights(beta)[:len(terms) - 1]
-    if not any(t.imag for t in terms):
-        ratios = [t.real.as_integer_ratio() for t in terms]
-        scale = max(d for _, d in ratios)
-        m = [a * (scale // d) for a, d in ratios]
-        return _real_levin_orders(m, scale, rows)
     parts = [(t.real.as_integer_ratio(), t.imag.as_integer_ratio()) for t in terms]
     scale = max(max(da, db) for (_, da), (_, db) in parts)
     m = [(a * (scale // da), b * (scale // db)) for (a, da), (b, db) in parts]
@@ -305,41 +282,6 @@ def _levin_orders(terms: list[complex], beta: int) -> list[complex]:
             norm = scale * (dr * dr + di * di)
             if norm:
                 out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
-    except OverflowError:
-        raise RangeError("a Levin order lies beyond the binary64 range") from None
-    return out
-
-
-def _real_levin_orders(m: list[int], scale: int,
-                       rows: tuple[tuple[int, ...], ...]) -> list[complex]:
-    """_levin_orders on a real window of scaled terms m_j = D t_j, in plain
-    ints.  Each order is nr / (D dr), the rational (nr dr) / (D dr^2) that
-    the Gaussian formula gives, so it rounds to the same binary64; the sign
-    flip that makes dr > 0 keeps an order of exactly zero at +0.0."""
-    prefix = [1]
-    for x in m[:-1]:
-        prefix.append(prefix[-1] * x)
-    r = [0] * len(m)
-    suffix = 1
-    for j in reversed(range(len(m))):
-        r[j] = prefix[j] * suffix
-        suffix *= m[j]
-    mr = []
-    s = 0
-    for a, rj in zip(m, r):
-        s += a
-        mr.append(s * rj)
-    out: list[complex] = []
-    try:
-        for row in rows:
-            nr = dr = 0
-            for v, a, b in zip(row, mr, r):
-                nr += v * a
-                dr += v * b
-            if dr:
-                if dr < 0:
-                    nr, dr = -nr, -dr
-                out.append(complex(nr / (scale * dr)))
     except OverflowError:
         raise RangeError("a Levin order lies beyond the binary64 range") from None
     return out
@@ -386,111 +328,156 @@ def levin_accelerate(terms) -> tuple[complex, float]:
     return value, max(err, 4.0 * _EPS * abs(value))
 
 
-def _offset_ladder(max_terms: int):
-    """Window base offsets: dense first (early-term irregularities such as
-    sign changes or initial growth live at small indices), then geometric."""
-    m = 0
-    while m + _LEVIN_WINDOW <= max_terms:
-        yield m
-        m = m + 1 if m < 4 else int(m * 1.45) + 2
+# ----------------------------------------------------------------------
+# unit argument: a head of terms plus an asymptotic tail
+# ----------------------------------------------------------------------
+
+_ORDERS = 12                # K, the orders of the term expansion in 1/n
+# B_0 .. B_16 as (numerator, denominator), with B_1 = -1/2
+_BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
+              (0, 1), (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730),
+              (0, 1), (7, 6), (0, 1), (-3617, 510))
 
 
-def _accelerated_unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
-    """Sum a p = q+1 series at z = 1 by Levin-accelerating term windows at a
-    ladder of base offsets.
+@lru_cache(maxsize=1)
+def _tail_weights() -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+    """The weights of _asymptotic_tail, made on first use: rows[k-1][j] =
+    (-1)^(k+1) C(k+1, j) B_j / (k (k+1)) for k = 1..K+1, and B_2j / (2j)!."""
+    rows = tuple(tuple((-1) ** (k + 1) * comb(k + 1, j) * p / (q * k * (k + 1))
+                       for j, (p, q) in enumerate(_BERNOULLI[:k + 1]))
+                 for k in range(1, _ORDERS + 2))
+    return rows, tuple(p / (q * math.factorial(j))
+                       for j, (p, q) in enumerate(_BERNOULLI) if j and not j % 2)
 
-    Each window yields candidates for two remainder-scale conventions
-    (window-local beta = 1 and global beta = base+1; the global scale wins
-    on deep windows, the local one on shallow).  A candidate's certificate
-    is its two-difference consistency score; the best certificate, times a
-    safety factor, is the tail estimate.  Windows over nearly flat tails
-    carry no curvature and only get flatter, so the second flat window ends
-    the ladder, adjacent to the first or not, as does a long run of windows
-    without score improvement.  With no candidate from any window, the value
-    is the plain sum of the terms made, with tail inf.  A zero term raises
-    RangeError: the kernel needs nonzero terms, and on this route a zero can
-    only be an underflow (an exact zero makes a polynomial, which sum_pfq
-    sums directly).
+
+def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
+                     n: int, t: complex) -> tuple[complex, float]:
+    """(sum_{k >= n} t_k, an estimate of its truncation error) of a p = q+1
+    series at z = 1 from t = t_n; (0, inf) if an intermediate is not finite.
+
+    DLMF 5.11.8 gives log t_k = C - (1+s) ln k + sum_{j<=K} g_j k^-j, each
+    g_j a combination (rows) of the power sums P_m = sum_upper a^m -
+    sum_lower b^m, 1 counted as lower.  With exp(sum_j g_j k^-j) =
+    sum_m d_m k^-m the tail is t_n sum_m d_m n^-m Z_m / sum_m d_m n^-m,
+    Z_m = n^sigma zeta(sigma, n) at sigma = 1+s+m by Euler-Maclaurin.  The
+    estimate adds the last two terms of each sum (the lower one relative,
+    times |tail|), |g_{K+1}| n^-(K+1) |tail| and the last Euler-Maclaurin
+    terms.
     """
-    tol = policy.tolerance
-    upper, lower, z = spec.upper, spec.lower, spec.argument
-    terms = [1.0 + 0.0j]
-    window = _LEVIN_WINDOW
-    candidates: list[tuple[float, complex]] = []   # (estimate, value)
-    head = 0.0 + 0.0j
-    consumed = 0
-    flat_windows = 0
-    stall = 0
-    for offset in _offset_ladder(policy.max_terms):
-        for n in range(len(terms) - 1, offset + window - 1):
+    rows, euler = _tail_weights()
+    try:
+        powers = [sum(a ** m for a in upper) - sum(b ** m for b in lower + (1.0,))
+                  for m in range(_ORDERS + 3)]
+        g = [sum(w * powers[k + 1 - j] for j, w in enumerate(row))
+             for k, row in enumerate(rows, 1)]
+        d = [1.0 + 0.0j]
+        for m in range(1, _ORDERS + 1):
+            d.append(sum(k * g[k - 1] * d[m - k] for k in range(1, m + 1)) / m)
+        inv = 1.0 / n
+        weights, parts, rest = [], [], 0.0
+        for m, dm in enumerate(d):
+            sigma = m - powers[1]
+            weights.append(dm * inv ** m)
+            z = n / (sigma - 1.0) + 0.5
+            rising = sigma * inv                # (sigma)_{2j-1} n^(1-2j)
+            for j, c in enumerate(euler, 1):
+                last = c * rising
+                z += last
+                rising *= (sigma + (2 * j - 1)) * (sigma + 2 * j) * inv * inv
+            parts.append(weights[-1] * z)
+            rest += abs(weights[-1] * last)
+        norm = sum(weights)
+        ratio = t / norm
+        tail = ratio * sum(parts)
+        estimate = (abs(ratio) * (abs(parts[-1]) + abs(parts[-2]) + rest)
+                    + ((abs(weights[-1]) + abs(weights[-2])) / abs(norm)
+                       + abs(g[-1]) * inv ** (_ORDERS + 1)) * abs(tail))
+    except (OverflowError, ZeroDivisionError):
+        return 0.0, math.inf
+    finite = cmath.isfinite(tail) and math.isfinite(estimate)
+    return (tail, estimate) if finite else (0.0, math.inf)
+
+
+def _terms_stay_below(spec: SeriesSpec, n: int) -> bool:
+    """True when |t_{k+1}| <= |t_k| for every k >= n, shown exactly: the
+    polynomial |num(k)|^2 - |den(k)|^2 of the term ratio at z = 1, in
+    k = n + x, has no positive coefficient."""
+    def squared_modulus(params):
+        poly = [Fraction(1)]
+        for c in params:        # times |x + c + n|^2 = x^2 + 2 re x + |c + n|^2
+            re, im = Fraction(c.real) + n, Fraction(c.imag)
+            poly = [a * (re * re + im * im) + 2 * re * b + c2 for a, b, c2
+                    in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+        return poly
+    return all(a <= b for a, b in zip(squared_modulus(spec.upper),
+                                      squared_modulus(spec.lower + (1.0,))))
+
+
+def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
+    """A p = q+1 series at z = 1 with s > 0: the head t_0 .. t_{N-1} plus
+    the asymptotic tail from t_N, N = max(40, ceil(8 max|parameter|))
+    capped at max_terms - 1; a capped N never gives Converged.
+
+    The head is summed with TwoSum, its errors added back at the end, and
+    term n counts as off by n rho relative, rho bounding the rounding of
+    one step.  The estimate adds that, the compensated sum's own bound
+    (Ogita, Rump and Oishi 2005), the tail's estimate and (N+K) rho |tail|.
+    A term that is not finite, or a denominator or partial sum out of the
+    binary64 range, raises RangeError, as does a term that underflows to 0
+    unless the terms cannot grow again (_terms_stay_below): then the sum
+    ends there, with 5e-324 (1 + n/s) for the rest and no cap on N.
+    """
+    upper, lower = spec.upper, spec.lower
+    p, q = len(upper), len(lower)
+    want = 8.0 * max(math.hypot(c.real, c.imag) for c in upper + lower)
+    size = max(40, math.ceil(min(want, 2.0 ** 62)))
+    capped = size >= policy.max_terms
+    size = min(size, policy.max_terms - 1)
+    # p+q additions, p+q+1 products and a division per step, at eps/2 each
+    # for real parameters and at eps/2, sqrt(5) eps/2 and 4 eps for complex
+    rho = (2 * (p + q) + 6 if any(c.imag for c in upper + lower) else p + q + 1) * _EPS
+    spread = (size * _EPS) ** 2
+    total = comp = 0.0 + 0.0j
+    t, err = 1.0 + 0.0j, 0.0
+    try:
+        for n in range(size):
+            partial = total + t
+            back = partial - total
+            comp += (total - (partial - back)) + (t - back)
+            total = partial
+            err += (n * rho + spread) * abs(t)
             num = 1.0 + 0.0j
             for a in upper:
                 num *= a + n
             den = (n + 1) + 0.0j
             for b in lower:
                 den *= b + n
-            try:
-                t = terms[-1] * z * num / den
-            except ZeroDivisionError:
-                raise RangeError(
-                    f"term {n + 1}: denominator underflowed to 0") from None
+            t = t * num / den
             if not cmath.isfinite(t):
                 raise RangeError(f"term {n + 1}: not finite")
             if not t:
-                raise RangeError(f"term {n + 1}: underflowed to 0")
-            terms.append(t)
-        while consumed < offset:
-            head += terms[consumed]
-            consumed += 1
-        win = terms[offset:offset + window]
-        peak = max(abs(t) for t in win)
-        last = abs(win[-1])
-        growing = last >= 0.95 * peak
-        flat = not growing and last > 0.0 and peak < 2.0 * last
-        if growing or flat:
-            # still growing near the window's end: decay information lies
-            # deeper; flat: no curvature for the remainder model, and a
-            # second flat window anywhere on the ladder means deeper
-            # offsets only get flatter
-            if flat:
-                flat_windows += 1
-                if flat_windows >= 2:
-                    break
-            continue
-        improved = False
-        betas = (1,) if offset < 2 else (1, offset + 1)
-        for beta in betas:
-            picked = _pick_transform(_levin_orders(win, beta))
-            if picked is None:
-                continue
-            value, err = picked
-            total = head + value
-            est = max(err, 4.0 * _EPS * abs(total))
-            if not candidates or est < candidates[0][0]:
-                improved = True
-            candidates.append((est, total))
-        if not candidates:
-            continue
-        candidates.sort(key=lambda c: c[0])
-        best_est, best_val = candidates[0]
-        if len(candidates) >= 2:
-            tail = _LEVIN_SAFETY * best_est
-            if tail <= tol * max(1.0, abs(best_val)):
-                return SumResult(best_val, len(terms), tail,
-                                 SumStatus.CONVERGED)
-        stall = 0 if improved else stall + 1
-        if stall >= 4 and offset >= 30:
-            break
-    if not candidates:
-        for t in terms[consumed:]:
-            head += t
-        return SumResult(head, len(terms), math.inf,
-                         SumStatus.MAX_TERMS_EXCEEDED)
-    best_est, best_val = candidates[0]
-    tail = _LEVIN_SAFETY * best_est
-    if len(candidates) > 1:
-        tail = max(tail, 0.5 * abs(best_val - candidates[1][1]))
-    return SumResult(best_val, len(terms), tail, SumStatus.MAX_TERMS_EXCEEDED)
+                # a true underflow: num is not 0, and den, at least 1, has
+                # not lifted a product that underflowed
+                if not (num and 1.0 <= abs(den) < math.inf
+                        and _terms_stay_below(spec, n + 1)):
+                    raise RangeError(f"term {n + 1}: underflowed to 0")
+                size, capped = n + 1, False
+                tail, estimate = 0.0, 5e-324 * (1.0 + size / spec.convergence_parameter())
+                break
+        else:
+            tail, estimate = _asymptotic_tail(upper, lower, size, t)
+            estimate += (size + _ORDERS) * rho * abs(tail)
+    except ZeroDivisionError:
+        raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
+    except OverflowError:
+        raise RangeError("series accumulation overflowed binary64") from None
+    if not cmath.isfinite(total):
+        raise RangeError("series accumulation overflowed binary64")
+    value = total + (comp + tail)
+    estimate += err + _EPS * (abs(value) + abs(tail))
+    if not capped and estimate <= policy.tolerance * max(1.0, abs(value)):
+        return SumResult(value, size + 1, estimate, SumStatus.CONVERGED)
+    return SumResult(value, size + 1, estimate, SumStatus.MAX_TERMS_EXCEEDED)
 
 
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
@@ -506,15 +493,15 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     A polynomial, or a series with p <= q, is summed directly at every z.
     Only a p = q+1 series that does not terminate is routed by its
     argument: at z = 1 by s = Re(sum(lower) - sum(upper)), where s <= 0
-    returns status Divergent without summing and s > 0 is accelerated
-    (achievable tolerance is ~1e-6 for s <= 1); DivergentError for
+    returns status Divergent without summing and s > 0 sums a head of
+    terms plus an asymptotic tail (_unit_sum); DivergentError for
     |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1.
     """
     if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
         if spec.argument == 1.0:
             if spec.convergence_parameter() <= 0.0:
                 return SumResult(0.0 + 0.0j, 0, math.inf, SumStatus.DIVERGENT)
-            return _accelerated_unit_sum(spec, policy)
+            return _unit_sum(spec, policy)
         r = abs(spec.argument)
         if r > 1.0:
             raise DivergentError(f"p = q+1 series diverges for |z| = {r} > 1")

@@ -102,15 +102,22 @@ def test_eval_divergent_unit_argument_is_usage_error(capsys):
     # e^(1/2) = 1F1(a; a; 1/2) with a denominator product past binary64
     ["--upper", "1.7e308", "--lower", "1.7e308", "--z", "0.5"],
     ["--upper", "1,1", "--lower", "2", "--z", "0.5", "--tol", "inf"],
-    # a unit-argument term that underflows to 0, which the Levin ladder
-    # cannot accelerate: 2F1(1, 1; 1e300; 1) = 1 + 1e-300 + ...
-    ["--upper", "1,1", "--lower", "1e300", "--z", "1"],
 ])
 def test_eval_out_of_range_request_is_usage_error(argv, capsys):
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_eval_unit_term_underflow_ends_sum(capsys):
+    # 2F1(1, 1; 1e300; 1) = 1 + 1e-300 + ...: term 2 underflows to 0 and
+    # the terms cannot grow again, so the sum ends there
+    assert main(["eval", "--upper", "1,1", "--lower", "1e300", "--z", "1",
+                 "--format", "json"]) == 0
+    row, = json.loads(capsys.readouterr().out)
+    assert (row["value_re"], row["value_im"]) == (1.0, 0.0)
+    assert (row["status"], row["terms_used"]) == ("Converged", 3)
 
 
 def test_eval_json_format(capsys):

@@ -376,5 +376,5 @@ def test_dd_to_decimal_rejects_fewer_than_one_digit(digits):
 
 @pytest.mark.parametrize("x", [DDReal(math.inf), DDReal(1.0, math.nan)])
 def test_dd_to_decimal_rejects_non_finite(x):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(RangeError, match="non-finite"):
         dd_to_decimal(x)

@@ -7,7 +7,6 @@ orders are compared by ``repr``.
 """
 
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
 import pytest
@@ -56,13 +55,26 @@ def assert_same_orders(windows):
         assert repr(series._levin_orders(terms, beta)) == repr(expected), (terms, beta)
 
 
+# 21-term windows at the base offsets of the Levin window ladder, dense
+# first and then geometric: the windows the kernel was tuned on
+WINDOW = 21
+
+
+def ladder_offsets(count):
+    offsets = [0]
+    while len(offsets) < count:
+        m = offsets[-1]
+        offsets.append(m + 1 if m < 4 else int(m * 1.45) + 2)
+    return offsets
+
+
 def unit_windows(spec, count):
-    """The first ``count`` windows of the ladder on a z = 1 series, each at
-    the local beta = 1 and the global beta = offset + 1.  The terms are
-    stepped with the ladder's operations in the ladder's order."""
-    offsets = list(islice(series._offset_ladder(10**6), count))
+    """The first ``count`` ladder windows of a z = 1 series, each at the
+    local beta = 1 and the global beta = offset + 1, with the terms stepped
+    by the pFq recurrence in complex arithmetic."""
+    offsets = ladder_offsets(count)
     terms = [1.0 + 0.0j]
-    for n in range(offsets[-1] + series._LEVIN_WINDOW - 1):
+    for n in range(offsets[-1] + WINDOW - 1):
         num = 1.0 + 0.0j
         for a in spec.upper:
             num *= a + n
@@ -72,27 +84,21 @@ def unit_windows(spec, count):
         terms.append(terms[-1] * spec.argument * num / den)
     out = []
     for offset in offsets:
-        win = terms[offset:offset + series._LEVIN_WINDOW]
+        win = terms[offset:offset + WINDOW]
         out += [(win, 1), (win, offset + 1)]
     return out
 
 
-def test_registry_windows(monkeypatch):
-    # every window the ladder evaluates in verify_all(), at each beta it uses
-    windows = []
-    kernel = series._levin_orders
-
-    def recording(terms, beta):
-        windows.append((list(terms), beta))
-        return kernel(terms, beta)
-
-    monkeypatch.setattr(series, "_levin_orders", recording)
-    identities.verify_all()
-    monkeypatch.undo()
+def test_registry_windows():
+    # ladder windows of every convergent z = 1 series of the registry, at
+    # both betas
+    specs = {spec for case in identities.registry() for spec, _ in case.lhs_plan or ()
+             if spec.argument == 1 and spec.truncation_degree() is None
+             and spec.convergence_parameter() > 0}
+    windows = [w for spec in specs for w in unit_windows(spec, 2)]
     assert len(windows) >= 100
     assert {beta for _, beta in windows} != {1}
-    # conjugate-pair upper parameters make every registry term real, so
-    # these windows all take the kernel's real path
+    # conjugate-pair upper parameters make every registry term real
     assert all(t.imag == 0.0 for terms, _ in windows for t in terms)
     assert_same_orders(windows)
 
@@ -114,8 +120,7 @@ def test_random_windows(rng):
     # sizes up to 40 run past LEVIN_MAX_ORDER + 1 terms, so every cached
     # weight row is used and terms beyond the last order only enter the
     # products; the all-real windows (a quarter, with +0.0 and -0.0
-    # imaginary parts) take the kernel's real path and give orders with
-    # both signs of the real denominator
+    # imaginary parts) give orders with both signs of the real denominator
     windows = []
     for n in range(64):
         size = rng.randint(3, 40)
