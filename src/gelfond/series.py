@@ -12,8 +12,9 @@ the bits of complex arithmetic (see _direct_sum).  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
 ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq sums a head of
 terms and adds the rest from the terms' asymptotic expansion (see
-_unit_sum).  levin_accelerate, a Levin u-transform evaluated exactly in
-integers (see _levin_orders), is public but no summation route uses it.
+_unit_sum), that tail in floats for conjugate pairs (_asymptotic_tail).
+levin_accelerate, a Levin u-transform evaluated exactly in integers (see
+_levin_orders), is public but no summation route uses it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import cmath
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .complex_gamma import nearest_nonpositive_int
@@ -192,7 +194,9 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
                     raise RangeError(f"term {n}: denominator at the binary64 limit")
                 small_streak += 1
                 if small_streak >= 2:
-                    tail = _observed_tail(abs_t, prev_abs)
+                    # _observed_tail inline; the ratio may be inf, never NaN
+                    ratio = abs_t / prev_abs if prev_abs > 0.0 else 0.0
+                    tail = abs_t / (1.0 - (ratio if ratio < 0.99 else 0.99))
                     if tail <= tol or tail <= tol * abs(total):
                         return SumResult(complex(total), n + 1, tail,
                                          SumStatus.CONVERGED)
@@ -340,13 +344,15 @@ _BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
 
 
 @lru_cache(maxsize=1)
-def _tail_weights() -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+def _tail_weights() -> tuple[tuple[tuple[float, ...], ...],
+                             tuple[tuple[float, int, int], ...]]:
     """The weights of _asymptotic_tail, made on first use: rows[k-1][j] =
-    (-1)^(k+1) C(k+1, j) B_j / (k (k+1)) for k = 1..K+1, and B_2j / (2j)!."""
+    (-1)^(k+1) C(k+1, j) B_j / (k (k+1)) for k = 1..K+1, and the triples
+    (B_2j / (2j)!, 2j - 1, 2j)."""
     rows = tuple(tuple((-1) ** (k + 1) * comb(k + 1, j) * p / (q * k * (k + 1))
                        for j, (p, q) in enumerate(_BERNOULLI[:k + 1]))
                  for k in range(1, _ORDERS + 2))
-    return rows, tuple(p / (q * math.factorial(j))
+    return rows, tuple((p / (q * math.factorial(j)), j - 1, j)
                        for j, (p, q) in enumerate(_BERNOULLI) if j and not j % 2)
 
 
@@ -362,33 +368,39 @@ def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
     Z_m = n^sigma zeta(sigma, n) at sigma = 1+s+m by Euler-Maclaurin.  The
     estimate adds the last two terms of each sum (the lower one relative,
     times |tail|), |g_{K+1}| n^-(K+1) |tail| and the last Euler-Maclaurin
-    terms.
+    terms.  It runs in floats when every P_m is real, as for conjugate
+    pairs, with the bits of complex arithmetic (see _direct_sum), and sums
+    by folds from 0, as sum() did up to Python 3.11 (3.12 compensates).
     """
     rows, euler = _tail_weights()
     try:
-        powers = [sum(a ** m for a in upper) - sum(b ** m for b in lower + (1.0,))
-                  for m in range(_ORDERS + 3)]
-        g = [sum(w * powers[k + 1 - j] for j, w in enumerate(row))
+        powers = [reduce(add, (a ** m for a in upper), 0)
+                  - reduce(add, (b ** m for b in lower + (1.0,)), 0)
+                  for m in range(1, _ORDERS + 3)]
+        if not any(p.imag for p in powers):
+            powers = [p.real for p in powers]
+        g = [reduce(add, (w * powers[k - j] for j, w in enumerate(row)), 0)
              for k, row in enumerate(rows, 1)]
-        d = [1.0 + 0.0j]
+        d = [1.0]
         for m in range(1, _ORDERS + 1):
-            d.append(sum(k * g[k - 1] * d[m - k] for k in range(1, m + 1)) / m)
+            d.append(reduce(add, (k * g[k - 1] * d[m - k]
+                                  for k in range(1, m + 1)), 0) / m)
         inv = 1.0 / n
         weights, parts, rest = [], [], 0.0
         for m, dm in enumerate(d):
-            sigma = m - powers[1]
+            sigma = m - powers[0]
             weights.append(dm * inv ** m)
             z = n / (sigma - 1.0) + 0.5
             rising = sigma * inv                # (sigma)_{2j-1} n^(1-2j)
-            for j, c in enumerate(euler, 1):
+            for c, lo, hi in euler:
                 last = c * rising
                 z += last
-                rising *= (sigma + (2 * j - 1)) * (sigma + 2 * j) * inv * inv
+                rising *= (sigma + lo) * (sigma + hi) * inv * inv
             parts.append(weights[-1] * z)
             rest += abs(weights[-1] * last)
-        norm = sum(weights)
+        norm = reduce(add, weights, 0)
         ratio = t / norm
-        tail = ratio * sum(parts)
+        tail = ratio * reduce(add, parts, 0)
         estimate = (abs(ratio) * (abs(parts[-1]) + abs(parts[-2]) + rest)
                     + ((abs(weights[-1]) + abs(weights[-2])) / abs(norm)
                        + abs(g[-1]) * inv ** (_ORDERS + 1)) * abs(tail))

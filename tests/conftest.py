@@ -9,10 +9,12 @@ every run exercises the same sample.
 import cmath
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
-from gelfond import RangeError, SeriesSpec, SumResult, SumStatus, sum_pfq
+from gelfond import RangeError, SeriesSpec, SumResult, SumStatus, series, sum_pfq
 
 E_PI = math.exp(math.pi)
 E_MINUS_PI = math.exp(-math.pi)
@@ -92,6 +94,48 @@ def reference_direct_sum(spec, policy) -> SumResult:
         n += 1
         if n >= policy.max_terms:
             return SumResult(total, n, tail, SumStatus.MAX_TERMS_EXCEEDED)
+
+
+def reference_asymptotic_tail(upper, lower, n, t) -> tuple[complex, float]:
+    """series._asymptotic_tail as it stood before its float path: complex
+    arithmetic throughout, P_0 formed though nothing reads it, and every sum
+    a left-to-right fold from 0, as sum() adds up to Python 3.11.  The series
+    version must give a repr-equal (tail, estimate) for every input."""
+    rows, euler = series._tail_weights()
+    orders = series._ORDERS
+    try:
+        powers = [reduce(add, (a ** m for a in upper), 0)
+                  - reduce(add, (b ** m for b in lower + (1.0,)), 0)
+                  for m in range(orders + 3)]
+        g = [reduce(add, (w * powers[k + 1 - j] for j, w in enumerate(row)), 0)
+             for k, row in enumerate(rows, 1)]
+        d = [1.0 + 0.0j]
+        for m in range(1, orders + 1):
+            d.append(reduce(add, (k * g[k - 1] * d[m - k]
+                                  for k in range(1, m + 1)), 0) / m)
+        inv = 1.0 / n
+        weights, parts, rest = [], [], 0.0
+        for m, dm in enumerate(d):
+            sigma = m - powers[1]
+            weights.append(dm * inv ** m)
+            z = n / (sigma - 1.0) + 0.5
+            rising = sigma * inv
+            for j, (c, _, _) in enumerate(euler, 1):
+                last = c * rising
+                z += last
+                rising *= (sigma + (2 * j - 1)) * (sigma + 2 * j) * inv * inv
+            parts.append(weights[-1] * z)
+            rest += abs(weights[-1] * last)
+        norm = reduce(add, weights, 0)
+        ratio = t / norm
+        tail = ratio * reduce(add, parts, 0)
+        estimate = (abs(ratio) * (abs(parts[-1]) + abs(parts[-2]) + rest)
+                    + ((abs(weights[-1]) + abs(weights[-2])) / abs(norm)
+                       + abs(g[-1]) * inv ** (orders + 1)) * abs(tail))
+    except (OverflowError, ZeroDivisionError):
+        return 0.0, math.inf
+    finite = cmath.isfinite(tail) and math.isfinite(estimate)
+    return (tail, estimate) if finite else (0.0, math.inf)
 
 
 def zeta_reference(s: float, cutoff: int = 2000) -> float:

@@ -8,6 +8,8 @@ import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -26,11 +28,13 @@ from gelfond import (
     sum_pfq_unit,
 )
 from gelfond.closed_forms import gauss_ext_unit, gauss_unit
+from gelfond.identities import registry, verify
 from conftest import (
     COSH_HALF_PI,
     COSH_PI,
     random_complex,
     reduced_3f2,
+    reference_asymptotic_tail,
     reference_direct_sum,
     rel_err,
     zeta_reference,
@@ -343,6 +347,28 @@ def test_direct_sum_beyond_float_range_raises(upper, lower, z):
         sum_pfq(SeriesSpec(upper, lower, z))
 
 
+@pytest.mark.parametrize("upper, lower, z, policy, status", [
+    # the term ratio is above 0.99 and is capped
+    ((1.5,), (), 0.99, SumPolicy(tolerance=1e-10), "CONVERGED"),
+    # -ln(1-z)/z: 4,291 small terms; max_terms 14,000 stops among them
+    ((1, 1), (2,), 0.999, SumPolicy(tolerance=1e-10), "CONVERGED"),
+    ((1, 1), (2,), 0.999, SumPolicy(1e-10, 14_000), "MAX_TERMS_EXCEEDED"),
+    # term 1 underflows to 0, so the streak check meets a previous term of 0
+    ((0.1,), (1,), 5e-324, SumPolicy(), "CONVERGED"),
+    ((0.1 + 0.2j,), (1,), 5e-324, SumPolicy(), "CONVERGED"),
+    ((0.5 + I, 0.5 - I), (1.5,), 0.999, SumPolicy(), "CONVERGED"),
+    ((0.5 + I, 0.5 - I), (1.5,), 0.999, SumPolicy(max_terms=12_000),
+     "MAX_TERMS_EXCEEDED"),
+])
+def test_direct_sum_small_terms_match_reference(upper, lower, z, policy, status):
+    """The run of small terms, where the tail at the observed ratio is
+    worked out on every term, against the term-list reference."""
+    spec = SeriesSpec(upper, lower, z)
+    result = series._direct_sum(spec, policy)
+    assert result.status is SumStatus[status]
+    assert repr(result) == repr(reference_direct_sum(spec, policy))
+
+
 @pytest.mark.parametrize("upper, lower, z, value, terms", [
     # the denominator after the last term overflows, or underflows to 0
     ((0,), (1e200, 1e200, 1e200), 0.5, 1.0, 1),
@@ -579,6 +605,78 @@ def test_unit_complex_parameters_against_closed_forms():
             assert abs(r.value - closed) <= r.tail_estimate + 1e-12 * abs(closed), (spec, r)
             converged += r.status is SumStatus.CONVERGED
     assert converged >= 97
+
+
+def _real_power_sums(upper, lower) -> bool:
+    """True when every P_m the asymptotic tail reads is real: its float path."""
+    return not any((reduce(add, (a ** m for a in upper), 0)
+                    - reduce(add, (b ** m for b in lower + (1.0,)), 0)).imag
+                   for m in range(1, series._ORDERS + 3))
+
+
+def _tail_draw(rng: random.Random):
+    """upper, lower, n, t of a seeded 2F1 or 3F2 tail at s in (0.05, 3) or
+    (0.05, 20): a conjugate pair in one row or split over both, one complex
+    parameter, or all real, in any position; real or complex t.  n = 9, the
+    head of a sum capped at max_terms 10, and a large s give Euler-Maclaurin
+    terms large enough that a change in their last bits can show."""
+    q = rng.choice((1, 2))
+    rows = ([complex(rng.uniform(-3.0, 3.0)) for _ in range(q + 1)],
+            [complex(rng.uniform(-3.0, 3.0)) for _ in range(q)])
+    slots = [(r, i) for r, row in enumerate(rows) for i in range(len(row))]
+    rng.shuffle(slots)
+    kind = rng.random()
+    if kind < 0.45:             # a conjugate pair in one row
+        r = 0 if q == 1 or rng.random() < 0.5 else 1
+        pair = [slot for slot in slots if slot[0] == r][:2]
+    elif kind < 0.6:            # a conjugate pair split over the two rows
+        pair = [next(slot for slot in slots if slot[0] == r) for r in (0, 1)]
+    elif kind < 0.8:            # one complex parameter
+        pair = slots[:1]
+    else:                       # all real
+        pair = []
+    x = rng.uniform(-3.0, 3.0)
+    y = rng.choice((0.1, 1.0, 8.0)) * rng.uniform(-2.0, 2.0)
+    for (r, i), sign in zip(pair, (1.0, -1.0)):
+        rows[r][i] = complex(x, sign * y)
+    r, i = next(slot for slot in slots if slot not in pair)
+    s = rng.uniform(0.05, rng.choice((3.0, 20.0)))
+    shift = s - (sum(rows[1]) - sum(rows[0])).real
+    rows[r][i] += shift if r else -shift
+    t = complex(rng.uniform(-1.0, 1.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+    return tuple(rows[0]), tuple(rows[1]), rng.choice((9, 24, 40, 164, 1000)), t
+
+
+def test_asymptotic_tail_matches_complex_reference():
+    """The tail in floats, when the power sums are real, has the bits of the
+    complex reference; so has the complex path."""
+    rng = random.Random(0x7A11)
+    real = 0
+    for _ in range(2000):
+        upper, lower, n, t = _tail_draw(rng)
+        got = series._asymptotic_tail(upper, lower, n, t)
+        assert repr(got) == repr(reference_asymptotic_tail(upper, lower, n, t)), \
+            (upper, lower, n, t)
+        real += _real_power_sums(upper, lower)
+    assert 2000 // 3 <= real < 2000
+
+
+def test_registry_tails_run_in_floats_with_reference_bits(monkeypatch):
+    calls = []
+    tail = series._asymptotic_tail
+
+    def recorded(*args):
+        calls.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(series, "_asymptotic_tail", recorded)
+    for case in registry():
+        verify(case)
+    assert len(calls) == 48
+    for upper, lower, n, t in calls:
+        assert _real_power_sums(upper, lower)
+        assert (repr(tail(upper, lower, n, t))
+                == repr(reference_asymptotic_tail(upper, lower, n, t)))
 
 
 def test_bernoulli_table_satisfies_recurrence():
