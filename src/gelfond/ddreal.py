@@ -15,9 +15,9 @@ subtract, multiply, square root, exp, rounding and exact decimal output.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 
@@ -53,12 +53,11 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-class DDReal(NamedTuple):
-    """hi + lo, an immutable named tuple whose + and * raise TypeError
-    (a tuple's would concatenate and repeat): use dd_add and dd_mul."""
+class DDReal(namedtuple("DDReal", "hi lo", defaults=(0.0,))):
+    """hi + lo, an immutable named tuple of two floats whose + and * raise
+    TypeError (a tuple's would concatenate and repeat): use dd_add and dd_mul."""
 
-    hi: float
-    lo: float = 0.0
+    __slots__ = ()
 
     @staticmethod
     def from_int(value: int) -> "DDReal":
@@ -142,15 +141,14 @@ EXP_ARG_LIMIT = 700.0
 _EXP_TAYLOR_ORDER = 30   # term 31 is below 2^-106 of e^r for |r| <= ln2/2
 
 
-# 1/k! for k = 1..30 as the nearest double-double to the exact rational
-_INV_FACTORIAL = tuple(
-    DDReal(float(f), float(f - Fraction(float(f))))
+# 1/k! for k = 1..30 as float tuples: the nearest double-double (hi, lo)
+# to the exact rational, then the Veltkamp halves of hi, so that dd_exp
+# splits each coefficient once per process, not once per call
+_INV_FACTORIAL_PARTS = tuple(
+    (float(f), float(f - Fraction(float(f)))) + split(float(f))
     for f in (Fraction(1, math.factorial(k))
               for k in range(1, _EXP_TAYLOR_ORDER + 1))
 )
-# the same 1/k! as float tuples (hi, lo, Veltkamp halves of hi), so that
-# dd_exp splits each coefficient once per process, not once per call
-_INV_FACTORIAL_PARTS = tuple((c.hi, c.lo) + split(c.hi) for c in _INV_FACTORIAL)
 
 
 def dd_exp(x: DDReal) -> DDReal:

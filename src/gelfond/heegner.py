@@ -9,7 +9,7 @@ bound and the n=163 deviation is only meaningful as an order-of-magnitude.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .ddreal import DDReal, dd_exp, dd_mul, dd_pi, dd_round, dd_sqrt, dd_sub
 
@@ -22,13 +22,11 @@ HEEGNER_BASES = {19: 96, 43: 960, 67: 5280, 163: 640320}
 _ULP = 2.0 ** -106
 
 
-class HeegnerRow(NamedTuple):
-    n: int
-    value: DDReal            # e^(pi sqrt n)
-    cube_base: int
-    reference: int           # cube_base^3 + 744
-    deviation: DDReal        # reference - value (> 0 for all four rows)
-    error_bound: float       # absolute bound on |computed - true| of value
+# one table row: value = e^(pi sqrt n) as a DDReal, reference the int
+# cube_base^3 + 744, deviation = reference - value as a DDReal (> 0 for all
+# four rows), error_bound a float bound on |computed - true| of value
+HeegnerRow = namedtuple("HeegnerRow",
+                        "n value cube_base reference deviation error_bound")
 
 
 def heegner_row(n: int) -> HeegnerRow:

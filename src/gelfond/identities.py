@@ -44,9 +44,9 @@ report shows exactly which form is reproducible:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
-from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from .errors import RangeError
@@ -61,11 +61,8 @@ OTHER_ARGUMENT_TOLERANCES = (1e-13, 1e-15)
 LAMBDA_LIMIT = 15.0
 
 
-class ExpTerm(NamedTuple):
-    """coef * e^(pi * power); coef and power stay exact when rational."""
-
-    coef: Fraction | float
-    power: Fraction | float
+# coef * e^(pi * power); coef and power stay exact when rational
+ExpTerm = namedtuple("ExpTerm", "coef power")
 
 
 def series_tolerances(spec: SeriesSpec) -> tuple[float, float]:
@@ -78,15 +75,15 @@ def expected_value(terms: tuple[ExpTerm, ...]) -> float:
     return math.fsum(float(c) * math.exp(math.pi * float(p)) for c, p in terms)
 
 
-class IdentityCase(NamedTuple):
-    id: str
-    lhs_plan: tuple[tuple[SeriesSpec, complex], ...]
-    rhs_plan: tuple[tuple[complex, str, tuple], ...] | None
-    expected: tuple[ExpTerm, ...] | None
-    n: int | None = None         # corollary index
-    lam: float | None = None     # lambda of the parameterized identity
-    expect_divergent: bool = False
-    erratum: str | None = None
+class IdentityCase(namedtuple(
+        "IdentityCase", "id lhs_plan rhs_plan expected n lam expect_divergent erratum",
+        defaults=(None, None, False, None))):
+    """One registry identity: lhs_plan its (spec, weight) series members,
+    rhs_plan its (weight, theorem, args) closed members or None, expected its
+    ExpTerms or None; n is the corollary index and lam the lambda of a
+    parameterized identity, each None elsewhere."""
+
+    __slots__ = ()
 
     closed_tol = CLOSED_TOL   # a class constant, not a field
 
@@ -102,18 +99,9 @@ class IdentityCase(NamedTuple):
         return not self.lhs_plan
 
 
-class VerificationReport(NamedTuple):
-    id: str
-    n: int | None
-    lam: float | None
-    closed_value: float | None
-    series_value: float | None
-    expected_value: float | None
-    abs_residual: float | None
-    rel_residual: float | None
-    series_status: str | None
-    verdict: str
-    erratum: str | None
+VerificationReport = namedtuple(
+    "VerificationReport", "id n lam closed_value series_value expected_value "
+    "abs_residual rel_residual series_status verdict erratum")
 
 
 # ----------------------------------------------------------------------
@@ -241,20 +229,13 @@ def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
     )
 
 
-class _Corollary(NamedTuple):
-    """One registry variant of a corollary family, with id
-    "<kind>-n<n><suffix>": ``theorem`` at the exact (d1, d2) = ``d(n)``,
-    claimed to give the coefficients (c+, c-) = ``claim(n)``."""
-
-    kind: str
-    suffix: str
-    printed: bool
-    theorem: Callable[..., IdentityCase]
-    d: Callable[[int], tuple[Fraction, Fraction]]
-    claim: Callable[[int], tuple[Fraction, Fraction]]
-    erratum: str | None = None
-    # as-printed second lower parameter that makes the series diverge
-    second_lower: Fraction | None = None
+# One registry variant of a corollary family, with id "<kind>-n<n><suffix>":
+# theorem at the exact (d1, d2) = d(n), claimed to give the coefficients
+# (c+, c-) = claim(n); second_lower is the as-printed second lower parameter
+# that makes the series diverge, or None.
+_Corollary = namedtuple(
+    "_Corollary", "kind suffix printed theorem d claim erratum second_lower",
+    defaults=(None, None))
 
 
 # in registry order; a family's rows are adjacent

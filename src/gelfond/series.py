@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import add
-from typing import NamedTuple
 
 from .complex_gamma import nearest_nonpositive_int
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
@@ -46,13 +46,7 @@ class SumStatus(Enum):
     DIVERGENT = "Divergent"
 
 
-class _SeriesSpecFields(NamedTuple):
-    upper: tuple[complex, ...]
-    lower: tuple[complex, ...]
-    argument: complex
-
-
-class SeriesSpec(_SeriesSpecFields):
+class SeriesSpec(namedtuple("SeriesSpec", "upper lower argument")):
     """One pFq evaluation, a named tuple of upper parameters, lower parameters
     and argument, coerced to complex and checked by the constructor, _replace
     and _make: p > q+1 is refused unless the series terminates or z = 0."""
@@ -102,12 +96,7 @@ class SeriesSpec(_SeriesSpecFields):
         return (sum(self.lower) - sum(self.upper)).real
 
 
-class _SumPolicyFields(NamedTuple):
-    tolerance: float
-    max_terms: int
-
-
-class SumPolicy(_SumPolicyFields):
+class SumPolicy(namedtuple("SumPolicy", "tolerance max_terms")):
     """Summation tolerance and term budget, a named tuple; SumPolicy() holds
     the defaults.  The constructor, _replace and _make refuse a tolerance
     below 1e-15 or not finite and a max_terms that is not an int >= 10."""
@@ -124,11 +113,7 @@ class SumPolicy(_SumPolicyFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class SumResult(NamedTuple):
-    value: complex
-    terms_used: int
-    tail_estimate: float
-    status: SumStatus
+SumResult = namedtuple("SumResult", "value terms_used tail_estimate status")
 
 
 def _observed_tail(abs_t: float, prev_abs: float) -> float:

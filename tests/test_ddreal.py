@@ -244,9 +244,9 @@ def _reference_exp(x: DDReal) -> DDReal:
     p, e = two_prod(float(k), ddreal._LN2_P3)
     r = dd_sub(r, DDReal(p, e))
     total = power = DDReal(1.0)
-    for coef in ddreal._INV_FACTORIAL:
+    for hi, lo, _, _ in ddreal._INV_FACTORIAL_PARTS:
         power = dd_mul(power, r)
-        total = dd_add(total, dd_mul(power, coef))
+        total = dd_add(total, dd_mul(power, DDReal(hi, lo)))
     return DDReal(math.ldexp(total.hi, k), math.ldexp(total.lo, k))
 
 

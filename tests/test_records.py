@@ -1,11 +1,15 @@
-"""The package's records are immutable named tuples: no dataclasses at
-import, no writable fields, constructor checks that _replace cannot skip,
-no tuple arithmetic on DDReal, and the reprs the dataclasses printed."""
+"""The package's records are immutable collections.namedtuple types: no
+dataclasses or typing at import, no writable fields, constructor checks
+that _replace cannot skip, no tuple arithmetic on DDReal, the reprs the
+dataclasses printed, and round trips through pickle and deepcopy."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,11 +17,13 @@ import pytest
 import gelfond
 from gelfond import (
     DDReal,
+    ExpTerm,
     HeegnerRow,
     SeriesSpec,
     SumPolicy,
     SumResult,
     SumStatus,
+    VerificationReport,
     registry,
     verify,
 )
@@ -25,9 +31,9 @@ from gelfond import (
 SRC = str(Path(gelfond.__file__).resolve().parent.parent)
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_or_typing():
     code = ("import sys, gelfond, gelfond.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
@@ -38,7 +44,8 @@ def _records():
     case = next(c for c in registry() if c.id == "eq1.1")
     row = HeegnerRow(19, DDReal(885479.75), 96, 885480, DDReal(0.25), 3.5e-25)
     return [SumResult(1j, 3, 0.0, SumStatus.CONVERGED), SumPolicy(),
-            SeriesSpec((1,), (2,), 0.5), case, verify(case), DDReal(1.0), row]
+            SeriesSpec((1,), (2,), 0.5), case, verify(case), DDReal(1.0), row,
+            ExpTerm(Fraction(1), Fraction(-1, 2))]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -85,3 +92,22 @@ def test_reprs_are_those_of_the_dataclasses():
         "HeegnerRow(n=19, value=DDReal(hi=885479.75, lo=0.0), cube_base=96, "
         "reference=885480, deviation=DDReal(hi=0.25, lo=-1e-17), "
         "error_bound=3.5e-25)")
+    assert repr(ExpTerm(Fraction(1), Fraction(-1, 2))) == (
+        "ExpTerm(coef=Fraction(1, 1), power=Fraction(-1, 2))")
+    report = VerificationReport("cor1-n1", 1, None, 23.140692632779214,
+                                23.14069263277927, 23.140692632779267, 5.3e-14,
+                                2.3e-15, "Converged", "Pass", None)
+    assert repr(report) == (
+        "VerificationReport(id='cor1-n1', n=1, lam=None, "
+        "closed_value=23.140692632779214, series_value=23.14069263277927, "
+        "expected_value=23.140692632779267, abs_residual=5.3e-14, "
+        "rel_residual=2.3e-15, series_status='Converged', verdict='Pass', "
+        "erratum=None)")
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_survive_pickle_and_deepcopy(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is type(record)
+        assert twin == record
+        assert repr(twin) == repr(record)
