@@ -68,7 +68,8 @@ def gamma_ratio(numerator, denominator) -> complex:
 
     A pole among the numerator arguments raises PoleError; a pole among the
     denominator arguments makes the ratio zero (scanned for only when
-    log_gamma raises, so each argument is checked once).
+    log_gamma raises, so each argument is checked once).  A ratio beyond
+    binary64 raises RangeError.
     """
     acc = 0.0 + 0.0j
     try:
@@ -80,7 +81,10 @@ def gamma_ratio(numerator, denominator) -> complex:
         if any(nearest_nonpositive_int(complex(z)) is not None for z in denominator):
             return 0.0 + 0.0j
         raise
-    return cmath.exp(acc)
+    try:
+        return cmath.exp(acc)
+    except OverflowError:
+        raise RangeError("gamma ratio overflows binary64") from None
 
 
 def gauss_unit(a: complex, b: complex, c: complex) -> complex:
@@ -159,7 +163,11 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
     """
     a, c = complex(a), complex(c)
     d = check_d(d)
-    prefactor = cmath.exp(-c * _LN2 + log_gamma(0.5) + log_gamma(c + 1))
+    try:
+        prefactor = cmath.exp(-c * _LN2 + log_gamma(0.5) + log_gamma(c + 1))
+    except OverflowError:
+        raise RangeError("bailey_ext_half: 2^(-c) Gamma(1/2) Gamma(c+1) "
+                         "overflows binary64") from None
     brace = (
         (2.0 / d)
         * reciprocal_gamma(c / 2 + a / 2) * reciprocal_gamma(c / 2 - a / 2 + 0.5)

@@ -32,6 +32,9 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# the Lanczos sum's first coefficient and its (coefficient, k) pairs
+_LANCZOS_HEAD = complex(_LANCZOS_COEF[0])
+_LANCZOS_TERMS = tuple(zip(_LANCZOS_COEF[1:], range(1, len(_LANCZOS_COEF))))
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
 _LOG_PI = math.log(math.pi)
 
@@ -92,9 +95,9 @@ def log_gamma(z: complex) -> complex:
         # Re(1 - z) > 1/2, never a pole: the Lanczos sum below applies
         head, z = _LOG_PI - cmath.log(sin_pi(z)), 1.0 - z
     w = z - 1.0
-    acc = complex(_LANCZOS_COEF[0])
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (w + k)
+    acc = _LANCZOS_HEAD
+    for c, k in _LANCZOS_TERMS:
+        acc += c / (w + k)
     t = w + _LANCZOS_G + 0.5
     value = _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
     return head - value if reflect else value
@@ -114,8 +117,11 @@ def gamma(z: complex) -> complex:
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z), defined as exactly 0 at (and within POLE_TOLERANCE of)
     the poles of Gamma.  Lets formulas with gamma factors in denominators
-    take their finite limits instead of raising."""
+    take their finite limits instead of raising.  RangeError when 1/Gamma(z)
+    overflows binary64."""
     try:
         return cmath.exp(-log_gamma(z))
     except PoleError:
         return 0.0 + 0.0j
+    except OverflowError:
+        raise RangeError(f"1/gamma({z}) overflows binary64") from None

@@ -24,9 +24,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
-from operator import add
 
 from .complex_gamma import nearest_nonpositive_int
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
@@ -330,14 +329,15 @@ _BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
 
 @lru_cache(maxsize=1)
 def _tail_weights() -> tuple[tuple[tuple[float, ...], ...],
-                             tuple[tuple[float, int, int], ...]]:
+                             tuple[tuple[float, float, float], ...]]:
     """The weights of _asymptotic_tail, made on first use: rows[k-1][j] =
     (-1)^(k+1) C(k+1, j) B_j / (k (k+1)) for k = 1..K+1, and the triples
-    (B_2j / (2j)!, 2j - 1, 2j)."""
+    (B_2j / (2j)!, 2j - 1, 2j), the integers as floats: sigma + 3.0 has
+    the bits of sigma + 3, and float + float skips a conversion."""
     rows = tuple(tuple((-1) ** (k + 1) * comb(k + 1, j) * p / (q * k * (k + 1))
                        for j, (p, q) in enumerate(_BERNOULLI[:k + 1]))
                  for k in range(1, _ORDERS + 2))
-    return rows, tuple((p / (q * math.factorial(j)), j - 1, j)
+    return rows, tuple((p / (q * math.factorial(j)), j - 1.0, float(j))
                        for j, (p, q) in enumerate(_BERNOULLI) if j and not j % 2)
 
 
@@ -355,39 +355,56 @@ def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
     times |tail|), |g_{K+1}| n^-(K+1) |tail| and the last Euler-Maclaurin
     terms.  It runs in floats when every P_m is real, as for conjugate
     pairs, with the bits of complex arithmetic (see _direct_sum), and sums
-    by folds from 0, as sum() did up to Python 3.11 (3.12 compensates).
+    by explicit left-to-right loops from 0, as sum() did up to Python 3.11
+    (3.12 compensates).
     """
     rows, euler = _tail_weights()
+    lower = lower + (1.0,)
     try:
-        powers = [reduce(add, (a ** m for a in upper), 0)
-                  - reduce(add, (b ** m for b in lower + (1.0,)), 0)
-                  for m in range(1, _ORDERS + 3)]
+        powers = []
+        for m in range(1, _ORDERS + 3):
+            up = low = 0
+            for a in upper:
+                up += a ** m
+            for b in lower:
+                low += b ** m
+            powers.append(up - low)
         if not any(p.imag for p in powers):
             powers = [p.real for p in powers]
-        g = [reduce(add, (w * powers[k - j] for j, w in enumerate(row)), 0)
-             for k, row in enumerate(rows, 1)]
+        g = []
+        for k, row in enumerate(rows):          # g_{k+1} from P_{k+2} .. P_1
+            acc = 0
+            for w, p in zip(row, powers[k + 1::-1]):
+                acc += w * p
+            g.append(acc)
+        kg = [k * gk for k, gk in enumerate(g, 1)]
         d = [1.0]
         for m in range(1, _ORDERS + 1):
-            d.append(reduce(add, (k * g[k - 1] * d[m - k]
-                                  for k in range(1, m + 1)), 0) / m)
+            acc = 0
+            for x, y in zip(kg, d[::-1]):       # k g_k d_{m-k}, k = 1 .. m
+                acc += x * y
+            d.append(acc / m)
         inv = 1.0 / n
-        weights, parts, rest = [], [], 0.0
+        norm = whole = 0
+        weight = part = rest = 0.0
         for m, dm in enumerate(d):
             sigma = m - powers[0]
-            weights.append(dm * inv ** m)
+            prev_weight, prev_part = weight, part
+            weight = dm * inv ** m
             z = n / (sigma - 1.0) + 0.5
             rising = sigma * inv                # (sigma)_{2j-1} n^(1-2j)
             for c, lo, hi in euler:
                 last = c * rising
                 z += last
                 rising *= (sigma + lo) * (sigma + hi) * inv * inv
-            parts.append(weights[-1] * z)
-            rest += abs(weights[-1] * last)
-        norm = reduce(add, weights, 0)
+            part = weight * z
+            norm += weight
+            whole += part
+            rest += abs(weight * last)
         ratio = t / norm
-        tail = ratio * reduce(add, parts, 0)
-        estimate = (abs(ratio) * (abs(parts[-1]) + abs(parts[-2]) + rest)
-                    + ((abs(weights[-1]) + abs(weights[-2])) / abs(norm)
+        tail = ratio * whole
+        estimate = (abs(ratio) * (abs(part) + abs(prev_part) + rest)
+                    + ((abs(weight) + abs(prev_weight)) / abs(norm)
                        + abs(g[-1]) * inv ** (_ORDERS + 1)) * abs(tail))
     except (OverflowError, ZeroDivisionError):
         return 0.0, math.inf
@@ -434,6 +451,7 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     # for real parameters and at eps/2, sqrt(5) eps/2 and 4 eps for complex
     rho = (2 * (p + q) + 6 if any(c.imag for c in upper + lower) else p + q + 1) * _EPS
     spread = (size * _EPS) ** 2
+    isfinite = cmath.isfinite
     total = comp = 0.0 + 0.0j
     t, err = 1.0 + 0.0j, 0.0
     try:
@@ -450,8 +468,6 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
             for b in lower:
                 den *= b + n
             t = t * num / den
-            if not cmath.isfinite(t):
-                raise RangeError(f"term {n + 1}: not finite")
             if not t:
                 # a true underflow: num is not 0, and den, at least 1, has
                 # not lifted a product that underflowed
@@ -461,6 +477,8 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
                 size, capped = n + 1, False
                 tail, estimate = 0.0, 5e-324 * (1.0 + size / spec.convergence_parameter())
                 break
+            if not isfinite(t):
+                raise RangeError(f"term {n + 1}: not finite")
         else:
             tail, estimate = _asymptotic_tail(upper, lower, size, t)
             estimate += (size + _ORDERS) * rho * abs(tail)
@@ -468,7 +486,7 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
     except OverflowError:
         raise RangeError("series accumulation overflowed binary64") from None
-    if not cmath.isfinite(total):
+    if not isfinite(total):
         raise RangeError("series accumulation overflowed binary64")
     value = total + (comp + tail)
     estimate += err + _EPS * (abs(value) + abs(tail))

@@ -14,7 +14,16 @@ from operator import add
 
 import pytest
 
-from gelfond import RangeError, SeriesSpec, SumResult, SumStatus, series, sum_pfq
+from gelfond import (
+    PoleError,
+    RangeError,
+    SeriesSpec,
+    SumResult,
+    SumStatus,
+    complex_gamma,
+    series,
+    sum_pfq,
+)
 
 E_PI = math.exp(math.pi)
 E_MINUS_PI = math.exp(-math.pi)
@@ -136,6 +145,85 @@ def reference_asymptotic_tail(upper, lower, n, t) -> tuple[complex, float]:
         return 0.0, math.inf
     finite = cmath.isfinite(tail) and math.isfinite(estimate)
     return (tail, estimate) if finite else (0.0, math.inf)
+
+
+def reference_unit_sum(spec, policy) -> SumResult:
+    """series._unit_sum as it stood before its head bound cmath.isfinite to
+    a local and tested a zero term first, with reference_asymptotic_tail
+    for its tail.  series._unit_sum must return a repr-equal result, or
+    raise the same exception and message, for every input."""
+    upper, lower = spec.upper, spec.lower
+    p, q = len(upper), len(lower)
+    want = 8.0 * max(math.hypot(c.real, c.imag) for c in upper + lower)
+    size = max(40, math.ceil(min(want, 2.0 ** 62)))
+    capped = size >= policy.max_terms
+    size = min(size, policy.max_terms - 1)
+    rho = (2 * (p + q) + 6 if any(c.imag for c in upper + lower) else p + q + 1) * series._EPS
+    spread = (size * series._EPS) ** 2
+    total = comp = 0.0 + 0.0j
+    t, err = 1.0 + 0.0j, 0.0
+    try:
+        for n in range(size):
+            partial = total + t
+            back = partial - total
+            comp += (total - (partial - back)) + (t - back)
+            total = partial
+            err += (n * rho + spread) * abs(t)
+            num = 1.0 + 0.0j
+            for a in upper:
+                num *= a + n
+            den = (n + 1) + 0.0j
+            for b in lower:
+                den *= b + n
+            t = t * num / den
+            if not cmath.isfinite(t):
+                raise RangeError(f"term {n + 1}: not finite")
+            if not t:
+                if not (num and 1.0 <= abs(den) < math.inf
+                        and series._terms_stay_below(spec, n + 1)):
+                    raise RangeError(f"term {n + 1}: underflowed to 0")
+                size, capped = n + 1, False
+                tail, estimate = 0.0, 5e-324 * (1.0 + size / spec.convergence_parameter())
+                break
+        else:
+            tail, estimate = reference_asymptotic_tail(upper, lower, size, t)
+            estimate += (size + series._ORDERS) * rho * abs(tail)
+    except ZeroDivisionError:
+        raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
+    except OverflowError:
+        raise RangeError("series accumulation overflowed binary64") from None
+    if not cmath.isfinite(total):
+        raise RangeError("series accumulation overflowed binary64")
+    value = total + (comp + tail)
+    estimate += err + series._EPS * (abs(value) + abs(tail))
+    if not capped and estimate <= policy.tolerance * max(1.0, abs(value)):
+        return SumResult(value, size + 1, estimate, SumStatus.CONVERGED)
+    return SumResult(value, size + 1, estimate, SumStatus.MAX_TERMS_EXCEEDED)
+
+
+def reference_log_gamma(z) -> complex:
+    """complex_gamma.log_gamma as it stood before its Lanczos sum looped over
+    (coefficient, k) pairs: an index loop over _LANCZOS_COEF from
+    complex(_LANCZOS_COEF[0]).  log_gamma must return a repr-equal value, or
+    raise the same exception and message, for every z."""
+    cg = complex_gamma
+    z = complex(z)
+    if cg.nearest_nonpositive_int(z) is not None:
+        raise PoleError(f"log_gamma: {z} is within {cg.POLE_TOLERANCE} of a pole")
+    reflect = z.real < 0.5
+    if reflect:
+        if abs(z.imag) > cg.REFLECTION_IM_LIMIT:
+            raise RangeError(
+                f"log_gamma: |Im z| = {abs(z.imag)} exceeds the reflection strip"
+            )
+        head, z = cg._LOG_PI - cmath.log(cg.sin_pi(z)), 1.0 - z
+    w = z - 1.0
+    acc = complex(cg._LANCZOS_COEF[0])
+    for k in range(1, len(cg._LANCZOS_COEF)):
+        acc += cg._LANCZOS_COEF[k] / (w + k)
+    t = w + cg._LANCZOS_G + 0.5
+    value = cg._LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return head - value if reflect else value
 
 
 def zeta_reference(s: float, cutoff: int = 2000) -> float:

@@ -5,18 +5,20 @@ import pytest
 from gelfond import (
     ConvergenceDomainError,
     PoleError,
+    RangeError,
     SeriesSpec,
     SumPolicy,
     bailey_ext_half,
     bailey_half,
     gauss_ext_unit,
     gauss_unit,
+    reciprocal_gamma,
     second_gauss_ext_half,
     second_gauss_half,
     sum_pfq,
     sum_pfq_unit,
 )
-from gelfond.closed_forms import SERIES
+from gelfond.closed_forms import SERIES, gamma_ratio
 from conftest import (
     COSH_HALF_PI,
     COSH_PI,
@@ -254,10 +256,21 @@ def test_cancellation_to_base_theorems(rng):
     assert abs(bailey_ext_half(a, c, c) - bailey_half(a, c)) <= 1e-12
 
 
+@pytest.mark.parametrize("f, args", [
+    (gamma_ratio, ((200.0,), ())),
+    (gauss_unit, (1e300j, -1e300j, 0.5)),           # through gamma_ratio
+    (reciprocal_gamma, (0.5 + 1e300j,)),
+    (bailey_ext_half, (0.5, 400, 2)),               # its 2^(-c) Gamma(c+1)
+], ids=["gamma_ratio", "gauss_unit", "reciprocal_gamma", "bailey_ext_half"])
+def test_exp_overflow_is_range_error(f, args):
+    # cmath.exp raises a bare OverflowError beyond binary64; gamma() already
+    # raises RangeError there, and so do the closed forms
+    with pytest.raises(RangeError, match="overflows binary64"):
+        f(*args)
+
+
 def test_gauss_ext_unit_large_d_limit():
     # as |d| grows the brace tends to its d-free part, prefactor * (c-a-b)
-    from gelfond.closed_forms import gamma_ratio
-
     a, b, c = 0.3 + 0.7j, 0.1 - 0.7j, 1.9
     s = c - a - b
     d_free = gamma_ratio((c + 1, s), (c - a + 1, c - b + 1)) * s

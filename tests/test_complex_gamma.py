@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from gelfond import (
     sin_pi,
     theorem1,
 )
-from conftest import COSH_PI, SINH_PI, random_complex, rel_err
+from conftest import COSH_PI, SINH_PI, random_complex, reference_log_gamma, rel_err
 
 
 def test_log_gamma_at_one_and_half():
@@ -171,3 +172,35 @@ def test_gamma_modulus_against_dlmf(rng):
 def test_non_finite_arguments_raise_range_error(call):
     with pytest.raises(RangeError):
         call()
+
+
+def _log_gamma_outcome(f, z) -> tuple[str, str]:
+    """("value", repr of f(z)), or f's exception's name and message."""
+    try:
+        return "value", repr(f(z))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_log_gamma_matches_reference():
+    """log_gamma against the index-loop reference: repr-equal on 2,400
+    seeded points with -20 <= Re z <= 50 and |Im z| <= 30 (both branches,
+    a tenth of them on the real axis), and the same exception and message
+    at and near the poles and beyond the reflection strip."""
+    rng = random.Random(0x1064)
+    points = []
+    for i in range(2400):
+        x = rng.uniform(-20.0, 50.0)
+        points.append(complex(x) if i % 10 == 0 else complex(x, rng.uniform(-30.0, 30.0)))
+    reflected = sum(z.real < 0.5 for z in points)
+    assert 400 <= reflected <= 2000
+    for k in range(-20, 1):
+        points += [complex(k), complex(k + 5e-13, -5e-13), complex(k, 2e-12),
+                   complex(k - 1e-6), complex(k + 0.5, 30.0 + 1e-9)]
+    points += [complex(-3.0, 31.0), complex(0.25, -1e3), 0.5 + 1e3j, 1e300, 0.5]
+    seen = set()
+    for z in points:
+        outcome = _log_gamma_outcome(log_gamma, z)
+        assert outcome == _log_gamma_outcome(reference_log_gamma, z), z
+        seen.add(outcome[0])
+    assert seen == {"value", "PoleError", "RangeError"}

@@ -36,6 +36,7 @@ from conftest import (
     reduced_3f2,
     reference_asymptotic_tail,
     reference_direct_sum,
+    reference_unit_sum,
     rel_err,
     zeta_reference,
 )
@@ -677,6 +678,35 @@ def test_registry_tails_run_in_floats_with_reference_bits(monkeypatch):
         assert _real_power_sums(upper, lower)
         assert (repr(tail(upper, lower, n, t))
                 == repr(reference_asymptotic_tail(upper, lower, n, t)))
+
+
+def test_unit_sum_matches_reference(monkeypatch):
+    """The unit-argument sum against the reference head and tail: repr-equal
+    results, or the same exception and message, on 600 seeded 2F1/3F2
+    series with conjugate pairs in shuffled positions (_tail_draw), each
+    uncapped and with N capped by max_terms 10 and 25, and on fixed inputs
+    that end at an underflow or raise RangeError."""
+    rng = random.Random(0x0417)
+    cases = []
+    for _ in range(600):
+        upper, lower, _, _ = _tail_draw(rng)
+        tol = 10.0 ** rng.uniform(-15.0, -6.0)
+        for max_terms in (10, 25, 10**6):
+            cases.append((SeriesSpec(upper, lower, 1), SumPolicy(tol, max_terms)))
+    for upper, lower in (((1, 1), (1e300,)),              # ends at an underflow
+                         ((1e154, 1e154), (3e154,)),      # term 2 not finite
+                         ((1e-200, 1e-200), (1,)),        # term 1 underflows
+                         ((1e-8,) * 43, (1e-8,) * 41 + (3.0,))):  # den underflows
+        cases.append((SeriesSpec(upper, lower, 1), SumPolicy()))
+    got = [_sweep_outcome(spec, policy) for spec, policy in cases]
+    monkeypatch.setattr(series, "_unit_sum", reference_unit_sum)
+    seen = set()
+    for (spec, policy), outcome in zip(cases, got):
+        assert outcome == _sweep_outcome(spec, policy), (spec, policy)
+        seen.add(outcome[0] if outcome[0] != "RangeError" else outcome[1])
+    assert seen == {"CONVERGED", "MAX_TERMS_EXCEEDED", "term 2: not finite",
+                    "term 1: underflowed to 0",
+                    "term 1: denominator underflowed to 0"}, seen
 
 
 def test_bernoulli_table_satisfies_recurrence():
