@@ -166,8 +166,14 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
     try:
         prefactor = cmath.exp(-c * _LN2 + log_gamma(0.5) + log_gamma(c + 1))
     except OverflowError:
-        raise RangeError("bailey_ext_half: 2^(-c) Gamma(1/2) Gamma(c+1) "
-                         "overflows binary64") from None
+        # the prefactor leaves binary64 while the reciprocal gammas of the
+        # brace underflow (a = 1/2, d = 2 from about c = 197 on); by Legendre's
+        # duplication formula it is Gamma(c/2 + 1) Gamma(c/2 + 1/2), so
+        # each brace term is one gamma ratio, one exponential
+        top = (c / 2 + 1.0, c / 2 + 0.5)
+        return ((2.0 / d) * gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
+                + (1.0 - c / d)
+                * gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))
     brace = (
         (2.0 / d)
         * reciprocal_gamma(c / 2 + a / 2) * reciprocal_gamma(c / 2 - a / 2 + 0.5)

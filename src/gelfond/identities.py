@@ -296,7 +296,11 @@ def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     variant); cor1 and cor4 have no distinct printed variant."""
     row = _corollary_row(kind, n, printed)
     case = row.theorem(*row.d(n), f"{kind}-n{n}{row.suffix}")
-    assert tuple(t.coef for t in case.expected) == row.claim(n)
+    got, claim = tuple(t.coef for t in case.expected), row.claim(n)
+    if got != claim:
+        # an explicit check, not an assert, so that python -O keeps it
+        raise AssertionError(f"{case.id}: the theorem gives coefficients "
+                             f"{got}, the row claims {claim}")
     case = case._replace(n=n, erratum=row.erratum)
     if row.second_lower is None:
         return case

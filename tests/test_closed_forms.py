@@ -8,6 +8,7 @@ from gelfond import (
     RangeError,
     SeriesSpec,
     SumPolicy,
+    SumStatus,
     bailey_ext_half,
     bailey_half,
     gauss_ext_unit,
@@ -260,13 +261,23 @@ def test_cancellation_to_base_theorems(rng):
     (gamma_ratio, ((200.0,), ())),
     (gauss_unit, (1e300j, -1e300j, 0.5)),           # through gamma_ratio
     (reciprocal_gamma, (0.5 + 1e300j,)),
-    (bailey_ext_half, (0.5, 400, 2)),               # its 2^(-c) Gamma(c+1)
+    (bailey_ext_half, (0.5 + 1000j, 400, 2)),       # 3F2 = 1.5e347 (mpmath)
 ], ids=["gamma_ratio", "gauss_unit", "reciprocal_gamma", "bailey_ext_half"])
 def test_exp_overflow_is_range_error(f, args):
     # cmath.exp raises a bare OverflowError beyond binary64; gamma() already
     # raises RangeError there, and so do the closed forms
     with pytest.raises(RangeError, match="overflows binary64"):
         f(*args)
+
+
+@pytest.mark.parametrize("c", [150, 197, 400])
+def test_bailey_ext_half_large_c_against_series(c):
+    """2^(-c) Gamma(1/2) Gamma(c+1) overflows from c = 197 on while the
+    brace's reciprocal gammas underflow; their product, the 3F2, is near 1."""
+    closed = bailey_ext_half(0.5, c, 2)
+    r = sum_pfq(_series("bailey_ext_half", 0.5, c, 2), _half_policy())
+    assert r.status is SumStatus.CONVERGED
+    assert abs(closed - r.value) <= 1e-10 * abs(r.value)
 
 
 def test_gauss_ext_unit_large_d_limit():

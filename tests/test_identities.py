@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,3 +366,19 @@ def test_verify_rejects_bad_tolerance_for_every_case(case):
     # documented-only cases, which sum no series, reject them too
     with pytest.raises(ValueError, match="tolerance must be"):
         verify(case, tolerance=1e-16)
+
+
+def test_corollary_claim_checked_under_optimize():
+    """A row whose claimed coefficients the theorem does not give is refused
+    under python -O too, which strips assert statements."""
+    code = ("from fractions import Fraction\n"
+            "import gelfond.identities as ids\n"
+            "ids.COROLLARIES = tuple(\n"
+            "    r._replace(claim=lambda n: (Fraction(n + 1), Fraction(0)))\n"
+            "    if r.kind == 'cor1' else r for r in ids.COROLLARIES)\n"
+            "ids.corollary_case('cor1', 1)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 1
+    assert "cor1-n1: the theorem gives coefficients" in run.stderr

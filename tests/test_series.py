@@ -282,9 +282,9 @@ def _sweep_value(rng: random.Random, real: bool) -> complex:
     return complex(x, 0.0 if real or kind < 0.2 else rng.uniform(-2.0, 2.0))
 
 
-def _sweep_spec(rng: random.Random) -> SeriesSpec:
+def _sweep_spec(rng: random.Random, q_range: tuple[int, int] = (0, 3)) -> SeriesSpec:
     real = rng.random() < 0.5
-    q = rng.randint(0, 3)
+    q = rng.randint(*q_range)
     p = rng.randint(0, q + 1)
     upper = [_sweep_value(rng, real) for _ in range(p)]
     lower = [_sweep_value(rng, real) for _ in range(q)]
@@ -328,6 +328,78 @@ def test_direct_sum_matches_reference(monkeypatch):
         seen.add(outcome[0])
     expected = {status.name for status in SumStatus} | {"PoleError", "RangeError"}
     assert expected <= seen, seen
+
+
+def test_direct_sum_wide_shapes_match_reference(monkeypatch):
+    """The draw above at q = 4..12, where parameters past the fourth of a
+    side are stepped by the compiled loop's for loop, not unrolled."""
+    rng = random.Random(0x51DE)
+    cases, shapes = [], set()
+    while len(cases) < 300:
+        policy = SumPolicy(tolerance=10.0 ** rng.uniform(-15.0, -3.0),
+                           max_terms=rng.choice((10, 25, 100, 30_000)))
+        try:
+            spec = _sweep_spec(rng, (4, 12))
+        except PoleError:
+            continue
+        cases.append((spec, policy))
+        shapes.add((len(spec.upper), len(spec.lower)))
+    assert any(p > series._UNROLL for p, _ in shapes), shapes
+    got = [_sweep_outcome(spec, policy) for spec, policy in cases]
+    monkeypatch.setattr(series, "_direct_sum", reference_direct_sum)
+    for (spec, policy), outcome in zip(cases, got):
+        assert outcome == _sweep_outcome(spec, policy), (spec, policy)
+
+
+@pytest.mark.parametrize("spec, expected", [
+    # 3,000 parameters a side: a loop unrolled in full would not compile
+    (SeriesSpec((-2.0,) + (0.5,) * 2999, (1.5,) * 3000, 0.5),
+     "RangeError('term 1: denominator at the binary64 limit')"),
+    # (1e-5)^63 in the subnormal range: the sum keeps its bits (see the
+    # FOUND line on it in CHANGES.md)
+    (SeriesSpec((1e-5,) * 63, (1e-5,) * 62 + (3e-5,), 0.5),
+     "SumResult(value=(1.2162393447053055+0j), terms_used=15, "
+     "tail_estimate=2.420009503471829e-16, status=<SumStatus.CONVERGED: 'Converged'>)"),
+    # abs() of a finite complex term beyond binary64 raises OverflowError;
+    # a polynomial's last term and a total that is not finite come first
+    (SeriesSpec((-1,), (1,), -1.5e308 - 1.5e308j),
+     "SumResult(value=(1.5e+308+1.5e+308j), terms_used=2, tail_estimate=0.0, "
+     "status=<SumStatus.TRUNCATED: 'Truncated'>)"),
+    (SeriesSpec((-3, 3.714e307) + (-1 + 2.0 ** -52,) * 19 + (-1 + 2.0 ** -34,),
+                (-0.75,), 0.7 * cmath.exp(1.2j)),
+     "RangeError('series accumulation overflowed binary64')"),
+], ids=["3000-parameters", "63F62-subnormal", "abs-overflow-last-term",
+        "abs-overflow-total"])
+def test_direct_sum_fixed_outcomes(spec, expected):
+    try:
+        outcome = repr(sum_pfq(spec))
+    except RangeError as exc:
+        outcome = repr(exc)
+    assert outcome == expected
+
+
+def test_direct_sum_compiles_one_loop_per_shape():
+    """Every spec of one shape (p, q), real or complex, runs one compiled
+    loop, whose code holds no parameter value, argument or tolerance: the
+    shape alone makes the code, and the values are arguments."""
+    specs = [SeriesSpec((0.123456789, -0.987654321 + 0.5j), (2.718281828e-3,), 0.31830988),
+             SeriesSpec((0.4, 0.6), (1.7,), 0.25),
+             SeriesSpec((0.4, 0.6 + 2j), (1.7,), 0.25 - 0.1j)]
+    series._direct_loop.cache_clear()
+    for spec in specs:
+        series._direct_sum(spec, SumPolicy(tolerance=7.25e-12))
+    info = series._direct_loop.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    loop = series._direct_loop(2, 1)
+    assert loop.__code__.co_filename == series.__file__
+
+    def constants(code):
+        for c in code.co_consts:
+            yield from constants(c) if hasattr(c, "co_consts") else (c,)
+    numbers = {c for c in constants(loop.__code__)
+               if isinstance(c, (int, float, complex)) and not isinstance(c, bool)}
+    # the loop's own constants: term indices, 1.0, 2.0 * den and the 0.99 cap
+    assert numbers <= {0, 1, 2, 0.99}, numbers
 
 
 @pytest.mark.parametrize("upper, lower, z", [
