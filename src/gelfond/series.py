@@ -14,7 +14,11 @@ _direct_sum).  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
 ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq sums a head of
 terms and adds the rest from the terms' asymptotic expansion (see
-_unit_sum), that tail in floats for conjugate pairs (_asymptotic_tail).
+_unit_sum).  The head runs in floats when its term ratio is exactly real:
+all parameters real, or a conjugate pair leading the upper row and the rest
+real.  The tail runs in floats for conjugate pairs, its fixed-size work in
+one function compiled on first use (_asymptotic_tail, _tail_kernel); both
+keep the bits of complex arithmetic.
 levin_accelerate, a Levin u-transform evaluated exactly in integers (see
 _levin_orders), is public but no summation route uses it.
 """
@@ -179,7 +183,7 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
         if not isfinite(total):
             raise RangeError("series accumulation overflowed binary64") from None
         if n != trunc:
-            raise
+            raise RangeError(f"term {{n}}: modulus beyond binary64") from None
     if n == trunc:
         if not isfinite(2.0 * den):
             raise RangeError(f"term {{n}}: denominator at the binary64 limit")
@@ -396,6 +400,68 @@ def _tail_weights() -> tuple[tuple[tuple[float, ...], ...],
                        for j, (p, q) in enumerate(_BERNOULLI) if j and not j % 2)
 
 
+# _tail_kernel's source; each placeholder fills one line (statements joined
+# by "; "), compiled as _LOOP is so that tracebacks point at these lines
+_TAIL_LINE = sys._getframe().f_lineno + 2
+_TAIL = """\
+def tail_kernel({powers}, n, t):
+    {g}  # g_k = 0 + rows[k-1][0] * P_{{k+1}} + .. + rows[k-1][k] * P_1
+    {kg}
+    {d}  # d_m = (0 + kg_1 d_{{m-1}} + .. + kg_m d_0) / m
+    inv = 1.0 / n
+    norm = whole = 0
+    weight = part = rest = 0.0
+    for m, dm in enumerate(({ds})):
+        sigma = m - p1
+        prev_weight, prev_part = weight, part
+        weight = dm * inv ** m
+        z = n / (sigma - 1.0) + 0.5
+        rising = sigma * inv                    # (sigma)_{{2j-1}} n^(1-2j)
+        {euler}
+        part = weight * z
+        norm += weight
+        whole += part
+        rest += abs(weight * last)
+    ratio = t / norm
+    tail = ratio * whole
+    return tail, (abs(ratio) * (abs(part) + abs(prev_part) + rest)
+                  + ((abs(weight) + abs(prev_weight)) / abs(norm)
+                     + abs(g{orders}) * inv ** {orders}) * abs(tail))
+"""
+
+
+@lru_cache(maxsize=1)
+def _tail_kernel():
+    """_asymptotic_tail's work after the power sums, compiled from _TAIL on
+    first use (about 1 ms, 2.5-3.5 ms as the first compile of a fresh
+    interpreter) with _tail_weights() as literals: called as
+    kernel(P_1, .., P_{K+2}, n, t), floats or complex, it returns
+    (tail, estimate).  Each row, convolution and Euler-Maclaurin sum is
+    written out as a left-to-right fold from 0 that keeps its zero weights,
+    the operations of the loops it replaces in their order, so the bits do
+    not move; the Euler-Maclaurin steps are unrolled over their triples."""
+    def fold(terms):
+        return " + ".join(["0", *terms])
+
+    rows, euler = _tail_weights()
+    g = [f"g{k} = " + fold(f"{w!r} * p{k + 1 - j}" for j, w in enumerate(row))
+         for k, row in enumerate(rows, 1)]
+    d = ["d0 = 1.0"] + [f"d{m} = (" + fold(f"kg{k} * d{m - k}" for k in range(1, m + 1))
+                        + f") / {m}" for m in range(1, _ORDERS + 1)]
+    steps = []
+    for c, lo, hi in euler:
+        steps += [f"last = {c!r} * rising", "z += last",
+                  f"rising *= (sigma + {lo!r}) * (sigma + {hi!r}) * inv * inv"]
+    source = _TAIL.format(
+        powers=", ".join(f"p{m}" for m in range(1, _ORDERS + 3)), g="; ".join(g),
+        kg="; ".join(f"kg{k} = {k} * g{k}" for k in range(1, _ORDERS + 1)),
+        d="; ".join(d), ds=", ".join(f"d{m}" for m in range(_ORDERS + 1)),
+        euler="; ".join(steps[:-1]), orders=_ORDERS + 1)
+    scope = {}
+    exec(compile("\n" * (_TAIL_LINE - 1) + source, __file__, "exec"), scope)
+    return scope["tail_kernel"]
+
+
 def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
                      n: int, t: complex) -> tuple[complex, float]:
     """(sum_{k >= n} t_k, an estimate of its truncation error) of a p = q+1
@@ -410,10 +476,12 @@ def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
     times |tail|), |g_{K+1}| n^-(K+1) |tail| and the last Euler-Maclaurin
     terms.  It runs in floats when every P_m is real, as for conjugate
     pairs, with the bits of complex arithmetic (see _direct_sum), and sums
-    by explicit left-to-right loops from 0, as sum() did up to Python 3.11
-    (3.12 compensates).
+    by explicit left-to-right folds from 0, as sum() did up to Python 3.11
+    (3.12 compensates).  Everything after the power sums, a fixed amount
+    of work with fixed weights, runs in one function compiled once per
+    process on first use (_tail_kernel), the same code for float and
+    complex power sums.
     """
-    rows, euler = _tail_weights()
     lower = lower + (1.0,)
     try:
         powers = []
@@ -426,41 +494,7 @@ def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
             powers.append(up - low)
         if not any(p.imag for p in powers):
             powers = [p.real for p in powers]
-        g = []
-        for k, row in enumerate(rows):          # g_{k+1} from P_{k+2} .. P_1
-            acc = 0
-            for w, p in zip(row, powers[k + 1::-1]):
-                acc += w * p
-            g.append(acc)
-        kg = [k * gk for k, gk in enumerate(g, 1)]
-        d = [1.0]
-        for m in range(1, _ORDERS + 1):
-            acc = 0
-            for x, y in zip(kg, d[::-1]):       # k g_k d_{m-k}, k = 1 .. m
-                acc += x * y
-            d.append(acc / m)
-        inv = 1.0 / n
-        norm = whole = 0
-        weight = part = rest = 0.0
-        for m, dm in enumerate(d):
-            sigma = m - powers[0]
-            prev_weight, prev_part = weight, part
-            weight = dm * inv ** m
-            z = n / (sigma - 1.0) + 0.5
-            rising = sigma * inv                # (sigma)_{2j-1} n^(1-2j)
-            for c, lo, hi in euler:
-                last = c * rising
-                z += last
-                rising *= (sigma + lo) * (sigma + hi) * inv * inv
-            part = weight * z
-            norm += weight
-            whole += part
-            rest += abs(weight * last)
-        ratio = t / norm
-        tail = ratio * whole
-        estimate = (abs(ratio) * (abs(part) + abs(prev_part) + rest)
-                    + ((abs(weight) + abs(prev_weight)) / abs(norm)
-                       + abs(g[-1]) * inv ** (_ORDERS + 1)) * abs(tail))
+        tail, estimate = _tail_kernel()(*powers, n, t)
     except (OverflowError, ZeroDivisionError):
         return 0.0, math.inf
     finite = cmath.isfinite(tail) and math.isfinite(estimate)
@@ -495,6 +529,19 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     binary64 range, raises RangeError, as does a term that underflows to 0
     unless the terms cannot grow again (_terms_stay_below): then the sum
     ends there, with 5e-324 (1 + n/s) for the rest and no cap on N.
+
+    The head runs in floats, with the bits of complex arithmetic, whenever
+    the complex term ratio num / den has an exactly zero imaginary part:
+    when every parameter is real (see _direct_sum), or when upper[0] and
+    upper[1] are a conjugate pair x +- iy and every other parameter is
+    real.  Then 1.0 * (a0 + n) * (a1 + n) is (X + iy)(X - iy) with
+    X = x + n, whose real part is X * X + y * y and whose imaginary part
+    X * -y + y * X cancels exactly, and the real factors after it keep the
+    imaginary part 0.  A pair anywhere else does not cancel: behind a real
+    factor r the parts are r X * -y and r y * X, rounded differently, and
+    den, which starts at n + 1, puts every lower pair behind one.  rho
+    still counts a pair's steps as complex, so the estimate keeps its bits
+    too.
     """
     upper, lower = spec.upper, spec.lower
     p, q = len(upper), len(lower)
@@ -506,9 +553,17 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     # for real parameters and at eps/2, sqrt(5) eps/2 and 4 eps for complex
     rho = (2 * (p + q) + 6 if any(c.imag for c in upper + lower) else p + q + 1) * _EPS
     spread = (size * _EPS) ** 2
-    isfinite = cmath.isfinite
-    total = comp = 0.0 + 0.0j
-    t, err = 1.0 + 0.0j, 0.0
+    x, y = upper[0].real, upper[0].imag
+    pair = p > 1 and y != 0.0 and upper[1] == upper[0].conjugate()
+    rest = upper[2:] if pair else upper
+    if all(c.imag == 0.0 for c in rest + lower):
+        rest, lows = tuple(a.real for a in rest), tuple(b.real for b in lower)
+        one, zero, isfinite = 1.0, 0.0, math.isfinite
+    else:
+        pair, rest, lows = False, upper, lower
+        one, zero, isfinite = 1.0 + 0.0j, 0.0 + 0.0j, cmath.isfinite
+    total = comp = zero
+    t, err = one, 0.0
     try:
         for n in range(size):
             partial = total + t
@@ -516,11 +571,11 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
             comp += (total - (partial - back)) + (t - back)
             total = partial
             err += (n * rho + spread) * abs(t)
-            num = 1.0 + 0.0j
-            for a in upper:
+            num = (x + n) * (x + n) + y * y if pair else one
+            for a in rest:
                 num *= a + n
-            den = (n + 1) + 0.0j
-            for b in lower:
+            den = (n + 1) + zero
+            for b in lows:
                 den *= b + n
             t = t * num / den
             if not t:
@@ -535,7 +590,7 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
             if not isfinite(t):
                 raise RangeError(f"term {n + 1}: not finite")
         else:
-            tail, estimate = _asymptotic_tail(upper, lower, size, t)
+            tail, estimate = _asymptotic_tail(upper, lower, size, complex(t))
             estimate += (size + _ORDERS) * rho * abs(tail)
     except ZeroDivisionError:
         raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
@@ -543,7 +598,7 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
         raise RangeError("series accumulation overflowed binary64") from None
     if not isfinite(total):
         raise RangeError("series accumulation overflowed binary64")
-    value = total + (comp + tail)
+    value = complex(total) + (complex(comp) + tail)
     estimate += err + _EPS * (abs(value) + abs(tail))
     if not capped and estimate <= policy.tolerance * max(1.0, abs(value)):
         return SumResult(value, size + 1, estimate, SumStatus.CONVERGED)

@@ -110,6 +110,15 @@ def test_eval_out_of_range_request_is_usage_error(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_eval_term_modulus_beyond_float_range_is_range_error(capsys):
+    # e^z at z = 1.7e308 + 1.7e308i: term 1 has finite parts, but its
+    # modulus is beyond binary64
+    assert main(["eval", "--z", "1.7e308+1.7e308i"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: term 1: modulus beyond binary64\n"
+
+
 def test_eval_unit_term_underflow_ends_sum(capsys):
     # 2F1(1, 1; 1e300; 1) = 1 + 1e-300 + ...: term 2 underflows to 0 and
     # the terms cannot grow again, so the sum ends there

@@ -1,8 +1,10 @@
 import cmath
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -10,6 +12,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -360,22 +363,37 @@ def test_direct_sum_wide_shapes_match_reference(monkeypatch):
     (SeriesSpec((1e-5,) * 63, (1e-5,) * 62 + (3e-5,), 0.5),
      "SumResult(value=(1.2162393447053055+0j), terms_used=15, "
      "tail_estimate=2.420009503471829e-16, status=<SumStatus.CONVERGED: 'Converged'>)"),
-    # abs() of a finite complex term beyond binary64 raises OverflowError;
-    # a polynomial's last term and a total that is not finite come first
+    # abs() of a finite complex term beyond binary64 raises OverflowError,
+    # which becomes RangeError; a polynomial's last term and a total that is
+    # not finite come first
+    (SeriesSpec((), (), 1.7e308 + 1.7e308j),
+     "RangeError('term 1: modulus beyond binary64')"),
     (SeriesSpec((-1,), (1,), -1.5e308 - 1.5e308j),
      "SumResult(value=(1.5e+308+1.5e+308j), terms_used=2, tail_estimate=0.0, "
      "status=<SumStatus.TRUNCATED: 'Truncated'>)"),
     (SeriesSpec((-3, 3.714e307) + (-1 + 2.0 ** -52,) * 19 + (-1 + 2.0 ** -34,),
                 (-0.75,), 0.7 * cmath.exp(1.2j)),
      "RangeError('series accumulation overflowed binary64')"),
-], ids=["3000-parameters", "63F62-subnormal", "abs-overflow-last-term",
-        "abs-overflow-total"])
+], ids=["3000-parameters", "63F62-subnormal", "abs-overflow-term",
+        "abs-overflow-last-term", "abs-overflow-total"])
 def test_direct_sum_fixed_outcomes(spec, expected):
     try:
         outcome = repr(sum_pfq(spec))
     except RangeError as exc:
         outcome = repr(exc)
     assert outcome == expected
+
+
+def _code_numbers(code) -> set:
+    """Every int, float and complex constant of a code object and of the
+    code objects nested in it."""
+    numbers = set()
+    for c in code.co_consts:
+        if hasattr(c, "co_consts"):
+            numbers |= _code_numbers(c)
+        elif isinstance(c, (int, float, complex)) and not isinstance(c, bool):
+            numbers.add(c)
+    return numbers
 
 
 def test_direct_sum_compiles_one_loop_per_shape():
@@ -392,12 +410,7 @@ def test_direct_sum_compiles_one_loop_per_shape():
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     loop = series._direct_loop(2, 1)
     assert loop.__code__.co_filename == series.__file__
-
-    def constants(code):
-        for c in code.co_consts:
-            yield from constants(c) if hasattr(c, "co_consts") else (c,)
-    numbers = {c for c in constants(loop.__code__)
-               if isinstance(c, (int, float, complex)) and not isinstance(c, bool)}
+    numbers = _code_numbers(loop.__code__)
     # the loop's own constants: term indices, 1.0, 2.0 * den and the 0.99 cap
     assert numbers <= {0, 1, 2, 0.99}, numbers
 
@@ -779,6 +792,111 @@ def test_unit_sum_matches_reference(monkeypatch):
     assert seen == {"CONVERGED", "MAX_TERMS_EXCEEDED", "term 2: not finite",
                     "term 1: underflowed to 0",
                     "term 1: denominator underflowed to 0"}, seen
+
+
+def _unit_heads(run) -> list:
+    """Call run() and return, for each _unit_sum call it made, the set of
+    isfinite functions that _unit_sum's own frame called: {math.isfinite}
+    for the float head, {cmath.isfinite} for the complex one."""
+    code = series._unit_sum.__code__
+    heads = []
+
+    def profile(frame, event, arg):
+        if frame.f_code is code:
+            if event == "call":
+                heads.append(set())
+            elif event == "c_call" and arg in (math.isfinite, cmath.isfinite):
+                heads[-1].add(arg)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return heads
+
+
+def _pair_draw(rng: random.Random, where: str):
+    """upper, lower of a seeded 2F1 or 3F2 at s in (0.05, 3) or (0.05, 20)
+    with a conjugate pair x +- iy at upper[0:2] ("lead"), at upper[1:3]
+    ("behind") or at lower[0:2] ("lower"), or all real ("real"); the other
+    parameters real."""
+    q = 2 if where in ("behind", "lower") else rng.choice((1, 2))
+    rows = ([complex(rng.uniform(-3.0, 3.0)) for _ in range(q + 1)],
+            [complex(rng.uniform(-3.0, 3.0)) for _ in range(q)])
+    pair = {"lead": [(0, 0), (0, 1)], "behind": [(0, 1), (0, 2)],
+            "lower": [(1, 0), (1, 1)], "real": []}[where]
+    x = rng.uniform(-3.0, 3.0)
+    y = rng.choice((0.1, 1.0, 8.0)) * rng.uniform(-2.0, 2.0)
+    for (r, i), sign in zip(pair, (1.0, -1.0)):
+        rows[r][i] = complex(x, sign * y)
+    # the last real parameter takes the shift that sets s
+    r, i = [(r, i) for r, row in enumerate(rows) for i in range(len(row))
+            if (r, i) not in pair][-1]
+    shift = rng.uniform(0.05, rng.choice((3.0, 20.0))) - (sum(rows[1]) - sum(rows[0])).real
+    rows[r][i] += shift if r else -shift
+    return tuple(rows[0]), tuple(rows[1])
+
+
+def test_unit_sum_heads_match_reference(monkeypatch):
+    """The head runs in floats exactly when every parameter is real or a
+    conjugate pair leads the upper row, and in complex arithmetic for a
+    pair behind a real upper parameter or among the lower ones; either way
+    the result is repr-equal to the complex reference.  All 48 z = 1 sums
+    of the registry take the float head."""
+    rng = random.Random(0x4EAD)
+    cases, floats = [], []
+    for _ in range(200):
+        where = rng.choice(("lead", "behind", "lower", "real"))
+        upper, lower = _pair_draw(rng, where)
+        tol = 10.0 ** rng.uniform(-15.0, -6.0)
+        for max_terms in (10, 25, 10**6):
+            cases.append((SeriesSpec(upper, lower, 1), SumPolicy(tol, max_terms)))
+            floats.append(where in ("lead", "real"))
+    got = []
+    heads = _unit_heads(lambda: got.extend(_sweep_outcome(*case) for case in cases))
+    assert heads == [{math.isfinite} if f else {cmath.isfinite} for f in floats]
+    assert min(sum(floats), len(floats) - sum(floats)) >= 100
+    monkeypatch.setattr(series, "_unit_sum", reference_unit_sum)
+    for (spec, policy), outcome in zip(cases, got):
+        assert outcome == _sweep_outcome(spec, policy), (spec, policy)
+    monkeypatch.undo()
+    heads = _unit_heads(lambda: [verify(case) for case in registry()])
+    assert heads == [{math.isfinite}] * 48
+
+
+def test_tail_kernel_is_compiled_once_and_holds_no_value():
+    """One compiled kernel serves every tail, with float or complex power
+    sums, and its code holds the weights and its own constants, never a
+    parameter value, t or n."""
+    series._tail_kernel.cache_clear()
+    calls = [((0.3 + 1.7j, 0.3 - 1.7j, -1.234567), (2.345678, 0.75), 1000, 0.0123 + 0j),
+             ((0.3 + 1.7j, 0.9), (2.345678 - 0.5j,), 1000, 0.0123 - 0.0456j)]
+    for upper, lower, n, t in calls:
+        assert series._asymptotic_tail(upper, lower, n, t)[1] < math.inf
+    info = series._tail_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    kernel = series._tail_kernel()
+    assert kernel.__code__.co_filename == series.__file__
+    rows, euler = series._tail_weights()
+    own = {w for row in rows for w in row} | {x for step in euler for x in step}
+    own |= set(range(series._ORDERS + 2)) | {0.5}
+    assert _code_numbers(kernel.__code__) <= own
+    # and no value of the calls above is one of those constants
+    assert not own & {1000, 1.7, 0.3, 1.234567, 2.345678, 0.75, 0.9, 0.0123, 0.0456}
+
+
+def test_import_compiles_no_loop_or_kernel():
+    """Importing the package and its CLI compiles neither the tail kernel
+    nor any direct-sum loop: both are built on first use."""
+    code = ("import gelfond, gelfond.cli; from gelfond import series; "
+            "print(series._tail_kernel.cache_info().currsize, "
+            "series._direct_loop.cache_info().currsize)")
+    src = str(Path(series.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 0\n"
 
 
 def test_bernoulli_table_satisfies_recurrence():
