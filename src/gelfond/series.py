@@ -9,16 +9,19 @@ term, and only a series that does not terminate is checked for divergence
 (p > q+1 refused for z != 0, p = q+1 for |z| > 1 and |z| = 1 off 1).
 The direct sum keeps only the current term, in floats for a real spec with
 the bits of complex arithmetic, in a loop compiled once per parameter shape
-(p, q) so that a term does not pay for a for loop over its parameters (see
-_direct_sum).  At unit argument a
+(p, q, real) so that a term does not pay for a for loop over its
+parameters, and a real loop adds a float copy of the term index to its
+parameters, not an int (see _direct_sum).  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
 ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq sums a head of
 terms and adds the rest from the terms' asymptotic expansion (see
 _unit_sum).  The head runs in floats when its term ratio is exactly real:
 all parameters real, or a conjugate pair leading the upper row and the rest
-real.  The tail runs in floats for conjugate pairs, its fixed-size work in
-one function compiled on first use (_asymptotic_tail, _tail_kernel); both
-keep the bits of complex arithmetic.
+real; it too steps a float index.  The tail runs in floats for conjugate
+pairs, forms its power sums by the multiplication chain of complex ** and
+does its fixed-size work in one function compiled on first use
+(_asymptotic_tail, _power_sums, _tail_kernel).  All of them keep the bits
+of complex arithmetic.
 levin_accelerate, a Levin u-transform evaluated exactly in integers (see
 _levin_orders), is public but no summation route uses it.
 """
@@ -144,7 +147,7 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
     den = 1.0
     prev_abs = 0.0
     small_streak = 0
-    n = 0
+    {start}
     try:
         while True:
             total += t
@@ -173,7 +176,7 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
             den = {den}
             {den_rest}
             t = t * z * num / den
-            n += 1
+            {step}
     except ZeroDivisionError:
         raise RangeError(f"term {{n + 1}}: denominator underflowed to 0") from None
     except OverflowError:
@@ -195,20 +198,26 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
 
 
 @lru_cache(maxsize=32)
-def _direct_loop(p: int, q: int):
-    """_direct_sum's loop for p upper and q lower parameters, compiled from
-    _LOOP on first use.  Only the shape enters the source, never a value,
-    so every spec of one shape shares the function and the cache holds no
-    result.  The loop is called as loop(*upper[:_UNROLL], upper[_UNROLL:],
-    *lower[:_UNROLL], lower[_UNROLL:], z, tol, stop, trunc, isfinite)."""
+def _direct_loop(p: int, q: int, real: bool):
+    """_direct_sum's loop for p upper and q lower parameters, real (floats)
+    or complex, compiled from _LOOP on first use.  Only the shape enters the
+    source, never a value, so every spec of one shape shares the function
+    and the cache holds no result.  The loop is called as
+    loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
+    lower[_UNROLL:], z, tol, stop, trunc, isfinite)."""
     a = [f"a{i}" for i in range(min(p, _UNROLL))]
     b = [f"b{i}" for i in range(min(q, _UNROLL))]
+    # a real loop reads the index as the float x, a complex one as the int n
+    i, one = ("x", "1.0") if real else ("n", "1")
+    num = [f"({v} + {i})" for v in a]
     source = _LOOP.format(
-        upper="".join(x + ", " for x in a), lower="".join(x + ", " for x in b),
-        num=" * ".join(["1.0"] + [f"({x} + n)" for x in a]),
-        num_rest="for a in upper: num *= a + n" if p > _UNROLL else "pass",
-        den=" * ".join(["(n + 1)"] + [f"({x} + n)" for x in b]),
-        den_rest="for b in lower: den *= b + n" if q > _UNROLL else "pass")
+        start="n = 0; x = 0.0" if real else "n = 0",
+        step="n += 1; x += 1.0" if real else "n += 1",
+        upper="".join(v + ", " for v in a), lower="".join(v + ", " for v in b),
+        num=" * ".join(num if real and num else ["1.0"] + num),
+        num_rest=f"for a in upper: num *= a + {i}" if p > _UNROLL else "pass",
+        den=" * ".join([f"({i} + {one})"] + [f"({v} + {i})" for v in b]),
+        den_rest=f"for b in lower: den *= b + {i}" if q > _UNROLL else "pass")
     scope = {"RangeError": RangeError, "SumResult": SumResult,
              "SumStatus": SumStatus, "_observed_tail": _observed_tail}
     exec(compile("\n" * (_LOOP_LINE - 1) + source, __file__, "exec"), scope)
@@ -229,15 +238,24 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     report it; a polynomial returns at its last term with tail 0, since the
     term after it, zero by construction, is never formed.
 
-    The loop is compiled once per shape (p, q) (_direct_loop: about 0.4 ms
-    for a new shape, 2 ms for the first compile of a fresh interpreter),
-    because a for loop over the parameters took about 40% of each term.  The first _UNROLL parameters of a side are
-    multiplied in as straight-line products, 1.0 * (a0 + n) * (a1 + n) and
+    The loop is compiled once per shape (p, q, real) (_direct_loop: about
+    0.4 ms for a new shape, 2 ms for the first compile of a fresh
+    interpreter), because a for loop over the parameters took about 40% of
+    each term.  The first _UNROLL parameters of a side are multiplied in as
+    straight-line products, 1.0 * (a0 + n) * (a1 + n) and
     (n + 1) * (b0 + n), the operations of the for loop in its order; any
-    further ones go through a for loop.  A term that is not small passes
-    two comparisons and one test of n against stop = min(last polynomial
-    term, max_terms - 1); the sum is tested for finiteness only on the
-    path of small terms, which a total that is not finite always takes.
+    further ones go through a for loop.  A real loop keeps the int n for
+    its control and messages and steps a float x = n beside it, so that
+    its factors (a0 + x) * (a1 + x) and (x + 1.0) * (b0 + x) add two floats,
+    not a float and an int, which CPython does not specialize.  float + int
+    converts the int exactly, and x stays exact below 2^53 terms, so the
+    bits do not move; nor does dropping the 1.0 *, since 1.0 * v is v for
+    every float.  The complex loop keeps n and its 1.0 *: there a float
+    index was slower, and 1.0 * sets the signs of zero parts.  A term that
+    is not small passes two comparisons and one test of n against
+    stop = min(last polynomial term, max_terms - 1); the sum is tested for
+    finiteness only on the path of small terms, which a total that is not
+    finite always takes.
 
     A denominator product at the binary64 limit, one with a part of 2^1023
     or more so that 2 * den is not finite, can make the next term 0 or NaN:
@@ -249,7 +267,8 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     """
     upper, lower, z = spec.upper, spec.lower, spec.argument
     isfinite = cmath.isfinite
-    if z.imag == 0.0 and all(c.imag == 0.0 for c in upper + lower):
+    real = z.imag == 0.0 and all(c.imag == 0.0 for c in upper + lower)
+    if real:
         upper = tuple(a.real for a in upper)
         lower = tuple(b.real for b in lower)
         z = z.real
@@ -257,7 +276,7 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     last = policy.max_terms - 1
     trunc = spec.truncation_degree()
     stop, trunc = (last, -1) if trunc is None else (min(trunc, last), trunc)
-    loop = _direct_loop(len(upper), len(lower))
+    loop = _direct_loop(len(upper), len(lower), real)
     return loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
                 lower[_UNROLL:], z, policy.tolerance, stop, trunc, isfinite)
 
@@ -462,6 +481,40 @@ def _tail_kernel():
     return scope["tail_kernel"]
 
 
+def _power_sums(params) -> list:
+    """[sum of a^m over params for m = 1..K+2], each a left-to-right fold
+    from 0, with every a^m formed as CPython's complex a ** m forms it for
+    an int exponent (c_powu): a^m = a^(m-h) * a^h, h the top bit of m, and
+    a^h by squaring.  The values are those of a ** m on CPython 3.10-3.13;
+    only the signs of zero parts differ, and the fold from 0 washes them
+    out.  A float parameter gives float powers, exact for 1.0.  A part
+    beyond the binary64 range comes out inf or NaN where a ** m raised
+    OverflowError, so a caller tests the sums for finiteness."""
+    s1 = s2 = s3 = s4 = s5 = s6 = s7 = s8 = s9 = s10 = s11 = s12 = s13 = s14 = 0
+    for a in params:
+        a2 = a * a
+        a4 = a2 * a2
+        a8 = a4 * a4
+        a3 = a * a2
+        a5 = a * a4
+        a6 = a2 * a4
+        s1 += a
+        s2 += a2
+        s3 += a3
+        s4 += a4
+        s5 += a5
+        s6 += a6
+        s7 += a3 * a4
+        s8 += a8
+        s9 += a * a8
+        s10 += a2 * a8
+        s11 += a3 * a8
+        s12 += a4 * a8
+        s13 += a5 * a8
+        s14 += a6 * a8
+    return [s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14]
+
+
 def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
                      n: int, t: complex) -> tuple[complex, float]:
     """(sum_{k >= n} t_k, an estimate of its truncation error) of a p = q+1
@@ -477,21 +530,18 @@ def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
     terms.  It runs in floats when every P_m is real, as for conjugate
     pairs, with the bits of complex arithmetic (see _direct_sum), and sums
     by explicit left-to-right folds from 0, as sum() did up to Python 3.11
-    (3.12 compensates).  Everything after the power sums, a fixed amount
-    of work with fixed weights, runs in one function compiled once per
-    process on first use (_tail_kernel), the same code for float and
-    complex power sums.
+    (3.12 compensates).  The power sums come from one pass over each row
+    (_power_sums) with the bits of folds of a ** m; a power sum that is not
+    finite gives (0, inf), as the OverflowError of a ** m did.  Everything
+    after the power sums, a fixed amount of work with fixed weights, runs
+    in one function compiled once per process on first use (_tail_kernel),
+    the same code for float and complex power sums.
     """
-    lower = lower + (1.0,)
+    powers = [up - low for up, low in zip(_power_sums(upper),
+                                          _power_sums(lower + (1.0,)))]
+    if not all(map(cmath.isfinite, powers)):
+        return 0.0, math.inf
     try:
-        powers = []
-        for m in range(1, _ORDERS + 3):
-            up = low = 0
-            for a in upper:
-                up += a ** m
-            for b in lower:
-                low += b ** m
-            powers.append(up - low)
         if not any(p.imag for p in powers):
             powers = [p.real for p in powers]
         tail, estimate = _tail_kernel()(*powers, n, t)
@@ -541,42 +591,54 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     factor r the parts are r X * -y and r y * X, rounded differently, and
     den, which starts at n + 1, puts every lower pair behind one.  rho
     still counts a pair's steps as complex, so the estimate keeps its bits
-    too.
+    too.  Both heads add the float k = n, not the int n, to their
+    parameters (see _direct_sum), and form the pair's factor from
+    xk = x + k as xk * xk + y * y.
     """
     upper, lower = spec.upper, spec.lower
+    params = upper + lower
     p, q = len(upper), len(lower)
-    want = 8.0 * max(math.hypot(c.real, c.imag) for c in upper + lower)
+    # math.hypot, not abs(): abs() of a complex number is libm's hypot,
+    # which differs in the last bit now and then and so could move N
+    want = 8.0 * max(math.hypot(c.real, c.imag) for c in params)
     size = max(40, math.ceil(min(want, 2.0 ** 62)))
     capped = size >= policy.max_terms
     size = min(size, policy.max_terms - 1)
     # p+q additions, p+q+1 products and a division per step, at eps/2 each
     # for real parameters and at eps/2, sqrt(5) eps/2 and 4 eps for complex
-    rho = (2 * (p + q) + 6 if any(c.imag for c in upper + lower) else p + q + 1) * _EPS
+    real = not any(c.imag for c in params)
+    rho = (p + q + 1 if real else 2 * (p + q) + 6) * _EPS
     spread = (size * _EPS) ** 2
     x, y = upper[0].real, upper[0].imag
-    pair = p > 1 and y != 0.0 and upper[1] == upper[0].conjugate()
-    rest = upper[2:] if pair else upper
-    if all(c.imag == 0.0 for c in rest + lower):
-        rest, lows = tuple(a.real for a in rest), tuple(b.real for b in lower)
+    pair = (p > 1 and y != 0.0 and upper[1] == upper[0].conjugate()
+            and not any(c.imag for c in upper[2:] + lower))
+    if real or pair:
+        rest = tuple(a.real for a in (upper[2:] if pair else upper))
+        lows = tuple(b.real for b in lower)
         one, zero, isfinite = 1.0, 0.0, math.isfinite
     else:
-        pair, rest, lows = False, upper, lower
+        rest, lows = upper, lower
         one, zero, isfinite = 1.0 + 0.0j, 0.0 + 0.0j, cmath.isfinite
     total = comp = zero
     t, err = one, 0.0
+    k = 0.0                     # n as a float: exact, and no int to convert
     try:
         for n in range(size):
             partial = total + t
             back = partial - total
             comp += (total - (partial - back)) + (t - back)
             total = partial
-            err += (n * rho + spread) * abs(t)
-            num = (x + n) * (x + n) + y * y if pair else one
+            err += (k * rho + spread) * abs(t)
+            if pair:
+                xk = x + k
+                num = xk * xk + y * y
+            else:
+                num = one
             for a in rest:
-                num *= a + n
-            den = (n + 1) + zero
+                num *= a + k
+            den = (k + 1.0) + zero
             for b in lows:
-                den *= b + n
+                den *= b + k
             t = t * num / den
             if not t:
                 # a true underflow: num is not 0, and den, at least 1, has
@@ -589,6 +651,7 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
                 break
             if not isfinite(t):
                 raise RangeError(f"term {n + 1}: not finite")
+            k += 1.0
         else:
             tail, estimate = _asymptotic_tail(upper, lower, size, complex(t))
             estimate += (size + _ORDERS) * rho * abs(tail)

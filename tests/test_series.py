@@ -397,22 +397,27 @@ def _code_numbers(code) -> set:
 
 
 def test_direct_sum_compiles_one_loop_per_shape():
-    """Every spec of one shape (p, q), real or complex, runs one compiled
-    loop, whose code holds no parameter value, argument or tolerance: the
-    shape alone makes the code, and the values are arguments."""
+    """Every spec of one shape (p, q, real) runs one compiled loop, whose
+    code holds no parameter value, argument or tolerance: the shape alone
+    makes the code, and the values are arguments.  A real and a complex
+    spec of one (p, q) run two loops; only the real one steps the float
+    counter x."""
     specs = [SeriesSpec((0.123456789, -0.987654321 + 0.5j), (2.718281828e-3,), 0.31830988),
              SeriesSpec((0.4, 0.6), (1.7,), 0.25),
-             SeriesSpec((0.4, 0.6 + 2j), (1.7,), 0.25 - 0.1j)]
+             SeriesSpec((0.4, 0.6 + 2j), (1.7,), 0.25 - 0.1j),
+             SeriesSpec((0.3, 0.7), (1.9,), -0.125)]
     series._direct_loop.cache_clear()
     for spec in specs:
         series._direct_sum(spec, SumPolicy(tolerance=7.25e-12))
     info = series._direct_loop.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    loop = series._direct_loop(2, 1)
-    assert loop.__code__.co_filename == series.__file__
-    numbers = _code_numbers(loop.__code__)
-    # the loop's own constants: term indices, 1.0, 2.0 * den and the 0.99 cap
-    assert numbers <= {0, 1, 2, 0.99}, numbers
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    for real in (True, False):
+        loop = series._direct_loop(2, 1, real)
+        assert loop.__code__.co_filename == series.__file__
+        assert ("x" in loop.__code__.co_varnames) is real
+        numbers = _code_numbers(loop.__code__)
+        # the loop's own constants: term indices, 1.0, 2.0 * den and the 0.99 cap
+        assert numbers <= {0, 1, 2, 0.99}, numbers
 
 
 @pytest.mark.parametrize("upper, lower, z", [
@@ -733,9 +738,58 @@ def _tail_draw(rng: random.Random):
     return tuple(rows[0]), tuple(rows[1]), rng.choice((9, 24, 40, 164, 1000)), t
 
 
+def _edge_parameter(rng: random.Random) -> complex:
+    """A seeded parameter at an edge of the power sums: a signed-zero part,
+    a real negative, or a modulus in [1e21, 3e23), where a ** 14 overflows
+    from about 1e22 on."""
+    kind = rng.random()
+    x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    if kind < 0.25:             # a signed-zero part
+        return rng.choice((complex(x, rng.choice((0.0, -0.0))),
+                           complex(rng.choice((0.0, -0.0)), y)))
+    if kind < 0.45:             # a real negative, either sign of zero
+        return complex(-abs(x) - 0.5, rng.choice((0.0, -0.0)))
+    size = 10.0 ** rng.uniform(21.0, 23.5)
+    angle = rng.choice((0.0, math.pi / 2, math.pi, rng.uniform(-math.pi, math.pi)))
+    return cmath.rect(size, angle)
+
+
+def _edge_row(rng: random.Random, count: int) -> tuple:
+    """count seeded parameters, each an edge parameter or an ordinary one."""
+    return tuple(_edge_parameter(rng) if rng.random() < 0.5
+                 else complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+                 for _ in range(count))
+
+
+def test_power_sums_match_complex_power():
+    """_power_sums(params)[m - 1] is repr-equal to the left fold from 0 of
+    a ** m for m = 1..K+2, on seeded rows with signed-zero parts, real
+    negatives, huge moduli and the float 1.0 that the tail appends to the
+    lower row.  Where some a ** m overflows, a sum is not finite and the
+    tail is (0.0, inf), as the OverflowError made it."""
+    rng = random.Random(0x90E5)
+    overflowed = 0
+    for _ in range(3000):
+        params = _edge_row(rng, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            params += (1.0,)
+        got = series._power_sums(params)
+        try:
+            want = [reduce(add, (a ** m for a in params), 0)
+                    for m in range(1, series._ORDERS + 3)]
+        except OverflowError:
+            overflowed += 1
+            assert not all(map(cmath.isfinite, got)), params
+            assert series._asymptotic_tail(params, (), 40, 1.0 + 0j) == (0.0, math.inf)
+            continue
+        assert repr(got) == repr(want), params
+    assert 300 <= overflowed <= 2700, overflowed
+
+
 def test_asymptotic_tail_matches_complex_reference():
     """The tail in floats, when the power sums are real, has the bits of the
-    complex reference; so has the complex path."""
+    complex reference; so has the complex path, also for parameters with
+    signed-zero parts, real negatives and moduli where a ** m overflows."""
     rng = random.Random(0x7A11)
     real = 0
     for _ in range(2000):
@@ -745,6 +799,16 @@ def test_asymptotic_tail_matches_complex_reference():
             (upper, lower, n, t)
         real += _real_power_sums(upper, lower)
     assert 2000 // 3 <= real < 2000
+    rng = random.Random(0xED6E)
+    finite = 0
+    for _ in range(500):
+        upper, lower, n, t = _tail_draw(rng)
+        upper, lower = _edge_row(rng, len(upper)), _edge_row(rng, len(lower))
+        got = series._asymptotic_tail(upper, lower, n, t)
+        assert repr(got) == repr(reference_asymptotic_tail(upper, lower, n, t)), \
+            (upper, lower, n, t)
+        finite += got[1] < math.inf
+    assert 50 <= finite <= 450, finite
 
 
 def test_registry_tails_run_in_floats_with_reference_bits(monkeypatch):
