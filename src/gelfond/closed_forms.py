@@ -66,21 +66,26 @@ SERIES = {
 def gamma_ratio(numerator, denominator) -> complex:
     """prod Gamma(numerator) / prod Gamma(denominator), in log space.
 
-    A pole among the numerator arguments raises PoleError; a pole among the
+    Each argument goes to log_gamma as given (it coerces to complex).  A
+    pole among the numerator arguments raises PoleError; a pole among the
     denominator arguments makes the ratio zero (scanned for only when
-    log_gamma raises, so each argument is checked once).  A ratio beyond
-    binary64 raises RangeError.
+    log_gamma raises, so each argument is checked once).  A ratio that
+    overflows binary64 raises RangeError, and so does a log sum that is NaN
+    or has an infinite imaginary part, such as inf - inf from two gammas
+    beyond binary64; a ratio that underflows is zero.
     """
     acc = 0.0 + 0.0j
     try:
         for z in numerator:
-            acc += log_gamma(complex(z))
+            acc += log_gamma(z)
         for z in denominator:
-            acc -= log_gamma(complex(z))
+            acc -= log_gamma(z)
     except (PoleError, RangeError):
         if any(nearest_nonpositive_int(complex(z)) is not None for z in denominator):
             return 0.0 + 0.0j
         raise
+    if not cmath.isfinite(acc) and (math.isnan(acc.real) or not math.isfinite(acc.imag)):
+        raise RangeError(f"gamma ratio is beyond binary64: its log sum is {acc}")
     try:
         return cmath.exp(acc)
     except OverflowError:

@@ -32,9 +32,8 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-# the Lanczos sum's first coefficient and its (coefficient, k) pairs
+# the Lanczos sum's first coefficient; log_gamma writes out the other eight
 _LANCZOS_HEAD = complex(_LANCZOS_COEF[0])
-_LANCZOS_TERMS = tuple(zip(_LANCZOS_COEF[1:], range(1, len(_LANCZOS_COEF))))
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
 _LOG_PI = math.log(math.pi)
 
@@ -45,13 +44,15 @@ REFLECTION_IM_LIMIT = 30.0
 
 
 def nearest_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> int | None:
-    """The k in 0, -1, -2, ... within ``tol`` of z, or None.
+    """The k in 0, -1, -2, ... within ``tol`` of z, or None; RangeError
+    for a non-finite z.
 
     Three tolerances are in use: POLE_TOLERANCE = 1e-12 for the poles of
     gamma, series.NEAR_INT_TOLERANCE = 1e-9 for the lower-pole guard of
     series parameters, and closed_forms.D_POLE_TOLERANCE =
-    1e-6 for the extension parameter d.  Every gamma routine sees its
-    argument here first, so a non-finite z raises RangeError here.
+    1e-6 for the extension parameter d.  log_gamma calls it only for
+    Re z < 1/2 or a non-finite z; gamma and reciprocal_gamma go through
+    log_gamma, so a non-finite argument to any of them raises here.
     """
     if not cmath.isfinite(z):
         raise RangeError(f"argument {z} is not finite")
@@ -60,12 +61,21 @@ def nearest_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> int | No
 
 
 def sin_pi(z: complex) -> complex:
-    """sin(pi z) from real sin/cos and hyperbolic functions of Im z."""
+    """sin(pi z) from real sin/cos and hyperbolic functions of Im z.
+
+    RangeError when cosh(pi Im z) overflows binary64 (a finite |Im z|
+    above about 226) or pi Re z is not finite (|Re z| above about 5.7e307).
+    log_gamma's reflection strip, |Im z| <= 30, meets only the second."""
     x, y = z.real, z.imag
-    return complex(
-        math.sin(math.pi * x) * math.cosh(math.pi * y),
-        math.cos(math.pi * x) * math.sinh(math.pi * y),
-    )
+    try:
+        return complex(
+            math.sin(math.pi * x) * math.cosh(math.pi * y),
+            math.cos(math.pi * x) * math.sinh(math.pi * y),
+        )
+    except OverflowError:
+        raise RangeError(f"sin_pi({z}) overflows binary64") from None
+    except ValueError:
+        raise RangeError(f"sin_pi({z}): pi Re z is not finite") from None
 
 
 def log_gamma(z: complex) -> complex:
@@ -80,13 +90,21 @@ def log_gamma(z: complex) -> complex:
     log_gamma(-7.3-12j).imag is -28.32 where the continuous branch has
     -3.19.  It is not the principal log of Gamma(z) either.
 
-    Raises PoleError within ``POLE_TOLERANCE`` of a non-positive integer and
-    RangeError when the reflection path would need |Im z| > 30.
+    Raises PoleError within ``POLE_TOLERANCE`` of a non-positive integer,
+    RangeError for a non-finite z and RangeError when the reflection path
+    would need |Im z| > 30.  The poles all have Re <= 0, so a finite z with
+    Re z >= 1/2 is at least 1/2 from one and skips the pole scan; a NaN
+    real part fails ``< 0.5`` and is caught by ``isfinite``.
+
+    The Lanczos sum is written out left to right with literal
+    coefficients: the operations of ``acc += _LANCZOS_COEF[k] / (w + k)``
+    for k = 1..8 from _LANCZOS_HEAD, in that order, so it has the bits of
+    the loop that tests/conftest.py keeps as its reference.
     """
     z = complex(z)
-    if nearest_nonpositive_int(z) is not None:
-        raise PoleError(f"log_gamma: {z} is within {POLE_TOLERANCE} of a pole")
     reflect = z.real < 0.5
+    if (reflect or not cmath.isfinite(z)) and nearest_nonpositive_int(z) is not None:
+        raise PoleError(f"log_gamma: {z} is within {POLE_TOLERANCE} of a pole")
     if reflect:
         if abs(z.imag) > REFLECTION_IM_LIMIT:
             raise RangeError(
@@ -95,9 +113,10 @@ def log_gamma(z: complex) -> complex:
         # Re(1 - z) > 1/2, never a pole: the Lanczos sum below applies
         head, z = _LOG_PI - cmath.log(sin_pi(z)), 1.0 - z
     w = z - 1.0
-    acc = _LANCZOS_HEAD
-    for c, k in _LANCZOS_TERMS:
-        acc += c / (w + k)
+    acc = (_LANCZOS_HEAD + 676.5203681218851 / (w + 1) + -1259.1392167224028 / (w + 2)
+           + 771.32342877765313 / (w + 3) + -176.61502916214059 / (w + 4)
+           + 12.507343278686905 / (w + 5) + -0.13857109526572012 / (w + 6)
+           + 9.9843695780195716e-6 / (w + 7) + 1.5056327351493116e-7 / (w + 8))
     t = w + _LANCZOS_G + 0.5
     value = _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
     return head - value if reflect else value

@@ -270,6 +270,23 @@ def test_exp_overflow_is_range_error(f, args):
         f(*args)
 
 
+@pytest.mark.parametrize("f, args", [
+    (gauss_unit, (0.1, 0.2, 1e307)),                # inf - inf
+    (bailey_half, (0.3, 1e308)),                    # inf - inf
+    (gamma_ratio, ((0.5 + 1e308j,), ())),           # imaginary part inf
+], ids=["gauss_unit-nan", "bailey_half-nan", "gamma_ratio-inf-imag"])
+def test_undefined_log_sum_is_range_error(f, args):
+    # the log sum of gammas beyond binary64 is NaN or has an infinite
+    # imaginary part; exp of it is NaN or a bare ValueError
+    with pytest.raises(RangeError, match="log sum is"):
+        f(*args)
+
+
+def test_gamma_ratio_underflow_is_zero():
+    # log sum -inf + 0j: the ratio underflows to zero and is no error
+    assert gamma_ratio((1.0,), (1e306,)) == 0
+
+
 @pytest.mark.parametrize("c", [150, 197, 400])
 def test_bailey_ext_half_large_c_against_series(c):
     """2^(-c) Gamma(1/2) Gamma(c+1) overflows from c = 197 on while the

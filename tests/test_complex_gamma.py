@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from gelfond import (
     sin_pi,
     theorem1,
 )
+from gelfond import complex_gamma
 from conftest import COSH_PI, SINH_PI, random_complex, reference_log_gamma, rel_err
 
 
@@ -174,6 +176,27 @@ def test_non_finite_arguments_raise_range_error(call):
         call()
 
 
+def test_lanczos_literals_are_the_coefficients():
+    """log_gamma writes its Lanczos sum out with literal coefficients.  A
+    one-ulp slip in the small last ones moves no bit at any reference
+    point, so the literals are read from the compiled function and
+    compared with _LANCZOS_COEF, in order."""
+    coef = complex_gamma._LANCZOS_COEF[1:]
+    consts = log_gamma.__code__.co_consts
+    assert [c for c in consts if isinstance(c, float) and c in coef] == list(coef)
+
+
+@pytest.mark.parametrize("f, z, message", [
+    (sin_pi, 0.3 + 300j, "overflows binary64"),
+    (sin_pi, math.inf, "not finite"),
+    (log_gamma, complex(-1e308, 30.0), "not finite"),   # pi Re z overflows
+], ids=["cosh-overflow", "inf", "log_gamma-reflection"])
+def test_sin_pi_out_of_range_raises_range_error(f, z, message):
+    # math.cosh raises OverflowError and math.sin of inf ValueError
+    with pytest.raises(RangeError, match=message):
+        f(z)
+
+
 def _log_gamma_outcome(f, z) -> tuple[str, str]:
     """("value", repr of f(z)), or f's exception's name and message."""
     try:
@@ -186,7 +209,10 @@ def test_log_gamma_matches_reference():
     """log_gamma against the index-loop reference: repr-equal on 2,400
     seeded points with -20 <= Re z <= 50 and |Im z| <= 30 (both branches,
     a tenth of them on the real axis), and the same exception and message
-    at and near the poles and beyond the reflection strip."""
+    at and near the poles and beyond the reflection strip.  The reference
+    scans for poles everywhere, log_gamma only for Re z < 1/2 or a
+    non-finite z: both sides of that guard, non-finite parts, signed zeros
+    and non-complex arguments are pinned too."""
     rng = random.Random(0x1064)
     points = []
     for i in range(2400):
@@ -198,6 +224,18 @@ def test_log_gamma_matches_reference():
         points += [complex(k), complex(k + 5e-13, -5e-13), complex(k, 2e-12),
                    complex(k - 1e-6), complex(k + 0.5, 30.0 + 1e-9)]
     points += [complex(-3.0, 31.0), complex(0.25, -1e3), 0.5 + 1e3j, 1e300, 0.5]
+    below_half = math.nextafter(0.5, 0.0)
+    for x in (0.5, below_half):
+        points += [complex(x), complex(x, 2.5), complex(x, -0.0), complex(x, -2.5)]
+    for v in (math.inf, -math.inf, math.nan):
+        points += [complex(v, 1.0), complex(v, -0.0)]
+        points += [complex(x, v) for x in (0.75, 0.5, below_half, 0.25, -2.0)]
+    points += [complex(3.5, -0.0), complex(-2.5, -0.0), complex(-3.0, -0.0),
+               3, Fraction(1, 2), Fraction(-2)]
+    # t = (w + 7.0) + 0.5 and w + 7.5 differ here, and so does the value,
+    # directly and through the reflection
+    points += [complex(1.995480234601769, -4.242349685092563),
+               complex(-0.995480234601769, 4.242349685092563)]
     seen = set()
     for z in points:
         outcome = _log_gamma_outcome(log_gamma, z)
