@@ -19,6 +19,13 @@ cancellation.  Gamma factors in denominators are applied as reciprocal
 gammas, so a denominator pole contributes a factor of zero instead of
 raising; the two extension formulas rely on this to take their finite
 limits (e.g. a zero upper parameter).
+
+Every log-gamma sum becomes a value by one rule, complex_gamma.exp_log_sum:
+a real part of -inf is an underflow and gives 0, and a sum that is NaN, has
+a real part of +inf or an imaginary part that is not finite, or whose
+exponential overflows raises RangeError.  The three extension theorems also
+raise RangeError when their last step, a gamma product times a brace, is
+not finite.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .complex_gamma import log_gamma, nearest_nonpositive_int, reciprocal_gamma
+from .complex_gamma import (
+    exp_log_sum, log_gamma, nearest_nonpositive_int, reciprocal_gamma,
+)
 from .errors import ConvergenceDomainError, PoleError, RangeError
 
 # d = 0 is the pole of the 1/d in every extension theorem, and d at a
@@ -69,10 +78,11 @@ def gamma_ratio(numerator, denominator) -> complex:
     Each argument goes to log_gamma as given (it coerces to complex).  A
     pole among the numerator arguments raises PoleError; a pole among the
     denominator arguments makes the ratio zero (scanned for only when
-    log_gamma raises, so each argument is checked once).  A ratio that
-    overflows binary64 raises RangeError, and so does a log sum that is NaN
-    or has an infinite imaginary part, such as inf - inf from two gammas
-    beyond binary64; a ratio that underflows is zero.
+    log_gamma raises, so each argument is checked once).  The log sum
+    becomes a value by complex_gamma.exp_log_sum's rule: zero for a real
+    part of -inf (an underflow); RangeError for a NaN or +inf real part
+    (inf - inf from two gammas beyond binary64 is NaN), an imaginary part
+    that is not finite, or an exponential that overflows.
     """
     acc = 0.0 + 0.0j
     try:
@@ -84,12 +94,15 @@ def gamma_ratio(numerator, denominator) -> complex:
         if any(nearest_nonpositive_int(complex(z)) is not None for z in denominator):
             return 0.0 + 0.0j
         raise
-    if not cmath.isfinite(acc) and (math.isnan(acc.real) or not math.isfinite(acc.imag)):
-        raise RangeError(f"gamma ratio is beyond binary64: its log sum is {acc}")
-    try:
-        return cmath.exp(acc)
-    except OverflowError:
-        raise RangeError("gamma ratio overflows binary64") from None
+    return exp_log_sum(acc)
+
+
+def _finite(value: complex) -> complex:
+    """value, or RangeError if the last step of an extension theorem, a
+    finite gamma product times a brace, left binary64 (an overflow or 0 * inf)."""
+    if not cmath.isfinite(value):
+        raise RangeError(f"closed form is beyond binary64: {value}")
+    return value
 
 
 def gauss_unit(a: complex, b: complex, c: complex) -> complex:
@@ -118,7 +131,7 @@ def gauss_ext_unit(a: complex, b: complex, c: complex, d: complex) -> complex:
             f"gauss_ext_unit requires Re(c-a-b) > 0, got {s.real}"
         )
     prefactor = gamma_ratio((c + 1, s), (c - a + 1, c - b + 1))
-    return prefactor * (s + a * b / d)
+    return _finite(prefactor * (s + a * b / d))
 
 
 def second_gauss_half(a: complex, b: complex) -> complex:
@@ -156,7 +169,7 @@ def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
         + ((a + b + 1) / d - 2.0)
         * reciprocal_gamma(a / 2) * reciprocal_gamma(b / 2)
     )
-    return prefactor * brace
+    return _finite(prefactor * brace)
 
 
 def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
@@ -165,24 +178,32 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
         2^(-c) Gamma(1/2) Gamma(c+1)
         * {  (2/d)     / (Gamma(c/2 + a/2)       Gamma(c/2 - a/2 + 1/2))
            + (1 - c/d) / (Gamma(c/2 + a/2 + 1/2) Gamma(c/2 - a/2 + 1))   }
+
+    The prefactor's log sum becomes a value by exp_log_sum; where that
+    raises RangeError, each brace term is taken as one gamma ratio by
+    Legendre's duplication formula instead.  RangeError when the value is
+    not finite, on either path.
     """
     a, c = complex(a), complex(c)
     d = check_d(d)
+    # outside the try: a RangeError of log_gamma's own does not select the
+    # Legendre path, only one of the exponential's
+    acc = -c * _LN2 + log_gamma(0.5) + log_gamma(c + 1)
     try:
-        prefactor = cmath.exp(-c * _LN2 + log_gamma(0.5) + log_gamma(c + 1))
-    except OverflowError:
+        prefactor = exp_log_sum(acc)
+    except RangeError:
         # the prefactor leaves binary64 while the reciprocal gammas of the
         # brace underflow (a = 1/2, d = 2 from about c = 197 on); by Legendre's
         # duplication formula it is Gamma(c/2 + 1) Gamma(c/2 + 1/2), so
         # each brace term is one gamma ratio, one exponential
         top = (c / 2 + 1.0, c / 2 + 0.5)
-        return ((2.0 / d) * gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
-                + (1.0 - c / d)
-                * gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))
+        return _finite((2.0 / d) * gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
+                       + (1.0 - c / d)
+                       * gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))
     brace = (
         (2.0 / d)
         * reciprocal_gamma(c / 2 + a / 2) * reciprocal_gamma(c / 2 - a / 2 + 0.5)
         + (1.0 - c / d)
         * reciprocal_gamma(c / 2 + a / 2 + 0.5) * reciprocal_gamma(c / 2 - a / 2 + 1.0)
     )
-    return prefactor * brace
+    return _finite(prefactor * brace)

@@ -122,25 +122,35 @@ def log_gamma(z: complex) -> complex:
     return head - value if reflect else value
 
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) for complex z; PoleError at non-positive integers."""
+def exp_log_sum(acc: complex) -> complex:
+    """exp(acc) for a sum of log-gammas, the one rule by which gamma,
+    reciprocal_gamma and every gamma product of closed_forms become a value.
+
+    A real part of -inf is an underflow and gives 0.  RangeError when the
+    real part is NaN (such as inf - inf from two gammas beyond binary64
+    that cancel) or +inf, the imaginary part is not finite, or the
+    exponential overflows binary64.
+    """
+    if not cmath.isfinite(acc) and acc.real != -math.inf:
+        raise RangeError(f"gamma product is beyond binary64: its log sum is {acc}")
     try:
-        value = cmath.exp(log_gamma(z))
+        return cmath.exp(acc)
     except OverflowError:
-        raise RangeError(f"gamma({z}) overflows binary64") from None
-    if not cmath.isfinite(value):
-        raise RangeError(f"gamma({z}) overflows binary64")
-    return value
+        raise RangeError("gamma product overflows binary64") from None
+
+
+def gamma(z: complex) -> complex:
+    """Gamma(z) for complex z, exp_log_sum(log_gamma(z)); PoleError at
+    non-positive integers, RangeError beyond binary64."""
+    return exp_log_sum(log_gamma(z))
 
 
 def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z), defined as exactly 0 at (and within POLE_TOLERANCE of)
-    the poles of Gamma.  Lets formulas with gamma factors in denominators
-    take their finite limits instead of raising.  RangeError when 1/Gamma(z)
-    overflows binary64."""
+    """1/Gamma(z), exp_log_sum(-log_gamma(z)), defined as exactly 0 at (and
+    within POLE_TOLERANCE of) the poles of Gamma.  Lets formulas with gamma
+    factors in denominators take their finite limits instead of raising.
+    RangeError when 1/Gamma(z) is beyond binary64."""
     try:
-        return cmath.exp(-log_gamma(z))
+        return exp_log_sum(-log_gamma(z))
     except PoleError:
         return 0.0 + 0.0j
-    except OverflowError:
-        raise RangeError(f"1/gamma({z}) overflows binary64") from None

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gelfond import ParseError
+from gelfond import ParseError, SeriesSpec, sum_pfq
 from gelfond.cli import REPORT_FIELDS, main, parse_complex
 
 
@@ -74,6 +74,21 @@ def test_eval_unit_argument(capsys):
     value = float(next(line.split("=")[1] for line in out.splitlines()
                        if line.startswith("value_re")))
     assert abs(value - math.cosh(math.pi)) <= 1e-5
+
+
+def test_eval_negative_value_joined_with_equals(capsys):
+    # argparse reads "-1/2" after a space as an option; after "=" it is the
+    # value, summed exactly as sum_pfq sums the same spec
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--upper", "-1/2", "--lower", "1", "--z", "1"])
+    assert excinfo.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["eval", "--upper=-1/2", "--lower", "1", "--z", "1",
+                 "--format", "json"]) == 0
+    row, = json.loads(capsys.readouterr().out)
+    spec = SeriesSpec((parse_complex("-1/2"),), (parse_complex("1"),),
+                      parse_complex("1"))
+    assert repr(row["value_re"]) == repr(sum_pfq(spec).value.real)
 
 
 def test_eval_divergent_request_is_usage_error(capsys):

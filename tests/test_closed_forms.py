@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from gelfond import (
     SumStatus,
     bailey_ext_half,
     bailey_half,
+    gamma,
     gauss_ext_unit,
     gauss_unit,
     reciprocal_gamma,
@@ -285,6 +288,77 @@ def test_undefined_log_sum_is_range_error(f, args):
 def test_gamma_ratio_underflow_is_zero():
     # log sum -inf + 0j: the ratio underflows to zero and is no error
     assert gamma_ratio((1.0,), (1e306,)) == 0
+
+
+def _ratio_of_two(a, b, c, d):
+    return gamma_ratio((a, b), (c, d))
+
+
+# the nine functions that turn a log-gamma sum into a value, by arity
+_GAMMA_LAYER = [
+    (gamma, 1),
+    (reciprocal_gamma, 1),
+    (_ratio_of_two, 4),
+    (gauss_unit, 3),
+    (gauss_ext_unit, 4),
+    (second_gauss_half, 2),
+    (bailey_half, 2),
+    (second_gauss_ext_half, 3),
+    (bailey_ext_half, 3),
+]
+_LOG_MAX_MODULUS = math.log(1.79e308)
+
+
+def _wide_argument(rng: random.Random) -> complex:
+    """Real or complex, half each, of modulus log-uniform on [1, 1.79e308]."""
+    r = math.exp(rng.uniform(0.0, _LOG_MAX_MODULUS))
+    if rng.random() < 0.5:
+        return complex(rng.choice((-r, r)))
+    return cmath.rect(r, rng.uniform(-math.pi, math.pi))
+
+
+def test_gamma_layer_returns_finite_or_typed_error():
+    """1,500 seeded draws per function over the whole binary64 range: each
+    call returns a finite complex or raises RangeError, PoleError or
+    ConvergenceDomainError, never inf, NaN or an untyped error."""
+    rng = random.Random(29)
+    bad = []
+    for f, arity in _GAMMA_LAYER:
+        for _ in range(1500):
+            args = [_wide_argument(rng) for _ in range(arity)]
+            try:
+                value = f(*args)
+            except (RangeError, PoleError, ConvergenceDomainError):
+                continue
+            except Exception as exc:
+                bad.append((f.__name__, args, repr(exc)))
+                continue
+            if not cmath.isfinite(value):
+                bad.append((f.__name__, args, repr(value)))
+    assert not bad, f"{len(bad)} bad outcomes, first {bad[:3]}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_ratio((1e306,), ()),                  # log sum +inf
+    lambda: bailey_ext_half(0.3, 1e308, 2),
+    lambda: gamma(1 + 1e308j),                          # Im log sum inf
+    lambda: reciprocal_gamma(1 + 1e308j),
+    lambda: bailey_ext_half(0.5, 1 + 1e308j, 2),
+    lambda: gauss_ext_unit(1e150, -1e306, -8, 2),       # 0 * inf in the brace
+    lambda: second_gauss_ext_half(1e200, 1e306, 1.5),
+], ids=["gamma_ratio-inf", "bailey_ext_half-nan", "gamma-inf-imag",
+        "reciprocal_gamma-inf-imag", "bailey_ext_half-inf-imag",
+        "gauss_ext_unit-brace", "second_gauss_ext_half-brace"])
+def test_beyond_binary64_is_range_error(call):
+    with pytest.raises(RangeError):
+        call()
+
+
+def test_log_sum_minus_inf_is_zero():
+    # Re log sum = -inf is an underflow also when Im log sum is infinite:
+    # log_gamma(1e306 + 1e308j) is inf + inf j
+    assert reciprocal_gamma(1e306 + 1e308j) == 0
+    assert gamma_ratio((1.0,), (1e306 + 1e308j,)) == 0
 
 
 @pytest.mark.parametrize("c", [150, 197, 400])

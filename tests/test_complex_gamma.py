@@ -59,8 +59,8 @@ def test_reflection_strip_limit():
 
 
 def test_gamma_overflow_raises():
-    # exp overflows at 200; at 1e306 log_gamma itself is infinite, and the
-    # non-finite check catches what exp returns
+    # exp overflows at 200; at 1e306 log_gamma itself is +inf, which
+    # exp_log_sum refuses before exp would return inf
     for z in (200.0, 1e306):
         with pytest.raises(RangeError):
             gamma(z)
