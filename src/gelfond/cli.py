@@ -32,6 +32,7 @@ import fnmatch
 import functools
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -58,42 +59,31 @@ REPORT_FIELDS = (
 # complex literal parsing
 # ----------------------------------------------------------------------
 
+# whole digits, then either "/" and the denominator's digits, or an optional
+# "." with the fraction's digits and an optional exponent; every part may be
+# empty, so the checks below read the match.  \d is a Unicode decimal digit
+# (category Nd), the digits Fraction accepts
+_NUMBER = re.compile(r"(\d*)(?:/(\d*)|\.?(\d*)(?:[eE][+-]?(\d*))?)")
+
+
 def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
     """Unsigned REAL or RATIONAL starting at pos; returns (value, next_pos)."""
-    start = pos
-    n = len(text)
-    while pos < n and text[pos].isdigit():
-        pos += 1
-    if pos < n and text[pos] == "/":
-        if pos == start:
+    m = _NUMBER.match(text, pos)
+    whole, denominator, fraction, exponent = m.groups()
+    if denominator is not None:
+        if not whole:
             raise ParseError("expected digits before '/'", pos)
-        pos += 1
-        dstart = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == dstart:
-            raise ParseError("expected digits after '/'", pos)
+        if not denominator:
+            raise ParseError("expected digits after '/'", m.start(2))
         try:
-            return Fraction(text[start:pos]), pos
+            return Fraction(m[0]), m.end()
         except ZeroDivisionError:
-            raise ParseError("zero denominator", dstart) from None
-    if pos < n and text[pos] == ".":
-        pos += 1
-        while pos < n and text[pos].isdigit():
-            pos += 1
-    if pos == start or text[start:pos] in (".",):
-        raise ParseError("expected a number", start)
-    if pos < n and text[pos] in "eE":
-        epos = pos + 1
-        if epos < n and text[epos] in "+-":
-            epos += 1
-        dstart = epos
-        while epos < n and text[epos].isdigit():
-            epos += 1
-        if epos == dstart:
-            raise ParseError("expected digits in exponent", dstart)
-        pos = epos
-    return Fraction(text[start:pos]), pos
+            raise ParseError("zero denominator", m.start(2)) from None
+    if not (whole or fraction):
+        raise ParseError("expected a number", pos)
+    if exponent == "":
+        raise ParseError("expected digits in exponent", m.start(4))
+    return Fraction(m[0]), m.end()
 
 
 def _scan_sign(text: str, pos: int) -> tuple[int, int]:

@@ -76,18 +76,20 @@ def gamma_ratio(numerator, denominator) -> complex:
     """prod Gamma(numerator) / prod Gamma(denominator), in log space.
 
     Each argument goes to log_gamma as given (it coerces to complex).  A
-    pole among the numerator arguments raises PoleError; a pole among the
-    denominator arguments makes the ratio zero (scanned for only when
-    log_gamma raises, so each argument is checked once).  The log sum
-    becomes a value by complex_gamma.exp_log_sum's rule: zero for a real
-    part of -inf (an underflow); RangeError for a NaN or +inf real part
-    (inf - inf from two gammas beyond binary64 is NaN), an imaginary part
-    that is not finite, or an exponential that overflows.
+    pole among the numerator arguments raises PoleError, also when a
+    denominator argument is a pole too; a pole among the denominator
+    arguments otherwise makes the ratio zero (scanned for only when
+    log_gamma raises on a denominator argument, so each argument is
+    checked once).  The log sum becomes a value by
+    complex_gamma.exp_log_sum's rule: zero for a real part of -inf (an
+    underflow); RangeError for a NaN or +inf real part (inf - inf from two
+    gammas beyond binary64 is NaN), an imaginary part that is not finite,
+    or an exponential that overflows.
     """
     acc = 0.0 + 0.0j
+    for z in numerator:
+        acc += log_gamma(z)
     try:
-        for z in numerator:
-            acc += log_gamma(z)
         for z in denominator:
             acc -= log_gamma(z)
     except (PoleError, RangeError):
@@ -157,6 +159,9 @@ def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
             / Gamma((a-b)/2 + 3/2)
         * {  ((a+b-1)/2 - a*b/d) / (Gamma((a+1)/2) Gamma((b+1)/2))
            + ((a+b+1)/d - 2)     / (Gamma(a/2)     Gamma(b/2))     }
+
+    PoleError at a - b in {1, -1, -3, ...}, the poles of the numerator's
+    Gamma((a-b)/2 - 1/2), though the series is finite there.
     """
     a, b = complex(a), complex(b)
     d = check_d(d)

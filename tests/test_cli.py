@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from gelfond.cli import REPORT_FIELDS, main, parse_complex
 def test_parse_rational():
     value = parse_complex("15/26")
     assert value == complex(float(Fraction(15, 26)), 0.0)
+    # any Unicode decimal digit (category Nd) is a digit, as for Fraction
+    assert parse_complex("\u0663/\u0664") == 0.75 + 0j      # Arabic-Indic 3/4
 
 
 def test_parse_complex_literal():
@@ -54,11 +58,43 @@ def test_parse_scientific_notation():
     ("1e", 2),
     ("1+2", 3),
     ("1+2i3", 4),
+    # digits to str.isdigit() but not decimal digits, which Fraction rejects
+    ("\u00b2", 0),            # superscript two
+    ("1\u00b2", 1),
+    ("1/\u2460", 2),          # circled one
+    ("2.5e\u00b3", 4),
+    ("1+\u00b9i", 2),
 ])
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(ParseError) as excinfo:
         parse_complex(text)
     assert excinfo.value.position == position
+
+
+def test_parse_complex_raises_only_parse_error():
+    """5,000 seeded strings over the literal alphabet, Unicode decimal
+    digits and characters that are digits to str.isdigit() but not decimal:
+    each parses or raises ParseError, never another error.  At most 7
+    characters, so an exponent has at most 5 digits: Fraction builds
+    10**exponent, which takes seconds from about 7 digits on."""
+    chars = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdigit()]
+    decimal = [c for c in chars if c.isdecimal()]
+    other = [c for c in chars if not c.isdecimal()]
+    alphabet = list("0123456789./eE+-i")
+    rng = random.Random(30)
+    bad = []
+    for _ in range(5000):
+        text = "".join(
+            rng.choice(pool) for pool in rng.choices(
+                (alphabet, decimal, other), weights=(8, 1, 1),
+                k=rng.randrange(1, 8)))
+        try:
+            parse_complex(text)
+        except ParseError:
+            pass
+        except Exception as exc:
+            bad.append((text, repr(exc)))
+    assert not bad, f"{len(bad)} strings raised another error, first {bad[:3]}"
 
 
 # ----------------------------------------------------------------------

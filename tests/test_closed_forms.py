@@ -344,13 +344,31 @@ def test_gamma_layer_returns_finite_or_typed_error():
     lambda: gamma(1 + 1e308j),                          # Im log sum inf
     lambda: reciprocal_gamma(1 + 1e308j),
     lambda: bailey_ext_half(0.5, 1 + 1e308j, 2),
-    lambda: gauss_ext_unit(1e150, -1e306, -8, 2),       # 0 * inf in the brace
-    lambda: second_gauss_ext_half(1e200, 1e306, 1.5),
+    # a finite gamma product times a brace of 0 * inf
+    lambda: gauss_ext_unit(3.5372662611579756e+272, -2.211889099253394e+83,
+                           3.5372662611579756e+272, 27793664998.042355),
+    lambda: second_gauss_ext_half(-326.4509051558289 - 0.009282583630000072j,
+                                  -147.62502764483608 - 2.8839044444084037j,
+                                  3.851316280001126e+283),
 ], ids=["gamma_ratio-inf", "bailey_ext_half-nan", "gamma-inf-imag",
         "reciprocal_gamma-inf-imag", "bailey_ext_half-inf-imag",
         "gauss_ext_unit-brace", "second_gauss_ext_half-brace"])
 def test_beyond_binary64_is_range_error(call):
     with pytest.raises(RangeError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: second_gauss_ext_half(0.2, 3.2, 2.0),      # G(-2) / G(0)
+    lambda: gauss_unit(1, -2.5, -1),                   # G(-1) / G(-2)
+    lambda: gauss_ext_unit(1e150, -1e306, -8, 2),      # G(-7) / G(-1e150)
+    lambda: second_gauss_ext_half(1e200, 1e306, 1.5),  # G(-5e305) / G(-5e305)
+], ids=["second_gauss_ext_half", "gauss_unit", "gauss_ext_unit",
+        "second_gauss_ext_half-huge"])
+def test_numerator_pole_over_denominator_pole_is_pole_error(call):
+    # only a denominator pole is a zero factor; a numerator pole raises
+    # even when a denominator argument is a pole too (G above is Gamma)
+    with pytest.raises(PoleError):
         call()
 
 

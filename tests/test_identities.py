@@ -28,6 +28,7 @@ from gelfond import (
     verify,
     verify_all,
 )
+from gelfond import identities
 from gelfond.identities import _lambda_case, closed_route, expected_value
 from conftest import COSH_PI, E_MINUS_PI, E_PI, rel_err
 
@@ -366,6 +367,18 @@ def test_verify_rejects_bad_tolerance_for_every_case(case):
     # documented-only cases, which sum no series, reject them too
     with pytest.raises(ValueError, match="tolerance must be"):
         verify(case, tolerance=1e-16)
+
+
+def test_corollary_claim_checked(monkeypatch):
+    # a row whose claimed coefficients the theorem does not give is refused,
+    # and the message names the case
+    monkeypatch.setattr(identities, "COROLLARIES", tuple(
+        r._replace(claim=lambda n: (F(n + 1), F(0))) if r.kind == "cor4" else r
+        for r in identities.COROLLARIES))
+    with pytest.raises(AssertionError, match="^cor4-n2: the theorem gives "
+                                             "coefficients"):
+        corollary_case("cor4", 2)
+    assert corollary_case("cor1", 2).n == 2
 
 
 def test_corollary_claim_checked_under_optimize():
