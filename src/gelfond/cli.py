@@ -62,12 +62,20 @@ REPORT_FIELDS = (
 # whole digits, then either "/" and the denominator's digits, or an optional
 # "." with the fraction's digits and an optional exponent; every part may be
 # empty, so the checks below read the match.  \d is a Unicode decimal digit
-# (category Nd), the digits Fraction accepts
+# (category Nd), the digits Fraction and float accept
 _NUMBER = re.compile(r"(\d*)(?:/(\d*)|\.?(\d*)(?:[eE][+-]?(\d*))?)")
+# the longest digit run of a RATIONAL: CPython converts a string of at most
+# 640 digits to int whatever its int-string limit is set to, and quickly
+_MAX_RATIONAL_DIGITS = 640
 
 
-def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
-    """Unsigned REAL or RATIONAL starting at pos; returns (value, next_pos)."""
+def _scan_number(text: str, pos: int) -> tuple[Fraction | float, int]:
+    """Unsigned REAL or RATIONAL starting at pos; returns (value, next_pos).
+
+    A RATIONAL is an exact Fraction.  A REAL is the nearest binary64 (inf
+    beyond its range), or the int 0 when its digits are all zero, so that a
+    sign makes +0.0 of it as of an exact zero, while a non-zero REAL that
+    rounds to 0.0 takes the sign as its exact value would."""
     m = _NUMBER.match(text, pos)
     whole, denominator, fraction, exponent = m.groups()
     if denominator is not None:
@@ -75,6 +83,8 @@ def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
             raise ParseError("expected digits before '/'", pos)
         if not denominator:
             raise ParseError("expected digits after '/'", m.start(2))
+        if max(len(whole), len(denominator)) > _MAX_RATIONAL_DIGITS:
+            raise ParseError(f"more than {_MAX_RATIONAL_DIGITS} digits", pos)
         try:
             return Fraction(m[0]), m.end()
         except ZeroDivisionError:
@@ -83,7 +93,10 @@ def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
         raise ParseError("expected a number", pos)
     if exponent == "":
         raise ParseError("expected digits in exponent", m.start(4))
-    return Fraction(m[0]), m.end()
+    # float() rounds the decimal string correctly, as float(Fraction(...))
+    # does, without building 10**exponent
+    value = float(m[0])
+    return (value if value or float(whole + fraction) else 0), m.end()
 
 
 def _scan_sign(text: str, pos: int) -> tuple[int, int]:
@@ -92,18 +105,22 @@ def _scan_sign(text: str, pos: int) -> tuple[int, int]:
     return 1, pos
 
 
-def _to_float(value: Fraction, pos: int) -> float:
+def _to_float(value: Fraction | float, pos: int) -> float:
     """value as the nearest binary64; ParseError at pos when it overflows."""
     try:
-        return float(value)
-    except OverflowError:
-        raise ParseError("number overflows binary64", pos) from None
+        value = float(value)
+    except OverflowError:  # a Fraction; a REAL beyond binary64 is inf already
+        value = math.inf
+    if math.isinf(value):
+        raise ParseError("number overflows binary64", pos)
+    return value
 
 
 def parse_complex(text: str) -> complex:
     """Parse REAL | RATIONAL | COMPLEX, whitespace-free.
 
-    RATIONAL is p/q over decimal integers and is converted exactly;
+    RATIONAL is p/q over decimal integers of at most 640 digits each and
+    is converted exactly;
     COMPLEX is <r>[+|-]<r>i; a bare or signed "i" means the unit
     imaginary, and forms like "-15/22i" are purely imaginary with the
     sign binding to the imaginary rational.  A number beyond the binary64

@@ -13,19 +13,19 @@ hypergeometric sum:
 SERIES is this list as code: name -> (upper, lower, argument) of the same
 arguments, unrounded, so that an exact Fraction d gives an exact d+1.
 
-Gamma ratios are assembled in log space (one exponential at the end) so
-that ratios of four gammas do not lose digits to intermediate overflow or
-cancellation.  Gamma factors in denominators are applied as reciprocal
-gammas, so a denominator pole contributes a factor of zero instead of
-raising; the two extension formulas rely on this to take their finite
-limits (e.g. a zero upper parameter).
+Every theorem is at most two terms, each a coefficient times one
+gamma_ratio.  A ratio is assembled in log space (one exponential at the
+end), so that ratios of four gammas do not lose digits to intermediate
+overflow or cancellation.  A denominator argument at a pole of Gamma makes
+its ratio zero instead of raising; the extension formulas rely on this to
+take their finite limits (e.g. a zero upper parameter).
 
 Every log-gamma sum becomes a value by one rule, complex_gamma.exp_log_sum:
 a real part of -inf is an underflow and gives 0, and a sum that is NaN, has
 a real part of +inf or an imaginary part that is not finite, or whose
 exponential overflows raises RangeError.  The three extension theorems also
-raise RangeError when their last step, a gamma product times a brace, is
-not finite.
+raise RangeError when their last step, a sum of coefficient-times-ratio
+terms, is not finite.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .complex_gamma import (
-    exp_log_sum, log_gamma, nearest_nonpositive_int, reciprocal_gamma,
-)
+from .complex_gamma import exp_log_sum, log_gamma, nearest_nonpositive_int
 from .errors import ConvergenceDomainError, PoleError, RangeError
 
 # d = 0 is the pole of the 1/d in every extension theorem, and d at a
@@ -43,7 +41,7 @@ from .errors import ConvergenceDomainError, PoleError, RangeError
 # the formula's value is dominated by the uncertainty of d itself.
 D_POLE_TOLERANCE = 1e-6
 
-_LN2 = math.log(2.0)
+_SQRT_PI = math.sqrt(math.pi)  # Gamma(1/2)
 
 
 def check_d(d: complex) -> complex:
@@ -100,8 +98,9 @@ def gamma_ratio(numerator, denominator) -> complex:
 
 
 def _finite(value: complex) -> complex:
-    """value, or RangeError if the last step of an extension theorem, a
-    finite gamma product times a brace, left binary64 (an overflow or 0 * inf)."""
+    """value, or RangeError if the last step of an extension theorem, its
+    sum of coefficient-times-ratio terms, left binary64 (an overflow,
+    0 * inf or inf - inf)."""
     if not cmath.isfinite(value):
         raise RangeError(f"closed form is beyond binary64: {value}")
     return value
@@ -155,26 +154,23 @@ def bailey_half(a: complex, c: complex) -> complex:
 def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
     """3F2(a, b, d+1; (a+b+3)/2, d; 1/2) for admissible d:
 
-        Gamma(1/2) Gamma((a+b)/2 + 3/2) Gamma((a-b)/2 - 1/2)
-            / Gamma((a-b)/2 + 3/2)
+        Gamma(1/2) Gamma(x) / Gamma(x+2) * Gamma((a+b)/2 + 3/2)
         * {  ((a+b-1)/2 - a*b/d) / (Gamma((a+1)/2) Gamma((b+1)/2))
            + ((a+b+1)/d - 2)     / (Gamma(a/2)     Gamma(b/2))     }
 
-    PoleError at a - b in {1, -1, -3, ...}, the poles of the numerator's
-    Gamma((a-b)/2 - 1/2), though the series is finite there.
+    with x = (a-b)/2 - 1/2, where Gamma(x) / Gamma(x+2) = 1/(x (x+1)).
+    PoleError at a - b = 1 or -1 (x = 0 or -1): the series is finite there,
+    but its value is a limit that needs the digamma function.
     """
     a, b = complex(a), complex(b)
     d = check_d(d)
-    prefactor = gamma_ratio(
-        (0.5, (a + b) / 2 + 1.5, (a - b) / 2 - 0.5), ((a - b) / 2 + 1.5,)
-    )
-    brace = (
-        ((a + b - 1) / 2 - a * b / d)
-        * reciprocal_gamma((a + 1) / 2) * reciprocal_gamma((b + 1) / 2)
-        + ((a + b + 1) / d - 2.0)
-        * reciprocal_gamma(a / 2) * reciprocal_gamma(b / 2)
-    )
-    return _finite(prefactor * brace)
+    x = (a - b) / 2 - 0.5
+    if nearest_nonpositive_int(x) in (0, -1):
+        raise PoleError(f"second_gauss_ext_half: no closed form at a - b = {a - b}")
+    top = ((a + b) / 2 + 1.5,)
+    brace = (((a + b - 1) / 2 - a * b / d) * gamma_ratio(top, ((a + 1) / 2, (b + 1) / 2))
+             + ((a + b + 1) / d - 2.0) * gamma_ratio(top, (a / 2, b / 2)))
+    return _finite(_SQRT_PI / (x * (x + 1.0)) * brace)
 
 
 def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
@@ -184,31 +180,13 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
         * {  (2/d)     / (Gamma(c/2 + a/2)       Gamma(c/2 - a/2 + 1/2))
            + (1 - c/d) / (Gamma(c/2 + a/2 + 1/2) Gamma(c/2 - a/2 + 1))   }
 
-    The prefactor's log sum becomes a value by exp_log_sum; where that
-    raises RangeError, each brace term is taken as one gamma ratio by
-    Legendre's duplication formula instead.  RangeError when the value is
-    not finite, on either path.
+    where 2^(-c) Gamma(1/2) Gamma(c+1) = Gamma(c/2 + 1) Gamma(c/2 + 1/2) by
+    Legendre's duplication formula, so each term is one gamma ratio.
+    PoleError at c = -1, -2, ..., the poles of Gamma(c+1).
     """
     a, c = complex(a), complex(c)
     d = check_d(d)
-    # outside the try: a RangeError of log_gamma's own does not select the
-    # Legendre path, only one of the exponential's
-    acc = -c * _LN2 + log_gamma(0.5) + log_gamma(c + 1)
-    try:
-        prefactor = exp_log_sum(acc)
-    except RangeError:
-        # the prefactor leaves binary64 while the reciprocal gammas of the
-        # brace underflow (a = 1/2, d = 2 from about c = 197 on); by Legendre's
-        # duplication formula it is Gamma(c/2 + 1) Gamma(c/2 + 1/2), so
-        # each brace term is one gamma ratio, one exponential
-        top = (c / 2 + 1.0, c / 2 + 0.5)
-        return _finite((2.0 / d) * gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
-                       + (1.0 - c / d)
-                       * gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))
-    brace = (
-        (2.0 / d)
-        * reciprocal_gamma(c / 2 + a / 2) * reciprocal_gamma(c / 2 - a / 2 + 0.5)
-        + (1.0 - c / d)
-        * reciprocal_gamma(c / 2 + a / 2 + 0.5) * reciprocal_gamma(c / 2 - a / 2 + 1.0)
-    )
-    return _finite(prefactor * brace)
+    top = (c / 2 + 1.0, c / 2 + 0.5)
+    return _finite((2.0 / d) * gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
+                   + (1.0 - c / d)
+                   * gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))

@@ -147,9 +147,10 @@ def gamma(z: complex) -> complex:
 
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z), exp_log_sum(-log_gamma(z)), defined as exactly 0 at (and
-    within POLE_TOLERANCE of) the poles of Gamma.  Lets formulas with gamma
-    factors in denominators take their finite limits instead of raising.
-    RangeError when 1/Gamma(z) is beyond binary64."""
+    within POLE_TOLERANCE of) the poles of Gamma.  RangeError when
+    1/Gamma(z) is beyond binary64.  Public API; no closed form calls it,
+    since closed_forms.gamma_ratio takes a denominator pole as a zero
+    factor itself."""
     try:
         return exp_log_sum(-log_gamma(z))
     except PoleError:

@@ -20,6 +20,8 @@ def test_parse_rational():
     assert value == complex(float(Fraction(15, 26)), 0.0)
     # any Unicode decimal digit (category Nd) is a digit, as for Fraction
     assert parse_complex("\u0663/\u0664") == 0.75 + 0j      # Arabic-Indic 3/4
+    # a digit run of up to 640 digits is read; one more is a ParseError
+    assert parse_complex("7" * 640 + "/" + "7" * 640) == 1
 
 
 def test_parse_complex_literal():
@@ -39,6 +41,19 @@ def test_parse_pure_imaginary_sign_binding():
 def test_parse_scientific_notation():
     assert parse_complex("1.5e2") == 150 + 0j
     assert parse_complex("-2e-3") == -0.002 + 0j
+    assert parse_complex("1e-999999999") == 0
+    assert parse_complex("0." + "0" * 5000 + "1e5002") == 10 + 0j
+
+
+def test_parse_signed_zero():
+    # a literal zero is +0.0 whatever its sign; a negative literal that
+    # rounds to zero is -0.0, the float of its exact value
+    def signs(text):
+        value = parse_complex(text)
+        return math.copysign(1, value.real), math.copysign(1, value.imag)
+    assert signs("-0") == signs("-0/7") == signs("-0.0e5") == signs("-0-0i") == (1, 1)
+    assert signs("-1e-400") == signs("-1/1" + "0" * 400) == (-1, 1)
+    assert signs("1-1e-999999i") == (1, -1)
 
 
 @pytest.mark.parametrize("text,position", [
@@ -64,6 +79,12 @@ def test_parse_scientific_notation():
     ("1/\u2460", 2),          # circled one
     ("2.5e\u00b3", 4),
     ("1+\u00b9i", 2),
+    # a long exponent overflows without 10**exponent being built, and a
+    # rational's digit run of more than 640 digits is refused by its length
+    ("1e999999999", 0),
+    ("1+1e" + "9" * 5000 + "i", 2),
+    ("1/" + "1" * 641, 0),
+    ("2-" + "3" * 5000 + "/7i", 2),
 ])
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(ParseError) as excinfo:
@@ -72,28 +93,42 @@ def test_parse_errors_carry_position(text, position):
 
 
 def test_parse_complex_raises_only_parse_error():
-    """5,000 seeded strings over the literal alphabet, Unicode decimal
-    digits and characters that are digits to str.isdigit() but not decimal:
-    each parses or raises ParseError, never another error.  At most 7
-    characters, so an exponent has at most 5 digits: Fraction builds
-    10**exponent, which takes seconds from about 7 digits on."""
+    """Seeded strings over the literal alphabet, Unicode decimal digits and
+    characters that are digits to str.isdigit() but not decimal: each
+    parses or raises ParseError, never another error.  5,000 strings of 1
+    to 7 characters, then 300 literals with exponents of up to 9 digits
+    and digit runs of up to 5,000 digits, past CPython's default limit of
+    4,300 digits on int-string conversion."""
     chars = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdigit()]
     decimal = [c for c in chars if c.isdecimal()]
     other = [c for c in chars if not c.isdecimal()]
     alphabet = list("0123456789./eE+-i")
     rng = random.Random(30)
+
+    def run(longest):
+        pool = decimal if rng.random() < 0.1 else "0123456789"
+        return "".join(rng.choices(pool, k=rng.choice((1, rng.randrange(1, longest + 1)))))
+
+    def literal():
+        body = run(5000) + rng.choice(("", "/" + run(5000), "." + run(5000)))
+        if "/" not in body and rng.random() < 0.7:
+            body += rng.choice("eE") + rng.choice(("", "+", "-")) + run(9)
+        return rng.choice(("", "-", "+")) + body
+
+    texts = ["".join(rng.choice(pool) for pool in rng.choices(
+                 (alphabet, decimal, other), weights=(8, 1, 1),
+                 k=rng.randrange(1, 8)))
+             for _ in range(5000)]
+    texts += [literal() + rng.choice(("", "i", "+" + literal() + "i"))
+              for _ in range(300)]
     bad = []
-    for _ in range(5000):
-        text = "".join(
-            rng.choice(pool) for pool in rng.choices(
-                (alphabet, decimal, other), weights=(8, 1, 1),
-                k=rng.randrange(1, 8)))
+    for text in texts:
         try:
             parse_complex(text)
         except ParseError:
             pass
         except Exception as exc:
-            bad.append((text, repr(exc)))
+            bad.append((text[:40], repr(exc)[:80]))
     assert not bad, f"{len(bad)} strings raised another error, first {bad[:3]}"
 
 

@@ -192,6 +192,42 @@ def test_bailey_ext_half_vs_series(rng):
         checked += 1
 
 
+@pytest.mark.parametrize("a, d", [(0.2, 2.0), (0.3 + 0.4j, 1.5 - 0.5j)])
+@pytest.mark.parametrize("diff", [-3, -5, -7])
+def test_second_gauss_ext_half_at_removable_poles(diff, a, d):
+    # a - b = diff puts Gamma((a-b)/2 - 1/2) at a pole, but Gamma(x) /
+    # Gamma(x+2) = 1/(x (x+1)) stays finite there, and so does the 3F2
+    b = a - diff
+    closed = second_gauss_ext_half(a, b, d)
+    r = sum_pfq(_series("second_gauss_ext_half", a, b, d), _half_policy())
+    assert abs(closed - r.value) <= 1e-11 * max(1.0, abs(r.value))
+
+
+@pytest.mark.parametrize("a, b", [(1.2, 0.2), (0.2, 1.2)], ids=["plus-one", "minus-one"])
+def test_second_gauss_ext_half_at_unit_difference_is_pole_error(a, b):
+    # a - b = +-1: 1/(x (x+1)) is infinite, and the finite 3F2 (1.1174319686
+    # at (1.2, 0.2, 2), mpmath) is a limit that needs the digamma function
+    with pytest.raises(PoleError):
+        second_gauss_ext_half(a, b, 2.0)
+
+
+def test_second_gauss_ext_half_small_value():
+    # single gamma factors leave binary64 here, ratios summed in log space
+    # do not (expected value: mpmath 1.3.0 at 50 digits)
+    value = second_gauss_ext_half(-326.4509051558289 - 0.009282583630000072j,
+                                  -147.62502764483608 - 2.8839044444084037j,
+                                  3.851316280001126e+283)
+    expected = 1.2696942586576464e-63 - 3.3815302640559736e-64j
+    assert abs(value - expected) <= 1e-11 * abs(expected)
+
+
+@pytest.mark.parametrize("c", [-1, -2, -3])
+def test_bailey_ext_half_pole_at_negative_integer_c(c):
+    # Gamma(c+1) = 2^c Gamma(c/2 + 1) Gamma(c/2 + 1/2) / Gamma(1/2)
+    with pytest.raises(PoleError):
+        bailey_ext_half(0.3, c, 2)
+
+
 # ----------------------------------------------------------------------
 # oracle equivalence at z = 1
 # ----------------------------------------------------------------------
@@ -347,24 +383,25 @@ def test_gamma_layer_returns_finite_or_typed_error():
     # a finite gamma product times a brace of 0 * inf
     lambda: gauss_ext_unit(3.5372662611579756e+272, -2.211889099253394e+83,
                            3.5372662611579756e+272, 27793664998.042355),
-    lambda: second_gauss_ext_half(-326.4509051558289 - 0.009282583630000072j,
-                                  -147.62502764483608 - 2.8839044444084037j,
-                                  3.851316280001126e+283),
+    # two finite gamma ratios, a term of the brace overflows
+    lambda: second_gauss_ext_half(83.87059150583988,
+                                  275012951.6383328 + 134297500.83962062j,
+                                  -304641603652.627),
+    lambda: second_gauss_ext_half(1e200, 1e306, 1.5),   # log sum inf - inf
 ], ids=["gamma_ratio-inf", "bailey_ext_half-nan", "gamma-inf-imag",
         "reciprocal_gamma-inf-imag", "bailey_ext_half-inf-imag",
-        "gauss_ext_unit-brace", "second_gauss_ext_half-brace"])
+        "gauss_ext_unit-brace", "second_gauss_ext_half-brace",
+        "second_gauss_ext_half-huge"])
 def test_beyond_binary64_is_range_error(call):
     with pytest.raises(RangeError):
         call()
 
 
 @pytest.mark.parametrize("call", [
-    lambda: second_gauss_ext_half(0.2, 3.2, 2.0),      # G(-2) / G(0)
+    lambda: second_gauss_ext_half(-4, -1, 2.0),        # G(-1) / (G(-2) G(0))
     lambda: gauss_unit(1, -2.5, -1),                   # G(-1) / G(-2)
     lambda: gauss_ext_unit(1e150, -1e306, -8, 2),      # G(-7) / G(-1e150)
-    lambda: second_gauss_ext_half(1e200, 1e306, 1.5),  # G(-5e305) / G(-5e305)
-], ids=["second_gauss_ext_half", "gauss_unit", "gauss_ext_unit",
-        "second_gauss_ext_half-huge"])
+], ids=["second_gauss_ext_half", "gauss_unit", "gauss_ext_unit"])
 def test_numerator_pole_over_denominator_pole_is_pole_error(call):
     # only a denominator pole is a zero factor; a numerator pole raises
     # even when a denominator argument is a pole too (G above is Gamma)
@@ -382,7 +419,8 @@ def test_log_sum_minus_inf_is_zero():
 @pytest.mark.parametrize("c", [150, 197, 400])
 def test_bailey_ext_half_large_c_against_series(c):
     """2^(-c) Gamma(1/2) Gamma(c+1) overflows from c = 197 on while the
-    brace's reciprocal gammas underflow; their product, the 3F2, is near 1."""
+    reciprocal gammas of the theorem's brace underflow; each term taken as
+    one gamma ratio gives their product, the 3F2, near 1."""
     closed = bailey_ext_half(0.5, c, 2)
     r = sum_pfq(_series("bailey_ext_half", 0.5, c, 2), _half_policy())
     assert r.status is SumStatus.CONVERGED
