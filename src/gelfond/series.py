@@ -22,6 +22,13 @@ pairs, forms its power sums by the multiplication chain of complex ** and
 does its fixed-size work in one function compiled on first use
 (_asymptotic_tail, _power_sums, _tail_kernel).  All of them keep the bits
 of complex arithmetic.
+Near z = 1, |1 - z| < CONNECTION_RADIUS = 1/16 with |z| < 1, a 2F1 that
+does not terminate is first tried by the 1 - z connection formula (DLMF
+15.8.4): two short sums in 1 - z and two gamma ratios, with a bound that
+counts their truncation, their rounding and log_gamma's measured envelope
+(see _connection_sum).  It answers only when that bound meets the
+tolerance, and only for s = c - a - b at least 1/32 from every integer;
+otherwise the sum runs directly, as it does for every other spec.
 levin_accelerate, a Levin u-transform evaluated exactly in integers (see
 _levin_orders), is public but no summation route uses it.
 """
@@ -37,7 +44,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .complex_gamma import nearest_nonpositive_int
+from .closed_forms import gamma_ratio
+from .complex_gamma import (ENVELOPE_POLE_DISTANCE, LOG_GAMMA_ENVELOPE,
+                            nearest_nonpositive_int, within_envelope)
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
 
 _EPS = 2.220446049250313e-16
@@ -668,6 +677,126 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     return SumResult(value, size + 1, estimate, SumStatus.MAX_TERMS_EXCEEDED)
 
 
+# ----------------------------------------------------------------------
+# 2F1 near z = 1: the 1 - z connection formula
+# ----------------------------------------------------------------------
+
+# rho: 2F1 is taken by _connection_sum when |1 - z| is below this
+CONNECTION_RADIUS = 1.0 / 16.0
+# |psi(x)| <= ln(2 + |x|) + 1/delta + 1 over the envelope's region, delta
+# its pole distance: measured against mpmath.digamma on 20,000 seeded
+# points, half of them 1/32 to 0.2 from a pole, |psi| reached 0.975 of it
+_PSI_SLACK = 1.0 / ENVELOPE_POLE_DISTANCE + 1.0
+
+
+def _short_2f1(a, b, c, w, cap: int):
+    """(value, bound, terms, sum of k |t_k|) of 2F1(a, b; c; w), summed
+    until the truncation bound is below eps sum|t_k|; None past cap terms.
+
+    For k >= n >= 1 with n + min(Re c, 0) > 0, |c + k| >= k + min(Re c, 0)
+    and k + 1 > k give |t_{k+1} / t_k| <= r_n = |w| (1 + |a|/n)
+    (1 + |b|/n) / (1 + min(Re c, 0)/n), each factor falling in k, so the
+    terms after t_n add up to at most |t_n| r_n / (1 - r_n).  The bound
+    adds that and the rounding: t_k carries k steps of at most rho each
+    (5 eps for floats, 14 eps for complex, counted as in _unit_sum) and
+    the running sum n eps sum|t_k|."""
+    rho = (5.0 if type(w) is float else 14.0) * _EPS
+    aw, ma, mb, low = abs(w), abs(a), abs(b), min(c.real, 0.0)
+    t = total = 1.0
+    abs_sum, weighted = 1.0, 0.0
+    n = 0
+    while n + 1 < cap:
+        t = t * w * (a + n) * (b + n) / ((c + n) * (n + 1))
+        n += 1
+        total += t
+        abs_t = abs(t)
+        abs_sum += abs_t
+        weighted += n * abs_t
+        if n + low > 0.0:
+            r = aw * (1.0 + ma / n) * (1.0 + mb / n) / (1.0 + low / n)
+            if r < 1.0 and abs_t * r <= (1.0 - r) * _EPS * abs_sum:
+                bound = abs_t * r / (1.0 - r) + rho * weighted + n * _EPS * abs_sum
+                return total, bound, n + 1, weighted
+    return None
+
+
+def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
+    """2F1(a, b; c; z) for |1 - z| < CONNECTION_RADIUS by DLMF 15.8.4,
+        A F(a, b; 1-s; 1-z) + (1-z)^s B F(c-a, c-b; 1+s; 1-z),
+    s = c - a - b, A = Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) and
+    B = Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)), each one gamma_ratio;
+    None, so that sum_pfq sums directly, unless the bound below meets the
+    tolerance by _direct_sum's test.
+
+    Every gamma argument must lie where LOG_GAMMA_ENVELOPE was measured
+    (within_envelope), but for a c - a or c - b of exactly 0; for s and
+    -s that puts s at least delta = ENVELOPE_POLE_DISTANCE = 1/32 from
+    every integer, so the degenerate s in Z stays direct.  With T1 and T2
+    the two terms, the bound adds
+    - each short sum's truncation and rounding (_short_2f1), times |A|
+      and |(1-z)^s B|;
+    - the gamma factors, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term,
+      times |T1| + |T2|;
+    - the rounding of (1-z)^s = exp(s log(1-z)), 4 eps (|s| (|log(1-z)|
+      + 1) + 1) |T2|, and 8 eps (|T1| + |T2|) for the exponentials of the
+      log sums and the final products and sum;
+    - to first order, the rounding of the derived parameters s, 1 -+ s,
+      c - a and c - b, each off by at most h = 2 eps (|a| + |b| + |c| + 1):
+      h (3 psi + |log(1-z)|) (|T1| + |T2|) for the gamma factors and the
+      power, psi = ln(2 + max|argument|) + 1/delta + 1 bounding the
+      digamma function over the region, and h 3/delta (|A| sum k|t_k| +
+      |(1-z)^s B| sum k|t_k|) for the short sums, since every Pochhammer
+      factor of their perturbed parameters is at least delta from 0.
+    A real spec, z < 1, sums its short series in floats and returns the
+    real part of the combination.
+    """
+    (a, b), (c,), z = spec.upper, spec.lower, spec.argument
+    s = c - a - b
+    # c - a or c - b is 0 only for c equal to a or b, exactly: then
+    # 1/Gamma(0) = 0 makes A and T1 exactly 0 (gamma_ratio's pole rule)
+    args = (c, s, -s, a, b) + tuple(x for x in (c - a, c - b) if x)
+    if not all(map(within_envelope, args)):
+        return None
+    w = 1.0 - z
+    real = not any(x.imag for x in args) and not w.imag
+    if real:
+        a, b, c, s, w = a.real, b.real, c.real, s.real, w.real
+    first = _short_2f1(a, b, 1.0 - s, w, policy.max_terms)
+    if first is None:
+        return None
+    second = _short_2f1(c - a, c - b, 1.0 + s, w, policy.max_terms - first[2])
+    if second is None:
+        return None
+    (f1, e1, n1, k1), (f2, e2, n2, k2) = first, second
+    ratio_a = gamma_ratio((c, s), (c - a, c - b))
+    ratio_b = gamma_ratio((c, -s), (a, b))
+    log_w = math.log(w) if real else cmath.log(w)
+    try:
+        power = math.exp(s * log_w) if real else cmath.exp(s * log_w)
+    except OverflowError:
+        return None
+    if real:
+        ratio_a, ratio_b = ratio_a.real, ratio_b.real
+    ratio_b *= power
+    scale_a, scale_b = abs(ratio_a), abs(ratio_b)
+    t1 = ratio_a * f1
+    t2 = ratio_b * f2
+    value = t1 + t2
+    size = abs(t1) + abs(t2)
+    psi = math.log(2.0 + max(map(abs, args))) + _PSI_SLACK
+    h = 2.0 * _EPS * (abs(a) + abs(b) + abs(c) + 1.0)
+    bound = (scale_a * e1 + scale_b * e2
+             + (4.0 * LOG_GAMMA_ENVELOPE + 8.0 * _EPS) * size
+             + 4.0 * _EPS * (abs(s) * (abs(log_w) + 1.0) + 1.0) * abs(t2)
+             + h * ((3.0 * psi + abs(log_w)) * size
+                    + 3.0 / ENVELOPE_POLE_DISTANCE * (scale_a * k1 + scale_b * k2)))
+    # a term beyond binary64 makes the bound inf, which the second test
+    # alone would pass against an infinite value
+    if bound <= policy.tolerance or bound <= policy.tolerance * abs(value) < math.inf:
+        return SumResult(complex(value), n1 + n2, bound, SumStatus.CONVERGED)
+    return None
+
+
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     """sum_pfq for an argument of exactly z = 1; ValueError for any other."""
     if spec.argument != 1.0 + 0.0j:
@@ -684,6 +813,21 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     returns status Divergent without summing and s > 0 sums a head of
     terms plus an asymptotic tail (_unit_sum); DivergentError for
     |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1.
+
+    A 2F1 with |z| < 1 and |1 - z| < rho = CONNECTION_RADIUS = 1/16 is
+    first tried by the connection formula (_connection_sum):
+    A F(a, b; 1-s; 1-z) + (1-z)^s B F(c-a, c-b; 1+s; 1-z), s = c - a - b
+    at least delta = 1/32 from every integer and every gamma argument
+    inside log_gamma's measured envelope.  Its tail_estimate adds each
+    short sum's truncation (the term ratio's supremum from the last term
+    on) and rounding (from sum|t_k|), LOG_GAMMA_ENVELOPE per log-gamma
+    times |T1| + |T2|, the rounding of (1-z)^s and of the combination, and
+    a first-order bound for the rounding of s, c - a and c - b.  It is
+    returned, as Converged, only when that meets the tolerance by
+    _direct_sum's test; else the sum is direct, as for a tolerance below
+    about 4e-12 relative.  At tolerance 1e-10 the route takes 30-40 us
+    and the direct sum as long from |1 - z| of about 0.1 (real) or 0.12
+    and more (complex); at 1e-6, from 0.05-0.06 (real) or 0.1 (complex).
     """
     if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
         if spec.argument == 1.0:
@@ -695,4 +839,8 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
             raise DivergentError(f"p = q+1 series diverges for |z| = {r} > 1")
         if r == 1.0:
             raise ValueError("unit-modulus arguments other than z = 1 are not supported")
+        if len(spec.upper) == 2 and abs(1.0 - spec.argument) < CONNECTION_RADIUS:
+            result = _connection_sum(spec, policy)
+            if result is not None:
+                return result
     return _direct_sum(spec, policy)

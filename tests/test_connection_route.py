@@ -1,0 +1,150 @@
+"""sum_pfq's 1 - z connection route for 2F1 near z = 1 (DLMF 15.8.4),
+checked against tests/reference_pfq.py and against closed forms: every
+Converged result lies within its tail_estimate."""
+
+import cmath
+import math
+import random
+
+import pytest
+
+from gelfond import SeriesSpec, SumPolicy, SumStatus, series, sum_pfq
+from reference_pfq import distance, reference_pfq
+
+RHO = 1.0 / 16.0        # series.CONNECTION_RADIUS, stated here as the switch
+
+
+def _error(result, spec, rel=1e-22) -> float:
+    """|value - 2F1| rounded up, from the decimal reference and its bound."""
+    value, bound = reference_pfq(spec.upper, spec.lower, spec.argument, rel=rel)
+    return distance(result.value, value) + float(bound)
+
+
+def _away(x: complex, margin: float = 0.05) -> bool:
+    """x is at least margin from every pole of Gamma, or has Re x >= 1/2."""
+    return x.real >= 0.5 or abs(x - round(x.real)) >= margin
+
+
+SWITCH_SPECS = [
+    ((0.5, 0.5), (1.5,), 0.0),
+    ((0.83, 1.37), (2.9,), 0.0),
+    ((-1.3, 2.2), (0.45,), 0.0),
+    ((0.3 + 1j, 0.7), (2.1 - 0.5j,), 0.5),
+    ((1.2 - 0.6j, -0.4 + 0.3j), (0.8 + 0.2j,), -0.8),
+]
+
+
+@pytest.mark.parametrize("upper, lower, angle", SWITCH_SPECS)
+def test_switch_against_reference(upper, lower, angle):
+    """|1 - z| from rho/2 to 2 rho: the route answers below rho and the
+    direct sum from rho on, and both are within their tails of the
+    reference."""
+    policy = SumPolicy(tolerance=1e-10)
+    for size in (0.5, 0.75, 0.95, 1.05, 1.5, 2.0):
+        spec = SeriesSpec(upper, lower, 1.0 - size * RHO * cmath.exp(1j * angle))
+        result = sum_pfq(spec, policy)
+        routed = series._connection_sum(spec, policy)
+        if size < 1.0:
+            assert repr(result) == repr(routed), spec
+        else:
+            assert repr(result) == repr(series._direct_sum(spec, policy)), spec
+        assert result.status is SumStatus.CONVERGED, spec
+        assert _error(result, spec) <= result.tail_estimate, (spec, result)
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((0.5, 0.5), (1.5,), 0.999),
+    ((0.3 + 1j, 0.7), (2.1 - 0.5j,), 0.999),
+    ((2.3, -1.7), (0.4,), 0.999),
+])
+def test_route_at_0999_against_reference(upper, lower, z):
+    spec = SeriesSpec(upper, lower, z)
+    result = sum_pfq(spec, SumPolicy(tolerance=1e-10))
+    assert result.status is SumStatus.CONVERGED
+    assert result.terms_used < 40
+    assert _error(result, spec, rel=1e-18) <= result.tail_estimate
+
+
+@pytest.mark.parametrize("upper, lower, z, policy", [
+    ((1.0, 1.0), (2.0,), 0.999, SumPolicy(1e-10)),       # s = 0, degenerate
+    ((0.5, 1.5), (3.03,), 0.99, SumPolicy(1e-10)),       # s = 1.03, within 1/32
+    ((0.5, 0.5), (1.5,), 0.999, SumPolicy()),            # 1e-13: below the bound
+    ((0.5, 0.5), (1.5,), 0.999, SumPolicy(1e-10, 11)),   # the route takes 12 terms
+    ((60.5, 0.5), (62.3,), 0.99, SumPolicy(1e-10)),      # Gamma(60.5) off the envelope
+    ((0.5, 2.5), (1.5,), 0.99, SumPolicy(1e-10)),        # c - b = -1, a pole
+], ids=["degenerate", "near-degenerate", "tight-tolerance", "max-terms",
+        "off-envelope", "denominator-pole"])
+def test_route_declines_to_the_direct_sum(upper, lower, z, policy):
+    spec = SeriesSpec(upper, lower, z)
+    assert series._connection_sum(spec, policy) is None
+    assert repr(sum_pfq(spec, policy)) == repr(series._direct_sum(spec, policy))
+
+
+def test_route_declines_a_term_beyond_binary64():
+    # (1-z)^s B is about 1e313 at s = -49.95, |1 - z| = 1e-6; at 1e-7 the
+    # power alone overflows
+    for w in (1e-6, 1e-7):
+        spec = SeriesSpec((20.3, 30.1), (0.45,), 1.0 - w)
+        assert series._connection_sum(spec, SumPolicy(1e-10)) is None
+
+
+def _parameter(rng: random.Random, real: bool) -> complex:
+    return complex(rng.uniform(-3.0, 3.0), 0.0 if real else rng.uniform(-2.0, 2.0))
+
+
+def _sweep_draw(rng: random.Random):
+    """(spec, closed form) over the route's domain, or (spec, None) for a
+    draw that the decimal reference checks.  |1 - z| is log-uniform on
+    [1e-4, rho), along a direction within 1.2 rad of the real axis for a
+    complex draw; the reference's draws take |1 - z| >= rho/2."""
+    real = rng.random() < 0.5
+    w = 10.0 ** rng.uniform(-4.0, math.log10(RHO))
+    if not real:
+        w *= cmath.exp(1j * rng.uniform(-1.2, 1.2))
+    z = 1.0 - w
+    w = 1.0 - z                 # exact: the w the route sees
+    family = rng.randrange(4)
+    if family == 0:             # (1-z)^(-a) = 2F1(a, b; b; z)
+        a, b = _parameter(rng, real), _parameter(rng, real)
+        return SeriesSpec((a, b), (b,), z), cmath.exp(-a * cmath.log(w))
+    if family == 1:             # cos 2ax = 2F1(a, -a; 1/2; sin^2 x), cos^2 x = 1 - z
+        a = _parameter(rng, real)
+        return SeriesSpec((a, -a), (0.5,), z), cmath.cos(2 * a * cmath.acos(cmath.sqrt(w)))
+    if family == 2:             # asin(sqrt z) / sqrt z = 2F1(1/2, 1/2; 3/2; z)
+        root = cmath.sqrt(z)
+        return (SeriesSpec((0.5, 0.5), (1.5,), z),
+                (math.pi / 2 - cmath.asin(cmath.sqrt(w))) / root)
+    a, b, c = (_parameter(rng, real) for _ in range(3))
+    return SeriesSpec((a, b), (c,), 1.0 - w * max(1.0, RHO / 2 / abs(w))), None
+
+
+def test_route_sweep_never_breaks_its_claim():
+    """400 seeded 2F1 near z = 1, real and complex, at tolerances 1e-10 to
+    1e-6, inside the route's domain: s at least 0.05 from every integer,
+    and every other gamma argument 0.05 from a pole (or c equal to b).
+    The closed forms are binary64 expressions, allowed 1e-14 max(1, |F|)
+    for their own rounding; the general draws, |1 - z| >= rho/2, go to the
+    decimal reference.  No Converged result may lie beyond its
+    tail_estimate."""
+    rng = random.Random(0xC0EC7)
+    broken, converged, checked = [], 0, 0
+    while checked < 400:
+        spec, exact = _sweep_draw(rng)
+        (a, b), (c,) = spec.upper, spec.lower
+        s = c - a - b
+        if abs(spec.argument) >= 1.0 or abs(s - round(s.real)) < 0.05 or not all(
+                _away(x) for x in (c, a, b) + tuple(x for x in (c - a, c - b) if x)):
+            continue
+        checked += 1
+        result = sum_pfq(spec, SumPolicy(tolerance=10.0 ** rng.uniform(-10.0, -6.0)))
+        if result.status is not SumStatus.CONVERGED:
+            continue
+        converged += 1
+        if exact is None:
+            error = _error(result, spec, rel=1e-18)
+        else:
+            error = abs(result.value - exact) - 1e-14 * max(1.0, abs(exact))
+        if error > result.tail_estimate:
+            broken.append((spec, result, error))
+    assert not broken, (len(broken), broken[:3])
+    assert converged >= 390

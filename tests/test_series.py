@@ -354,6 +354,36 @@ def test_direct_sum_wide_shapes_match_reference(monkeypatch):
         assert outcome == _sweep_outcome(spec, policy), (spec, policy)
 
 
+def _outcome(summer, spec: SeriesSpec, policy: SumPolicy) -> tuple[str, str]:
+    try:
+        return "result", repr(summer(spec, policy))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_direct_sum_near_unit_2f1_matches_reference():
+    """The non-terminating 2F1 draws of _sweep_spec with |1 - z| below
+    series.CONNECTION_RADIUS, where sum_pfq tries the connection route
+    first: fed straight to series._direct_sum, the loop that stays their
+    fallback, they match the term-list reference."""
+    rng = random.Random(0x2F1)
+    cases = []
+    while len(cases) < 40:
+        policy = SumPolicy(tolerance=10.0 ** rng.uniform(-15.0, -3.0),
+                           max_terms=rng.choice((10, 25, 100, 30_000)))
+        try:
+            spec = _sweep_spec(rng, (1, 1))
+        except PoleError:
+            continue
+        if (len(spec.upper) == 2 and spec.truncation_degree() is None
+                and abs(spec.argument) < 1.0
+                and abs(1.0 - spec.argument) < series.CONNECTION_RADIUS):
+            cases.append((spec, policy))
+    for spec, policy in cases:
+        assert (_outcome(series._direct_sum, spec, policy)
+                == _outcome(reference_direct_sum, spec, policy)), (spec, policy)
+
+
 @pytest.mark.parametrize("spec, expected", [
     # 3,000 parameters a side: a loop unrolled in full would not compile
     (SeriesSpec((-2.0,) + (0.5,) * 2999, (1.5,) * 3000, 0.5),
