@@ -160,7 +160,9 @@ def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
 
     with x = (a-b)/2 - 1/2, where Gamma(x) / Gamma(x+2) = 1/(x (x+1)).
     PoleError at a - b = 1 or -1 (x = 0 or -1): the series is finite there,
-    but its value is a limit that needs the digamma function.
+    but its value is the limit of the brace over x (x + 1), whose
+    derivative brings in digamma values (complex_gamma.digamma); that
+    limit form is not built.
     """
     a, b = complex(a), complex(b)
     d = check_d(d)

@@ -23,12 +23,14 @@ does its fixed-size work in one function compiled on first use
 (_asymptotic_tail, _power_sums, _tail_kernel).  All of them keep the bits
 of complex arithmetic.
 Near z = 1, |1 - z| < CONNECTION_RADIUS = 1/16 with |z| < 1, a 2F1 that
-does not terminate is first tried by the 1 - z connection formula (DLMF
-15.8.4): two short sums in 1 - z and two gamma ratios, with a bound that
-counts their truncation, their rounding and log_gamma's measured envelope
-(see _connection_sum).  It answers only when that bound meets the
-tolerance, and only for s = c - a - b at least 1/32 from every integer;
-otherwise the sum runs directly, as it does for every other spec.
+does not terminate is first tried by a 1 - z connection formula: DLMF
+15.8.4, two short sums in 1 - z and two gamma ratios, for s = c - a - b
+at least 1/32 from every integer, or A&S 15.3.10-15.3.12, a finite sum
+and a sum weighted by digamma values, for s exactly an integer.  Each
+comes with a bound that counts truncation, rounding and the measured
+envelopes of log_gamma and digamma (see _connection_sum).  The formula
+answers only when that bound meets the tolerance; otherwise the sum runs
+directly, as it does for every other spec.
 levin_accelerate, a Levin u-transform evaluated exactly in integers (see
 _levin_orders), is public but no summation route uses it.
 """
@@ -45,8 +47,9 @@ from functools import lru_cache
 from math import comb
 
 from .closed_forms import gamma_ratio
-from .complex_gamma import (ENVELOPE_POLE_DISTANCE, LOG_GAMMA_ENVELOPE,
-                            nearest_nonpositive_int, within_envelope)
+from .complex_gamma import (BERNOULLI, DIGAMMA_ENVELOPE, ENVELOPE_POLE_DISTANCE,
+                            LOG_GAMMA_ENVELOPE, digamma, nearest_nonpositive_int,
+                            within_envelope)
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
 
 _EPS = 2.220446049250313e-16
@@ -408,10 +411,6 @@ def levin_accelerate(terms) -> tuple[complex, float]:
 # ----------------------------------------------------------------------
 
 _ORDERS = 12                # K, the orders of the term expansion in 1/n
-# B_0 .. B_16 as (numerator, denominator), with B_1 = -1/2
-_BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
-              (0, 1), (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730),
-              (0, 1), (7, 6), (0, 1), (-3617, 510))
 
 
 @lru_cache(maxsize=1)
@@ -422,10 +421,10 @@ def _tail_weights() -> tuple[tuple[tuple[float, ...], ...],
     (B_2j / (2j)!, 2j - 1, 2j), the integers as floats: sigma + 3.0 has
     the bits of sigma + 3, and float + float skips a conversion."""
     rows = tuple(tuple((-1) ** (k + 1) * comb(k + 1, j) * p / (q * k * (k + 1))
-                       for j, (p, q) in enumerate(_BERNOULLI[:k + 1]))
+                       for j, (p, q) in enumerate(BERNOULLI[:k + 1]))
                  for k in range(1, _ORDERS + 2))
     return rows, tuple((p / (q * math.factorial(j)), j - 1.0, float(j))
-                       for j, (p, q) in enumerate(_BERNOULLI) if j and not j % 2)
+                       for j, (p, q) in enumerate(BERNOULLI) if j and not j % 2)
 
 
 # _tail_kernel's source; each placeholder fills one line (statements joined
@@ -687,6 +686,11 @@ CONNECTION_RADIUS = 1.0 / 16.0
 # its pole distance: measured against mpmath.digamma on 20,000 seeded
 # points, half of them 1/32 to 0.2 from a pole, |psi| reached 0.975 of it
 _PSI_SLACK = 1.0 / ENVELOPE_POLE_DISTANCE + 1.0
+# |psi'(x)| <= pi^2 + 1/delta^2 when every x + j, j >= 0, is at least
+# delta from 0: one x + j may come within delta, the others add at most
+# 2 sum_i 1/(i + 1/2)^2 = pi^2
+_TRIGAMMA_BOUND = math.pi ** 2 + 1.0 / ENVELOPE_POLE_DISTANCE ** 2
+_EULER_GAMMA = 0.57721566490153286
 
 
 def _short_2f1(a, b, c, w, cap: int):
@@ -720,51 +724,98 @@ def _short_2f1(a, b, c, w, cap: int):
     return None
 
 
-def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
-    """2F1(a, b; c; z) for |1 - z| < CONNECTION_RADIUS by DLMF 15.8.4,
-        A F(a, b; 1-s; 1-z) + (1-z)^s B F(c-a, c-b; 1+s; 1-z),
+def _finite_2f1(a, b, m: int, w):
+    """(value, rounding bound, sum of k |t_k|) of the first m >= 1 terms
+    of 2F1(a, b; 1-m; w), t_k formed and the rounding counted as in
+    _short_2f1."""
+    rho = (5.0 if type(w) is float else 14.0) * _EPS
+    t = total = 1.0
+    abs_sum, weighted = 1.0, 0.0
+    for n in range(1, m):
+        t = t * w * (a + n - 1) * (b + n - 1) / ((n - m) * n)
+        total += t
+        abs_t = abs(t)
+        abs_sum += abs_t
+        weighted += n * abs_t
+    return total, rho * weighted + m * _EPS * abs_sum, weighted
+
+
+def _log_2f1(a, b, c, w, h, eh: float, cap: int):
+    """(sum t_k h_k, bound, terms, sum |t_k|, sum k |t_k h_k|) for the
+    terms t_k of 2F1(a, b; c; w), c >= 1 real, weighted by
+    h_{k+1} = h_k + 1/(a+k) + 1/(b+k) - 1/(k+1) - 1/(c+k) from h_0 = h,
+    known to within eh; None past cap terms.
+
+    Summed until the truncation bound is below eps (sum|t_k h_k| +
+    sum|t_k|).  The terms after t_n add up to at most |t_n| r/(1-r) in
+    modulus, r = |w| (1 + |a|/n) (1 + |b|/n) as in _short_2f1 (c + k
+    >= k + 1), and each of their weights to at most |h_n| + eh_n +
+    D/(n + l - 1): h_k - h_n sums (1-a)/((a+j)(j+1)) + (c-b)/((b+j)(c+j))
+    over n <= j < k, each factor of a denominator is at least j + l with
+    l = min(Re a, Re b, 1), so the sum is at most D sum 1/((j+l)(j+l-1)) =
+    D/(n + l - 1) with D = |1-a| + |c-b|, once n + l > 1.  The rounding
+    adds, per term, |t_k| times h_k's error, which grows by 8 eps per
+    reciprocal and eps |h_{k+1}| a step, and (k rho + 2 eps) |t_k h_k|,
+    rho as in _short_2f1, and n eps sum|t_k h_k| for the running sum."""
+    rho = (5.0 if type(w) is float else 14.0) * _EPS
+    aw, ma, mb = abs(w), abs(a), abs(b)
+    low = min(a.real, b.real, 1.0) - 1.0
+    spread = abs(1.0 - a) + abs(c - b)
+    t, total = 1.0, h
+    abs_h = abs(h)
+    abs_sum, log_sum, weighted, err = 1.0, abs_h, 0.0, eh
+    n = 0
+    while n + 1 < cap:
+        ak, bk, ck = a + n, b + n, c + n
+        n += 1
+        t = t * w * ak * bk / (ck * n)
+        ia, ib = 1.0 / ak, 1.0 / bk
+        h += (ia + ib) - (1.0 / n + 1.0 / ck)
+        abs_t, abs_h = abs(t), abs(h)
+        eh += _EPS * (8.0 * (abs(ia) + abs(ib) + 2.0 / n) + abs_h)
+        total += t * h
+        abs_sum += abs_t
+        log_sum += abs_t * abs_h
+        weighted += n * abs_t * abs_h
+        err += abs_t * eh + (n * rho + 2.0 * _EPS) * abs_t * abs_h
+        if n + low > 0.0:
+            r = aw * (1.0 + ma / n) * (1.0 + mb / n)
+            if r < 1.0:
+                trunc = abs_t * r / (1.0 - r) * (abs_h + eh + spread / (n + low))
+                if trunc <= _EPS * (log_sum + abs_sum):
+                    return (total, trunc + err + n * _EPS * log_sum, n + 1,
+                            abs_sum, weighted)
+    return None
+
+
+def _gauss_terms(a, b, c, w, cap: int):
+    """(value, bound, terms) of DLMF 15.8.4,
+        A F(a, b; 1-s; w) + w^s B F(c-a, c-b; 1+s; w),  w = 1 - z,
     s = c - a - b, A = Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) and
     B = Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)), each one gamma_ratio;
-    None, so that sum_pfq sums directly, unless the bound below meets the
-    tolerance by _direct_sum's test.
-
-    Every gamma argument must lie where LOG_GAMMA_ENVELOPE was measured
-    (within_envelope), but for a c - a or c - b of exactly 0; for s and
-    -s that puts s at least delta = ENVELOPE_POLE_DISTANCE = 1/32 from
-    every integer, so the degenerate s in Z stays direct.  With T1 and T2
-    the two terms, the bound adds
+    None when a short sum runs past cap terms or w^s overflows.  With T1
+    and T2 the two terms, the bound adds
     - each short sum's truncation and rounding (_short_2f1), times |A|
-      and |(1-z)^s B|;
+      and |w^s B|;
     - the gamma factors, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term,
       times |T1| + |T2|;
-    - the rounding of (1-z)^s = exp(s log(1-z)), 4 eps (|s| (|log(1-z)|
-      + 1) + 1) |T2|, and 8 eps (|T1| + |T2|) for the exponentials of the
-      log sums and the final products and sum;
+    - the rounding of w^s = exp(s log w), 4 eps (|s| (|log w| + 1) + 1)
+      |T2|, and 8 eps (|T1| + |T2|) for the exponentials of the log sums
+      and the final products and sum;
     - to first order, the rounding of the derived parameters s, 1 -+ s,
       c - a and c - b, each off by at most h = 2 eps (|a| + |b| + |c| + 1):
-      h (3 psi + |log(1-z)|) (|T1| + |T2|) for the gamma factors and the
+      h (3 psi + |log w|) (|T1| + |T2|) for the gamma factors and the
       power, psi = ln(2 + max|argument|) + 1/delta + 1 bounding the
       digamma function over the region, and h 3/delta (|A| sum k|t_k| +
-      |(1-z)^s B| sum k|t_k|) for the short sums, since every Pochhammer
+      |w^s B| sum k|t_k|) for the short sums, since every Pochhammer
       factor of their perturbed parameters is at least delta from 0.
-    A real spec, z < 1, sums its short series in floats and returns the
-    real part of the combination.
     """
-    (a, b), (c,), z = spec.upper, spec.lower, spec.argument
     s = c - a - b
-    # c - a or c - b is 0 only for c equal to a or b, exactly: then
-    # 1/Gamma(0) = 0 makes A and T1 exactly 0 (gamma_ratio's pole rule)
-    args = (c, s, -s, a, b) + tuple(x for x in (c - a, c - b) if x)
-    if not all(map(within_envelope, args)):
-        return None
-    w = 1.0 - z
-    real = not any(x.imag for x in args) and not w.imag
-    if real:
-        a, b, c, s, w = a.real, b.real, c.real, s.real, w.real
-    first = _short_2f1(a, b, 1.0 - s, w, policy.max_terms)
+    real = type(w) is float
+    first = _short_2f1(a, b, 1.0 - s, w, cap)
     if first is None:
         return None
-    second = _short_2f1(c - a, c - b, 1.0 + s, w, policy.max_terms - first[2])
+    second = _short_2f1(c - a, c - b, 1.0 + s, w, cap - first[2])
     if second is None:
         return None
     (f1, e1, n1, k1), (f2, e2, n2, k2) = first, second
@@ -781,19 +832,149 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
     scale_a, scale_b = abs(ratio_a), abs(ratio_b)
     t1 = ratio_a * f1
     t2 = ratio_b * f2
-    value = t1 + t2
     size = abs(t1) + abs(t2)
-    psi = math.log(2.0 + max(map(abs, args))) + _PSI_SLACK
+    psi = math.log(2.0 + max(map(abs, (c, s, a, b, c - a, c - b)))) + _PSI_SLACK
     h = 2.0 * _EPS * (abs(a) + abs(b) + abs(c) + 1.0)
     bound = (scale_a * e1 + scale_b * e2
              + (4.0 * LOG_GAMMA_ENVELOPE + 8.0 * _EPS) * size
              + 4.0 * _EPS * (abs(s) * (abs(log_w) + 1.0) + 1.0) * abs(t2)
              + h * ((3.0 * psi + abs(log_w)) * size
                     + 3.0 / ENVELOPE_POLE_DISTANCE * (scale_a * k1 + scale_b * k2)))
+    return t1 + t2, bound, n1 + n2
+
+
+def _log_terms(a, b, c, m: int, w, cap: int):
+    """(value, bound, terms) of A&S 15.3.10-15.3.12 for s = c - a - b
+    equal to the integer m, w = 1 - z.  With M = |m|, (p, q) = (a, b)
+    and (P, Q) = (a + M, b + M) for m >= 0, (p, q) = (a - M, b - M) and
+    (P, Q) = (a, b) for m < 0,
+        T1 = (M-1)! Gamma(c) / (Gamma(P) Gamma(Q)) w^min(m,0)
+             sum_{k<M} (p)_k (q)_k / (k! (1-M)_k) w^k,   0 for M = 0,
+        T2 = -(-1)^M Gamma(c) / (Gamma(p) Gamma(q) M!) w^max(m,0)
+             sum_k t_k h_k,
+    t_k the terms of 2F1(P, Q; M+1; w) and h_k = ln w - psi(k+1) -
+    psi(k+M+1) + psi(P+k) + psi(Q+k): digamma gives psi(P) and psi(Q),
+    -psi(1) - psi(M+1) is 2 gamma - H_M, and _log_2f1 steps h_k.  None
+    when the log sum runs past cap terms or w^m overflows.  The bound
+    adds
+    - the finite sum's rounding (_finite_2f1), times its factor, and the
+      log sum's truncation and rounding (_log_2f1), times its factor;
+      h_0's error is 2 DIGAMMA_ENVELOPE, for digamma, and 6 eps (|ln w|
+      + 1 + H_M + |psi(P)| + |psi(Q)|) for the roundings of ln w, H_M,
+      gamma and the sum, so that DIGAMMA_ENVELOPE and ln w's rounding
+      enter times sum|t_k|;
+    - the gamma factors, LOG_GAMMA_ENVELOPE per log-gamma, 3 a term,
+      times |T1| + |T2|;
+    - the rounding of w^m = exp(m ln w), 4 eps (M (|ln w| + 1) + 1)
+      times its term, and 10 eps (|T1| + |T2|) for the factorials, the
+      exponentials of the log sums and the final products and sum;
+    - to first order, the rounding of a + m and b + m, taken exactly
+      (TwoSum) as d: d psi (|T1| + |T2|) for the gamma factors, psi as
+      in _gauss_terms, d/delta (|T1 factor| sum k|t_k| + |T2 factor|
+      sum k|t_k h_k|) for the Pochhammer symbols, and d (pi^2 +
+      1/delta^2) |T2 factor| sum|t_k| for psi(P+k) and psi(Q+k), since
+      |psi'(x)| <= pi^2 + 1/delta^2 when every x + j, j >= 0, is at
+      least delta from 0.
+    """
+    big = abs(m)
+    real = type(w) is float
+    (p, q), (P, Q) = ((a, b), (a + m, b + m)) if m >= 0 else ((a + m, b + m), (a, b))
+    log_w = math.log(w) if real else cmath.log(w)
+    psi_1, psi_2 = digamma(P), digamma(Q)
+    if real:
+        psi_1, psi_2 = psi_1.real, psi_2.real
+    harmonic = math.fsum(1.0 / j for j in range(1, big + 1))
+    h = log_w + (psi_1 + psi_2) + (2.0 * _EULER_GAMMA - harmonic)
+    eh = 2.0 * DIGAMMA_ENVELOPE + 6.0 * _EPS * (abs(log_w) + 1.0 + harmonic
+                                                + abs(psi_1) + abs(psi_2))
+    second = _log_2f1(P, Q, big + 1.0, w, h, eh, cap - big)
+    if second is None:
+        return None
+    f2, e2, n2, abs2, k2 = second
+    sign = 1.0 if big % 2 else -1.0
+    ratio_2 = sign * gamma_ratio((c,), (p, q)) / math.factorial(big)
+    if big:
+        f1, e1, k1 = _finite_2f1(p, q, big, w)
+        ratio_1 = math.factorial(big - 1) * gamma_ratio((c,), (P, Q))
+    else:
+        f1 = e1 = k1 = ratio_1 = 0.0
+    try:
+        power = math.exp(m * log_w) if real else cmath.exp(m * log_w)
+    except OverflowError:
+        return None
+    if real:
+        ratio_1, ratio_2 = ratio_1.real, ratio_2.real
+    if m >= 0:
+        ratio_2 *= power
+    else:
+        ratio_1 *= power
+    scale_1, scale_2 = abs(ratio_1), abs(ratio_2)
+    t1 = ratio_1 * f1
+    t2 = ratio_2 * f2
+    size = abs(t1) + abs(t2)
+    # the rounding of a + m and b + m, exactly (TwoSum)
+    d = 0.0
+    for x in (a.real, b.real):
+        y = x + m
+        v = y - x
+        d += abs((x - (y - v)) + (m - v))
+    psi = math.log(2.0 + max(map(abs, (c, p, q, P, Q)))) + _PSI_SLACK
+    bound = (scale_1 * e1 + scale_2 * e2
+             + (3.0 * LOG_GAMMA_ENVELOPE + 10.0 * _EPS) * size
+             + 4.0 * _EPS * (big * (abs(log_w) + 1.0) + 1.0) * abs(t2 if m >= 0 else t1)
+             + d * (psi * size
+                    + (scale_1 * k1 + scale_2 * k2) / ENVELOPE_POLE_DISTANCE
+                    + _TRIGAMMA_BOUND * scale_2 * abs2))
+    return t1 + t2, bound, big + n2
+
+
+def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
+    """2F1(a, b; c; z) for |1 - z| < CONNECTION_RADIUS by a 1 - z
+    connection formula: DLMF 15.8.4 (_gauss_terms) when s = c - a - b is
+    not an integer, A&S 15.3.10-15.3.12 (_log_terms) when it is one
+    exactly at the binary64 parameters; None, so that sum_pfq sums
+    directly, unless the formula's bound meets the tolerance by
+    _direct_sum's test.
+
+    Every gamma and digamma argument must lie where LOG_GAMMA_ENVELOPE
+    and DIGAMMA_ENVELOPE were measured (within_envelope): a, b and c, and
+    s, -s, c - a and c - b for 15.8.4 or a + m and b + m for s = m, but
+    for one of the last two of exactly 0.  For 15.8.4 that puts s at
+    least delta = ENVELOPE_POLE_DISTANCE = 1/32 from every integer, so
+    an s near an integer but not exactly one stays direct.  A real spec,
+    z < 1, sums in floats and returns the real part of the combination.
+    """
+    (a, b), (c,), z = spec.upper, spec.lower, spec.argument
+    if not (within_envelope(a) and within_envelope(b) and within_envelope(c)):
+        return None
+    s = c - a - b
+    m = round(s.real)
+    # fsum rounds the exact sum once, so it is 0 only when s is exactly m
+    degenerate = (math.fsum((c.real, -a.real, -b.real, -m)) == 0.0
+                  and math.fsum((c.imag, -a.imag, -b.imag)) == 0.0)
+    if degenerate:
+        args = (a + m, b + m)
+    elif within_envelope(s) and within_envelope(-s):
+        args = (c - a, c - b)
+    else:
+        return None
+    # c - a or c - b is 0 only for c equal to a or b, exactly: then
+    # 1/Gamma(0) = 0 makes A and T1 exactly 0 (gamma_ratio's pole rule),
+    # and for s = m < 0, where a + m is c - b, the log sum's factor
+    if not all(within_envelope(x) for x in args if x):
+        return None
+    w = 1.0 - z
+    if not (a.imag or b.imag or c.imag or w.imag):
+        a, b, c, w = a.real, b.real, c.real, w.real
+    parts = (_log_terms(a, b, c, m, w, policy.max_terms) if degenerate
+             else _gauss_terms(a, b, c, w, policy.max_terms))
+    if parts is None:
+        return None
+    value, bound, terms = parts
     # a term beyond binary64 makes the bound inf, which the second test
     # alone would pass against an infinite value
     if bound <= policy.tolerance or bound <= policy.tolerance * abs(value) < math.inf:
-        return SumResult(complex(value), n1 + n2, bound, SumStatus.CONVERGED)
+        return SumResult(complex(value), terms, bound, SumStatus.CONVERGED)
     return None
 
 
@@ -815,19 +996,23 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1.
 
     A 2F1 with |z| < 1 and |1 - z| < rho = CONNECTION_RADIUS = 1/16 is
-    first tried by the connection formula (_connection_sum):
-    A F(a, b; 1-s; 1-z) + (1-z)^s B F(c-a, c-b; 1+s; 1-z), s = c - a - b
-    at least delta = 1/32 from every integer and every gamma argument
-    inside log_gamma's measured envelope.  Its tail_estimate adds each
-    short sum's truncation (the term ratio's supremum from the last term
-    on) and rounding (from sum|t_k|), LOG_GAMMA_ENVELOPE per log-gamma
-    times |T1| + |T2|, the rounding of (1-z)^s and of the combination, and
-    a first-order bound for the rounding of s, c - a and c - b.  It is
-    returned, as Converged, only when that meets the tolerance by
-    _direct_sum's test; else the sum is direct, as for a tolerance below
-    about 4e-12 relative.  At tolerance 1e-10 the route takes 30-40 us
-    and the direct sum as long from |1 - z| of about 0.1 (real) or 0.12
-    and more (complex); at 1e-6, from 0.05-0.06 (real) or 0.1 (complex).
+    first tried by a connection formula (_connection_sum), every gamma
+    and digamma argument inside the measured envelopes: for s = c - a - b
+    at least delta = 1/32 from every integer,
+    A F(a, b; 1-s; 1-z) + (1-z)^s B F(c-a, c-b; 1+s; 1-z) (DLMF 15.8.4);
+    for s exactly an integer m at the binary64 parameters, a finite sum of
+    |m| terms and a sum whose terms carry ln(1-z) and digamma values
+    (A&S 15.3.10-15.3.12).  Its tail_estimate adds each sum's truncation
+    (the term ratio's supremum from the last term on, times a bound on
+    the digamma weights) and rounding, LOG_GAMMA_ENVELOPE per log-gamma
+    and DIGAMMA_ENVELOPE per digamma, the rounding of the powers of 1-z
+    and of the combination, and a first-order bound for the rounding of
+    the derived parameters.  It is returned, as Converged, only when that
+    meets the tolerance by _direct_sum's test; else the sum is direct, as
+    for a tolerance below about 4e-12 relative.  At tolerance 1e-10 the
+    route takes 25-45 us and the direct sum as long from |1 - z| of about
+    0.1 (real) or 0.12 and more (complex); at 1e-6, from 0.05-0.06 (real)
+    or 0.1 (complex).
     """
     if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
         if spec.argument == 1.0:

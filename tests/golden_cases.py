@@ -31,6 +31,9 @@ CASES = {
     "eval-log-0.999.json": (
         ["eval", "--upper", "1,1", "--lower", "2", "--z", "0.999",
          "--tol", "1e-10", "--format", "json"], 0),
+    "eval-log1-0.999.json": (
+        ["eval", "--upper", "1,1", "--lower", "3", "--z", "0.999",
+         "--tol", "1e-10", "--format", "json"], 0),
     "eval-asin-0.999.json": (
         ["eval", "--upper", "1/2,1/2", "--lower", "3/2", "--z", "0.999",
          "--tol", "1e-10", "--format", "json"], 0),

@@ -206,7 +206,7 @@ def test_second_gauss_ext_half_at_removable_poles(diff, a, d):
 @pytest.mark.parametrize("a, b", [(1.2, 0.2), (0.2, 1.2)], ids=["plus-one", "minus-one"])
 def test_second_gauss_ext_half_at_unit_difference_is_pole_error(a, b):
     # a - b = +-1: 1/(x (x+1)) is infinite, and the finite 3F2 (1.1174319686
-    # at (1.2, 0.2, 2), mpmath) is a limit that needs the digamma function
+    # at (1.2, 0.2, 2), mpmath) is a limit with digamma values, not built
     with pytest.raises(PoleError):
         second_gauss_ext_half(a, b, 2.0)
 

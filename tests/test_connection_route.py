@@ -1,6 +1,7 @@
-"""sum_pfq's 1 - z connection route for 2F1 near z = 1 (DLMF 15.8.4),
-checked against tests/reference_pfq.py and against closed forms: every
-Converged result lies within its tail_estimate."""
+"""sum_pfq's 1 - z connection route for 2F1 near z = 1 (DLMF 15.8.4, and
+A&S 15.3.10-15.3.12 where c - a - b is an integer), checked against
+tests/reference_pfq.py and against closed forms: every Converged result
+lies within its tail_estimate."""
 
 import cmath
 import math
@@ -66,14 +67,18 @@ def test_route_at_0999_against_reference(upper, lower, z):
 
 
 @pytest.mark.parametrize("upper, lower, z, policy", [
-    ((1.0, 1.0), (2.0,), 0.999, SumPolicy(1e-10)),       # s = 0, degenerate
+    # s = 1 + 2.8e-17 exactly, though c - a - b rounds to 1.0
+    ((0.1, 0.2), (1.3,), 0.999, SumPolicy(1e-10)),
     ((0.5, 1.5), (3.03,), 0.99, SumPolicy(1e-10)),       # s = 1.03, within 1/32
     ((0.5, 0.5), (1.5,), 0.999, SumPolicy()),            # 1e-13: below the bound
     ((0.5, 0.5), (1.5,), 0.999, SumPolicy(1e-10, 11)),   # the route takes 12 terms
     ((60.5, 0.5), (62.3,), 0.99, SumPolicy(1e-10)),      # Gamma(60.5) off the envelope
     ((0.5, 2.5), (1.5,), 0.99, SumPolicy(1e-10)),        # c - b = -1, a pole
-], ids=["degenerate", "near-degenerate", "tight-tolerance", "max-terms",
-        "off-envelope", "denominator-pole"])
+    ((49.5, 0.5), (51.0,), 0.99, SumPolicy(1e-10)),      # s = 1, a + 1 off the envelope
+    ((1.0, 1.0), (2.0,), 0.999, SumPolicy()),            # s = 0 at 1e-13
+], ids=["inexact-integer-s", "near-degenerate", "tight-tolerance", "max-terms",
+        "off-envelope", "denominator-pole", "degenerate-off-envelope",
+        "degenerate-tight-tolerance"])
 def test_route_declines_to_the_direct_sum(upper, lower, z, policy):
     spec = SeriesSpec(upper, lower, z)
     assert series._connection_sum(spec, policy) is None
@@ -134,6 +139,96 @@ def test_route_sweep_never_breaks_its_claim():
         s = c - a - b
         if abs(spec.argument) >= 1.0 or abs(s - round(s.real)) < 0.05 or not all(
                 _away(x) for x in (c, a, b) + tuple(x for x in (c - a, c - b) if x)):
+            continue
+        checked += 1
+        result = sum_pfq(spec, SumPolicy(tolerance=10.0 ** rng.uniform(-10.0, -6.0)))
+        if result.status is not SumStatus.CONVERGED:
+            continue
+        converged += 1
+        if exact is None:
+            error = _error(result, spec, rel=1e-18)
+        else:
+            error = abs(result.value - exact) - 1e-14 * max(1.0, abs(exact))
+        if error > result.tail_estimate:
+            broken.append((spec, result, error))
+    assert not broken, (len(broken), broken[:3])
+    assert converged >= 390
+
+
+# ----------------------------------------------------------------------
+# s = c - a - b an integer m: the logarithmic formulas (A&S 15.3.10-12)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ((1.0, 1.0), (2.0,), 0.999),                    # m = 0, -ln(1-z)/z
+    ((1.0, 1.0), (3.0,), 0.999),                    # m = 1
+    ((0.25 + 1j, 0.75 - 1j), (1.0,), 0.999 + 4e-4j),  # m = 0, complex
+    ((2.25, -0.75 + 0.5j), (-0.5 + 0.5j,), 0.999),  # m = -2
+    ((0.5, 0.25), (3.75,), 0.9995),                 # m = 3
+], ids=["log", "log1", "complex-m0", "complex-m-2", "m3"])
+def test_log_route_at_0999_against_reference(upper, lower, z):
+    spec = SeriesSpec(upper, lower, z)
+    result = sum_pfq(spec, SumPolicy(tolerance=1e-10))
+    assert repr(result) == repr(series._connection_sum(spec, SumPolicy(tolerance=1e-10)))
+    assert result.status is SumStatus.CONVERGED
+    assert result.terms_used < 40
+    assert _error(result, spec, rel=1e-18) <= result.tail_estimate
+
+
+def _agm(x: complex, y: complex) -> complex:
+    """The arithmetic-geometric mean, principal square roots: right while
+    both means keep positive real parts."""
+    for _ in range(40):
+        if abs(x - y) <= 1e-16 * abs(x):
+            break
+        x, y = (x + y) / 2, cmath.sqrt(x * y)
+    return (x + y) / 2
+
+
+def _log_draw(rng: random.Random):
+    """(spec, closed form) of a 2F1 whose c - a - b is an integer, or
+    (spec, None) for a draw that the decimal reference checks.  |1 - z| is
+    log-uniform on [1e-4, rho), as in _sweep_draw; the reference's draws
+    take |1 - z| >= rho/2 and m from -3 to 3."""
+    real = rng.random() < 0.5
+    w = 10.0 ** rng.uniform(-4.0, math.log10(RHO))
+    if not real:
+        w *= cmath.exp(1j * rng.uniform(-1.2, 1.2))
+    z = 1.0 - w
+    w = 1.0 - z
+    family = rng.randrange(5)
+    if family == 0:             # -ln(1-z)/z, m = 0
+        return SeriesSpec((1.0, 1.0), (2.0,), z), -cmath.log(w) / z
+    if family == 1:             # m = 1
+        return (SeriesSpec((1.0, 1.0), (3.0,), z),
+                2.0 * (w * cmath.log(w) + z) / (z * z))
+    if family == 2:             # 1/AGM(1, sqrt(1-z)), DLMF 19.8.5, m = 0
+        return SeriesSpec((0.5, 0.5), (1.0,), z), 1.0 / _agm(1.0, cmath.sqrt(w))
+    if family == 3:             # (1-z)^(-a) = 2F1(a, b; b; z), m = -a
+        a, b = rng.randint(1, 3), _parameter(rng, real)
+        return SeriesSpec((a, b), (b,), z), w ** -a
+    a, b = _parameter(rng, real), _parameter(rng, real)
+    z = 1.0 - w * max(1.0, RHO / 2 / abs(w))
+    return SeriesSpec((a, b), (a + b + rng.randint(-3, 3),), z), None
+
+
+def test_log_route_sweep_never_breaks_its_claim():
+    """400 seeded 2F1 near z = 1 whose s = c - a - b is exactly an integer
+    m, -3 <= m <= 3, real and complex, at tolerances 1e-10 to 1e-6, every
+    gamma and digamma argument 0.05 from a pole (or exactly 0): the
+    closed forms within 1e-14 max(1, |F|) for their own rounding, the
+    general draws against the decimal reference.  No Converged result
+    may lie beyond its tail_estimate."""
+    rng = random.Random(0x1065)
+    broken, converged, checked = [], 0, 0
+    while checked < 400:
+        spec, exact = _log_draw(rng)
+        (a, b), (c,) = spec.upper, spec.lower
+        m = round((c - a - b).real)
+        if (math.fsum((c.real, -a.real, -b.real, -m)) != 0.0
+                or math.fsum((c.imag, -a.imag, -b.imag)) != 0.0
+                or spec.truncation_degree() is not None
+                or not all(_away(x) for x in (a, b, c, a + m, b + m) if x)):
             continue
         checked += 1
         result = sum_pfq(spec, SumPolicy(tolerance=10.0 ** rng.uniform(-10.0, -6.0)))

@@ -25,6 +25,7 @@ from gelfond import (
     SumPolicy,
     SumResult,
     SumStatus,
+    complex_gamma,
     levin_accelerate,
     series,
     sum_pfq,
@@ -364,11 +365,18 @@ def _outcome(summer, spec: SeriesSpec, policy: SumPolicy) -> tuple[str, str]:
 def test_direct_sum_near_unit_2f1_matches_reference():
     """The non-terminating 2F1 draws of _sweep_spec with |1 - z| below
     series.CONNECTION_RADIUS, where sum_pfq tries the connection route
-    first: fed straight to series._direct_sum, the loop that stays their
-    fallback, they match the term-list reference."""
+    first, and fixed ones whose c - a - b is an integer, where it tries
+    the logarithmic formulas: fed straight to series._direct_sum, the loop
+    that stays their fallback, they match the term-list reference."""
     rng = random.Random(0x2F1)
-    cases = []
-    while len(cases) < 40:
+    cases = [
+        (SeriesSpec((1, 1), (2,), 0.999), SumPolicy(tolerance=1e-10)),
+        (SeriesSpec((1, 1), (3,), 0.99), SumPolicy(1e-13, 1000)),
+        (SeriesSpec((0.5, 0.5), (1,), 0.95 + 0.01j), SumPolicy(1e-8)),
+        (SeriesSpec((2.25, -0.75 + 0.5j), (-0.5 + 0.5j,), 0.99), SumPolicy(1e-12)),
+        (SeriesSpec((2, 0.3), (0.3,), 0.999), SumPolicy(1e-6, 100)),
+    ]
+    while len(cases) < 45:
         policy = SumPolicy(tolerance=10.0 ** rng.uniform(-15.0, -3.0),
                            max_terms=rng.choice((10, 25, 100, 30_000)))
         try:
@@ -551,12 +559,13 @@ def test_direct_sum_edge_of_float_range_against_closed_forms():
 
 def test_direct_sum_stores_no_terms():
     # 50,000 terms of -ln(1 - z)/z: a stored list of complex terms alone
-    # takes 2 MB
+    # takes 2 MB.  The loop is called itself, since sum_pfq may take the
+    # 1 - z connection route at this z
     spec = SeriesSpec((1, 1), (2,), 0.9999999)
     policy = SumPolicy(tolerance=1e-12, max_terms=50_000)
     tracemalloc.start()
     try:
-        result = sum_pfq(spec, policy)
+        result = series._direct_sum(spec, policy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -995,7 +1004,7 @@ def test_import_compiles_no_loop_or_kernel():
 
 def test_bernoulli_table_satisfies_recurrence():
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1, with B_0 = 1
-    b = [Fraction(p, q) for p, q in series._BERNOULLI]
+    b = [Fraction(p, q) for p, q in complex_gamma.BERNOULLI]
     assert b[0] == 1
     for n in range(1, len(b)):
         assert sum(math.comb(n + 1, k) * b[k] for k in range(n + 1)) == 0
