@@ -2,7 +2,7 @@
 
 Library layout:
 
-  complex_gamma   complex gamma / log-gamma (Lanczos + reflection)
+  complex_gamma   complex gamma / log-gamma (Lanczos + reflection), digamma
   series          pFq summation, unit argument by an asymptotic tail
   closed_forms    the six gamma-ratio summation theorems
   identities      identity registry (one row per registry variant of a

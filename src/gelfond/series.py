@@ -48,7 +48,8 @@ from math import comb
 
 from .closed_forms import gamma_ratio
 from .complex_gamma import (BERNOULLI, DIGAMMA_ENVELOPE, ENVELOPE_POLE_DISTANCE,
-                            LOG_GAMMA_ENVELOPE, digamma, nearest_nonpositive_int,
+                            EULER_GAMMA, LOG_GAMMA_ENVELOPE, PSI_SLACK,
+                            TRIGAMMA_BOUND, digamma, nearest_nonpositive_int,
                             within_envelope)
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
 
@@ -677,25 +678,17 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
 
 
 # ----------------------------------------------------------------------
-# 2F1 near z = 1: the 1 - z connection formula
+# 2F1 near z = 1: the 1 - z connection formulas
 # ----------------------------------------------------------------------
 
 # rho: 2F1 is taken by _connection_sum when |1 - z| is below this
 CONNECTION_RADIUS = 1.0 / 16.0
-# |psi(x)| <= ln(2 + |x|) + 1/delta + 1 over the envelope's region, delta
-# its pole distance: measured against mpmath.digamma on 20,000 seeded
-# points, half of them 1/32 to 0.2 from a pole, |psi| reached 0.975 of it
-_PSI_SLACK = 1.0 / ENVELOPE_POLE_DISTANCE + 1.0
-# |psi'(x)| <= pi^2 + 1/delta^2 when every x + j, j >= 0, is at least
-# delta from 0: one x + j may come within delta, the others add at most
-# 2 sum_i 1/(i + 1/2)^2 = pi^2
-_TRIGAMMA_BOUND = math.pi ** 2 + 1.0 / ENVELOPE_POLE_DISTANCE ** 2
-_EULER_GAMMA = 0.57721566490153286
 
 
 def _short_2f1(a, b, c, w, cap: int):
     """(value, bound, terms, sum of k |t_k|) of 2F1(a, b; c; w), summed
-    until the truncation bound is below eps sum|t_k|; None past cap terms.
+    until the truncation bound is below eps sum|t_k|; at cap terms, the
+    sum of those with its rounding bound alone and terms None.
 
     For k >= n >= 1 with n + min(Re c, 0) > 0, |c + k| >= k + min(Re c, 0)
     and k + 1 > k give |t_{k+1} / t_k| <= r_n = |w| (1 + |a|/n)
@@ -703,7 +696,9 @@ def _short_2f1(a, b, c, w, cap: int):
     terms after t_n add up to at most |t_n| r_n / (1 - r_n).  The bound
     adds that and the rounding: t_k carries k steps of at most rho each
     (5 eps for floats, 14 eps for complex, counted as in _unit_sum) and
-    the running sum n eps sum|t_k|."""
+    the running sum n eps sum|t_k| ((n + 1) eps at the cap).  For
+    c = 1 - M that test cannot pass below n = M, so cap = M sums the M
+    terms of A&S 15.3.10's finite part."""
     rho = (5.0 if type(w) is float else 14.0) * _EPS
     aw, ma, mb, low = abs(w), abs(a), abs(b), min(c.real, 0.0)
     t = total = 1.0
@@ -721,23 +716,7 @@ def _short_2f1(a, b, c, w, cap: int):
             if r < 1.0 and abs_t * r <= (1.0 - r) * _EPS * abs_sum:
                 bound = abs_t * r / (1.0 - r) + rho * weighted + n * _EPS * abs_sum
                 return total, bound, n + 1, weighted
-    return None
-
-
-def _finite_2f1(a, b, m: int, w):
-    """(value, rounding bound, sum of k |t_k|) of the first m >= 1 terms
-    of 2F1(a, b; 1-m; w), t_k formed and the rounding counted as in
-    _short_2f1."""
-    rho = (5.0 if type(w) is float else 14.0) * _EPS
-    t = total = 1.0
-    abs_sum, weighted = 1.0, 0.0
-    for n in range(1, m):
-        t = t * w * (a + n - 1) * (b + n - 1) / ((n - m) * n)
-        total += t
-        abs_t = abs(t)
-        abs_sum += abs_t
-        weighted += n * abs_t
-    return total, rho * weighted + m * _EPS * abs_sum, weighted
+    return total, rho * weighted + (n + 1) * _EPS * abs_sum, None, weighted
 
 
 def _log_2f1(a, b, c, w, h, eh: float, cap: int):
@@ -788,144 +767,103 @@ def _log_2f1(a, b, c, w, h, eh: float, cap: int):
     return None
 
 
-def _gauss_terms(a, b, c, w, cap: int):
-    """(value, bound, terms) of DLMF 15.8.4,
+def _gauss_terms(a, b, c, w, log_w, cap: int):
+    """The parts of DLMF 15.8.4,
         A F(a, b; 1-s; w) + w^s B F(c-a, c-b; 1+s; w),  w = 1 - z,
-    s = c - a - b, A = Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) and
-    B = Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)), each one gamma_ratio;
-    None when a short sum runs past cap terms or w^s overflows.  With T1
-    and T2 the two terms, the bound adds
-    - each short sum's truncation and rounding (_short_2f1), times |A|
-      and |w^s B|;
-    - the gamma factors, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term,
-      times |T1| + |T2|;
-    - the rounding of w^s = exp(s log w), 4 eps (|s| (|log w| + 1) + 1)
-      |T2|, and 8 eps (|T1| + |T2|) for the exponentials of the log sums
-      and the final products and sum;
+    for _connection_sum: e = s = c - a - b, A = Gamma(c) Gamma(s) /
+    (Gamma(c-a) Gamma(c-b)) and B = Gamma(c) Gamma(-s) / (Gamma(a)
+    Gamma(b)), each one gamma_ratio, and the two short sums with their
+    truncation and rounding (_short_2f1); None when one runs past cap
+    terms.  The bound terms of this formula:
+    - in the rate, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term, and 8 eps
+      for the exponentials of the log sums and the final products and sum;
     - to first order, the rounding of the derived parameters s, 1 -+ s,
       c - a and c - b, each off by at most h = 2 eps (|a| + |b| + |c| + 1):
-      h (3 psi + |log w|) (|T1| + |T2|) for the gamma factors and the
-      power, psi = ln(2 + max|argument|) + 1/delta + 1 bounding the
-      digamma function over the region, and h 3/delta (|A| sum k|t_k| +
-      |w^s B| sum k|t_k|) for the short sums, since every Pochhammer
-      factor of their perturbed parameters is at least delta from 0.
+      h (3 psi + |log w|) in the rate, for the gamma factors and the
+      power, psi = ln(2 + max|argument|) + PSI_SLACK bounding the digamma
+      function over the region, and h 3/delta sum k|t_k| in each sum's
+      error, since every Pochhammer factor of their perturbed parameters
+      is at least delta from 0.
     """
     s = c - a - b
-    real = type(w) is float
     first = _short_2f1(a, b, 1.0 - s, w, cap)
-    if first is None:
+    if first[2] is None:
         return None
     second = _short_2f1(c - a, c - b, 1.0 + s, w, cap - first[2])
-    if second is None:
+    if second[2] is None:
         return None
-    (f1, e1, n1, k1), (f2, e2, n2, k2) = first, second
-    ratio_a = gamma_ratio((c, s), (c - a, c - b))
-    ratio_b = gamma_ratio((c, -s), (a, b))
-    log_w = math.log(w) if real else cmath.log(w)
-    try:
-        power = math.exp(s * log_w) if real else cmath.exp(s * log_w)
-    except OverflowError:
-        return None
-    if real:
-        ratio_a, ratio_b = ratio_a.real, ratio_b.real
-    ratio_b *= power
-    scale_a, scale_b = abs(ratio_a), abs(ratio_b)
-    t1 = ratio_a * f1
-    t2 = ratio_b * f2
-    size = abs(t1) + abs(t2)
-    psi = math.log(2.0 + max(map(abs, (c, s, a, b, c - a, c - b)))) + _PSI_SLACK
+    (f1, err1, n1, k1), (f2, err2, n2, k2) = first, second
+    psi = math.log(2.0 + max(map(abs, (c, s, a, b, c - a, c - b)))) + PSI_SLACK
     h = 2.0 * _EPS * (abs(a) + abs(b) + abs(c) + 1.0)
-    bound = (scale_a * e1 + scale_b * e2
-             + (4.0 * LOG_GAMMA_ENVELOPE + 8.0 * _EPS) * size
-             + 4.0 * _EPS * (abs(s) * (abs(log_w) + 1.0) + 1.0) * abs(t2)
-             + h * ((3.0 * psi + abs(log_w)) * size
-                    + 3.0 / ENVELOPE_POLE_DISTANCE * (scale_a * k1 + scale_b * k2)))
-    return t1 + t2, bound, n1 + n2
+    rate = 4.0 * LOG_GAMMA_ENVELOPE + 8.0 * _EPS + h * (3.0 * psi + abs(log_w))
+    pole = 3.0 * h / ENVELOPE_POLE_DISTANCE
+    return (s, rate, (gamma_ratio((c, s), (c - a, c - b)), f1, err1 + pole * k1, n1),
+            (gamma_ratio((c, -s), (a, b)), f2, err2 + pole * k2, n2))
 
 
-def _log_terms(a, b, c, m: int, w, cap: int):
-    """(value, bound, terms) of A&S 15.3.10-15.3.12 for s = c - a - b
-    equal to the integer m, w = 1 - z.  With M = |m|, (p, q) = (a, b)
-    and (P, Q) = (a + M, b + M) for m >= 0, (p, q) = (a - M, b - M) and
-    (P, Q) = (a, b) for m < 0,
-        T1 = (M-1)! Gamma(c) / (Gamma(P) Gamma(Q)) w^min(m,0)
-             sum_{k<M} (p)_k (q)_k / (k! (1-M)_k) w^k,   0 for M = 0,
-        T2 = -(-1)^M Gamma(c) / (Gamma(p) Gamma(q) M!) w^max(m,0)
-             sum_k t_k h_k,
+def _log_terms(a, b, c, m: int, w, log_w, cap: int):
+    """The parts of A&S 15.3.10-15.3.12 for s = c - a - b equal to the
+    integer e = m, w = 1 - z, for _connection_sum.  With M = |m|,
+    (p, q) = (a, b) and (P, Q) = (a + M, b + M) for m >= 0, (p, q) =
+    (a - M, b - M) and (P, Q) = (a, b) for m < 0, the value is
+    F + w^m L for m >= 0 and L + w^m F for m < 0, with
+        F = (M-1)! Gamma(c) / (Gamma(P) Gamma(Q))
+            sum_{k<M} (p)_k (q)_k / (k! (1-M)_k) w^k,   0 for M = 0,
+        L = -(-1)^M Gamma(c) / (Gamma(p) Gamma(q) M!) sum_k t_k h_k,
     t_k the terms of 2F1(P, Q; M+1; w) and h_k = ln w - psi(k+1) -
     psi(k+M+1) + psi(P+k) + psi(Q+k): digamma gives psi(P) and psi(Q),
-    -psi(1) - psi(M+1) is 2 gamma - H_M, and _log_2f1 steps h_k.  None
-    when the log sum runs past cap terms or w^m overflows.  The bound
-    adds
-    - the finite sum's rounding (_finite_2f1), times its factor, and the
-      log sum's truncation and rounding (_log_2f1), times its factor;
-      h_0's error is 2 DIGAMMA_ENVELOPE, for digamma, and 6 eps (|ln w|
-      + 1 + H_M + |psi(P)| + |psi(Q)|) for the roundings of ln w, H_M,
-      gamma and the sum, so that DIGAMMA_ENVELOPE and ln w's rounding
-      enter times sum|t_k|;
-    - the gamma factors, LOG_GAMMA_ENVELOPE per log-gamma, 3 a term,
-      times |T1| + |T2|;
-    - the rounding of w^m = exp(m ln w), 4 eps (M (|ln w| + 1) + 1)
-      times its term, and 10 eps (|T1| + |T2|) for the factorials, the
-      exponentials of the log sums and the final products and sum;
+    -psi(1) - psi(M+1) is 2 gamma - H_M, and _log_2f1 steps h_k.  F's sum
+    is _short_2f1 capped at M terms.  L's factor is exactly 0 when
+    Gamma(p) or Gamma(q) is at a pole (2F1(M, b; b; z) = w^-M), and then
+    L is 0 without its sum or digamma.  None when M reaches cap or the
+    log sum runs past cap terms.  The bound terms of this formula:
+    - h_0's error, 2 DIGAMMA_ENVELOPE for digamma and 6 eps (|ln w| + 1 +
+      H_M + |psi(P)| + |psi(Q)|) for the roundings of ln w, H_M, gamma and
+      the sum, which _log_2f1 counts times sum|t_k| in L's error;
+    - in the rate, LOG_GAMMA_ENVELOPE per log-gamma, 3 a term, and 10 eps
+      for the factorials, the exponentials of the log sums and the final
+      products and sum;
     - to first order, the rounding of a + m and b + m, taken exactly
-      (TwoSum) as d: d psi (|T1| + |T2|) for the gamma factors, psi as
-      in _gauss_terms, d/delta (|T1 factor| sum k|t_k| + |T2 factor|
-      sum k|t_k h_k|) for the Pochhammer symbols, and d (pi^2 +
-      1/delta^2) |T2 factor| sum|t_k| for psi(P+k) and psi(Q+k), since
-      |psi'(x)| <= pi^2 + 1/delta^2 when every x + j, j >= 0, is at
-      least delta from 0.
+      (TwoSum) as d: d psi in the rate, for the gamma factors, psi as in
+      _gauss_terms; d/delta sum k|t_k| in F's error and d/delta
+      sum k|t_k h_k| in L's, for the Pochhammer symbols; and
+      d TRIGAMMA_BOUND sum|t_k| in L's, for psi(P+k) and psi(Q+k).
     """
     big = abs(m)
-    real = type(w) is float
+    if big >= cap:
+        return None
     (p, q), (P, Q) = ((a, b), (a + m, b + m)) if m >= 0 else ((a + m, b + m), (a, b))
-    log_w = math.log(w) if real else cmath.log(w)
-    psi_1, psi_2 = digamma(P), digamma(Q)
-    if real:
-        psi_1, psi_2 = psi_1.real, psi_2.real
-    harmonic = math.fsum(1.0 / j for j in range(1, big + 1))
-    h = log_w + (psi_1 + psi_2) + (2.0 * _EULER_GAMMA - harmonic)
-    eh = 2.0 * DIGAMMA_ENVELOPE + 6.0 * _EPS * (abs(log_w) + 1.0 + harmonic
-                                                + abs(psi_1) + abs(psi_2))
-    second = _log_2f1(P, Q, big + 1.0, w, h, eh, cap - big)
-    if second is None:
-        return None
-    f2, e2, n2, abs2, k2 = second
-    sign = 1.0 if big % 2 else -1.0
-    ratio_2 = sign * gamma_ratio((c,), (p, q)) / math.factorial(big)
-    if big:
-        f1, e1, k1 = _finite_2f1(p, q, big, w)
-        ratio_1 = math.factorial(big - 1) * gamma_ratio((c,), (P, Q))
-    else:
-        f1 = e1 = k1 = ratio_1 = 0.0
-    try:
-        power = math.exp(m * log_w) if real else cmath.exp(m * log_w)
-    except OverflowError:
-        return None
-    if real:
-        ratio_1, ratio_2 = ratio_1.real, ratio_2.real
-    if m >= 0:
-        ratio_2 *= power
-    else:
-        ratio_1 *= power
-    scale_1, scale_2 = abs(ratio_1), abs(ratio_2)
-    t1 = ratio_1 * f1
-    t2 = ratio_2 * f2
-    size = abs(t1) + abs(t2)
     # the rounding of a + m and b + m, exactly (TwoSum)
     d = 0.0
     for x in (a.real, b.real):
         y = x + m
         v = y - x
         d += abs((x - (y - v)) + (m - v))
-    psi = math.log(2.0 + max(map(abs, (c, p, q, P, Q)))) + _PSI_SLACK
-    bound = (scale_1 * e1 + scale_2 * e2
-             + (3.0 * LOG_GAMMA_ENVELOPE + 10.0 * _EPS) * size
-             + 4.0 * _EPS * (big * (abs(log_w) + 1.0) + 1.0) * abs(t2 if m >= 0 else t1)
-             + d * (psi * size
-                    + (scale_1 * k1 + scale_2 * k2) / ENVELOPE_POLE_DISTANCE
-                    + _TRIGAMMA_BOUND * scale_2 * abs2))
-    return t1 + t2, bound, big + n2
+    psi = math.log(2.0 + max(map(abs, (c, p, q, P, Q)))) + PSI_SLACK
+    rate = 3.0 * LOG_GAMMA_ENVELOPE + 10.0 * _EPS + d * psi
+    sign = 1.0 if big % 2 else -1.0
+    ratio = sign * gamma_ratio((c,), (p, q)) / math.factorial(big)
+    log_part = (ratio, 0.0, 0.0, 0)
+    if ratio:
+        psi_1, psi_2 = digamma(P), digamma(Q)
+        if type(w) is float:
+            psi_1, psi_2 = psi_1.real, psi_2.real
+        harmonic = math.fsum(1.0 / j for j in range(1, big + 1))
+        h = log_w + (psi_1 + psi_2) + (2.0 * EULER_GAMMA - harmonic)
+        eh = 2.0 * DIGAMMA_ENVELOPE + 6.0 * _EPS * (abs(log_w) + 1.0 + harmonic
+                                                    + abs(psi_1) + abs(psi_2))
+        found = _log_2f1(P, Q, big + 1.0, w, h, eh, cap - big)
+        if found is None:
+            return None
+        f, err, n, abs_sum, k = found
+        log_part = (ratio, f, err + d * (k / ENVELOPE_POLE_DISTANCE
+                                         + TRIGAMMA_BOUND * abs_sum), n)
+    finite = (0.0, 0.0, 0.0, 0)
+    if big:
+        f, err, _, k = _short_2f1(p, q, 1.0 - big, w, big)
+        finite = (math.factorial(big - 1) * gamma_ratio((c,), (P, Q)), f,
+                  err + d / ENVELOPE_POLE_DISTANCE * k, big)
+    return (m, rate) + ((finite, log_part) if m >= 0 else (log_part, finite))
 
 
 def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
@@ -943,6 +881,18 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
     least delta = ENVELOPE_POLE_DISTANCE = 1/32 from every integer, so
     an s near an integer but not exactly one stays direct.  A real spec,
     z < 1, sums in floats and returns the real part of the combination.
+
+    A formula returns what is its own: the exponent e of w = 1 - z, a
+    rate, and two parts, each a gamma factor F_i, a sum S_i, that sum's
+    error and its terms, the second part the one that w^e multiplies;
+    each error already holds the sum's share of the derived-parameter
+    rounding, and the rate the bound per unit of |T1| + |T2| of the gamma
+    factors and that rounding.  This function combines them:
+    T1 = F_1 S_1 and T2 = w^e F_2 S_2 with w^e = exp(e ln w) (None when
+    it overflows), the value T1 + T2 and the bound
+        |F_1| err_1 + |w^e F_2| err_2 + rate (|T1| + |T2|)
+        + 4 eps (|e| (|ln w| + 1) + 1) |T2|,
+    the last the rounding of w^e.
     """
     (a, b), (c,), z = spec.upper, spec.lower, spec.argument
     if not (within_envelope(a) and within_envelope(b) and within_envelope(c)):
@@ -964,17 +914,30 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
     if not all(within_envelope(x) for x in args if x):
         return None
     w = 1.0 - z
-    if not (a.imag or b.imag or c.imag or w.imag):
+    real = not (a.imag or b.imag or c.imag or w.imag)
+    if real:
         a, b, c, w = a.real, b.real, c.real, w.real
-    parts = (_log_terms(a, b, c, m, w, policy.max_terms) if degenerate
-             else _gauss_terms(a, b, c, w, policy.max_terms))
+    log_w = math.log(w) if real else cmath.log(w)
+    parts = (_log_terms(a, b, c, m, w, log_w, policy.max_terms) if degenerate
+             else _gauss_terms(a, b, c, w, log_w, policy.max_terms))
     if parts is None:
         return None
-    value, bound, terms = parts
+    e, rate, (ratio_1, f1, err1, n1), (ratio_2, f2, err2, n2) = parts
+    try:
+        power = math.exp(e * log_w) if real else cmath.exp(e * log_w)
+    except OverflowError:
+        return None
+    if real:
+        ratio_1, ratio_2 = ratio_1.real, ratio_2.real
+    ratio_2 *= power
+    t1, t2 = ratio_1 * f1, ratio_2 * f2
+    value = t1 + t2
+    bound = (abs(ratio_1) * err1 + abs(ratio_2) * err2 + rate * (abs(t1) + abs(t2))
+             + 4.0 * _EPS * (abs(e) * (abs(log_w) + 1.0) + 1.0) * abs(t2))
     # a term beyond binary64 makes the bound inf, which the second test
     # alone would pass against an infinite value
     if bound <= policy.tolerance or bound <= policy.tolerance * abs(value) < math.inf:
-        return SumResult(complex(value), terms, bound, SumStatus.CONVERGED)
+        return SumResult(complex(value), n1 + n2, bound, SumStatus.CONVERGED)
     return None
 
 

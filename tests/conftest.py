@@ -212,10 +212,6 @@ def reference_log_gamma(z) -> complex:
         raise PoleError(f"log_gamma: {z} is within {cg.POLE_TOLERANCE} of a pole")
     reflect = z.real < 0.5
     if reflect:
-        if abs(z.imag) > cg.REFLECTION_IM_LIMIT:
-            raise RangeError(
-                f"log_gamma: |Im z| = {abs(z.imag)} exceeds the reflection strip"
-            )
         head, z = cg._LOG_PI - cmath.log(cg.sin_pi(z)), 1.0 - z
     w = z - 1.0
     acc = complex(cg._LANCZOS_COEF[0])

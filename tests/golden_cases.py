@@ -37,6 +37,15 @@ CASES = {
     "eval-asin-0.999.json": (
         ["eval", "--upper", "1/2,1/2", "--lower", "3/2", "--z", "0.999",
          "--tol", "1e-10", "--format", "json"], 0),
+    "eval-gauss-complex-0.99.json": (
+        ["eval", "--upper", "0.3+1i,0.7", "--lower", "2.1-0.5i", "--z", "0.99",
+         "--tol", "1e-10", "--format", "json"], 0),
+    "eval-log-m3-0.9995.json": (
+        ["eval", "--upper", "1/2,1/4", "--lower", "15/4", "--z", "0.9995",
+         "--tol", "1e-10", "--format", "json"], 0),
+    "eval-log-zero-factor.json": (
+        ["eval", "--upper", "2,0.3", "--lower", "0.3", "--z", "0.999",
+         "--tol", "1e-10", "--format", "json"], 0),
     "eval-cosh-pi.txt": (
         ["eval", "--lower", "1/2", "--z", "2.4674011002723395"], 0),
     "eval-complex-half.json": (

@@ -228,8 +228,14 @@ def test_bailey_ext_half_pole_at_negative_integer_c(c):
         bailey_ext_half(0.3, c, 2)
 
 
-# ----------------------------------------------------------------------
-# oracle equivalence at z = 1
+def test_bailey_ext_half_reflects_past_the_envelope():
+    # Gamma(c/2 + 1/2) reflects at Re = 0.43, Im = 34.1, beyond the
+    # envelope's |Im| <= 30 but well within sin_pi's range (expected
+    # value: mpmath agrees within 3e-14)
+    value = bailey_ext_half(18.262681841350506 + 74.7917760120817j,
+                            -0.1395873192138481 + 68.29047084970213j,
+                            -0.11158801430779958 + 0.3675812437588181j)
+    assert abs(value - (-9.429039410184235e-4 + 1.1949155734984856e-4j)) <= 1e-13
 # ----------------------------------------------------------------------
 
 def test_gauss_unit_vs_accelerated_series(rng):

@@ -76,9 +76,11 @@ def test_route_at_0999_against_reference(upper, lower, z):
     ((0.5, 2.5), (1.5,), 0.99, SumPolicy(1e-10)),        # c - b = -1, a pole
     ((49.5, 0.5), (51.0,), 0.99, SumPolicy(1e-10)),      # s = 1, a + 1 off the envelope
     ((1.0, 1.0), (2.0,), 0.999, SumPolicy()),            # s = 0 at 1e-13
+    # (1-z)^-12: the finite part alone has 12 terms, its log part none
+    ((12.0, 0.3), (0.3,), 0.999, SumPolicy(1e-10, 10)),
 ], ids=["inexact-integer-s", "near-degenerate", "tight-tolerance", "max-terms",
         "off-envelope", "denominator-pole", "degenerate-off-envelope",
-        "degenerate-tight-tolerance"])
+        "degenerate-tight-tolerance", "zero-factor-max-terms"])
 def test_route_declines_to_the_direct_sum(upper, lower, z, policy):
     spec = SeriesSpec(upper, lower, z)
     assert series._connection_sum(spec, policy) is None
@@ -173,6 +175,21 @@ def test_log_route_at_0999_against_reference(upper, lower, z):
     assert result.status is SumStatus.CONVERGED
     assert result.terms_used < 40
     assert _error(result, spec, rel=1e-18) <= result.tail_estimate
+
+
+def test_log_route_zero_factor_skips_the_log_sum(monkeypatch):
+    """2F1(2, 0.3; 0.3; z) = (1-z)^-2, m = -2: the log part's factor holds
+    1/Gamma(a - 2) = 1/Gamma(0) = 0, so the route sums only the 2 terms of
+    the finite part and calls no digamma."""
+    calls = []
+    digamma = series.digamma
+    monkeypatch.setattr(series, "digamma", lambda x: calls.append(x) or digamma(x))
+    spec = SeriesSpec((2.0, 0.3), (0.3,), 0.999)
+    result = sum_pfq(spec, SumPolicy(tolerance=1e-10))
+    assert result.status is SumStatus.CONVERGED
+    assert result.terms_used == 2
+    assert abs(result.value - (1.0 - 0.999) ** -2) <= result.tail_estimate
+    assert calls == []
 
 
 def _agm(x: complex, y: complex) -> complex:
