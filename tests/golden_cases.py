@@ -46,6 +46,12 @@ CASES = {
     "eval-log-zero-factor.json": (
         ["eval", "--upper", "2,0.3", "--lower", "0.3", "--z", "0.999",
          "--tol", "1e-10", "--format", "json"], 0),
+    "eval-binomial-0.99.json": (
+        ["eval", "--upper", "3/2", "--z", "0.99", "--tol", "1e-10",
+         "--format", "json"], 0),
+    "eval-binomial-int-0.999.json": (
+        ["eval", "--upper", "3", "--z", "0.999", "--tol", "1e-10",
+         "--format", "json"], 0),
     "eval-cosh-pi.txt": (
         ["eval", "--lower", "1/2", "--z", "2.4674011002723395"], 0),
     "eval-complex-half.json": (

@@ -22,6 +22,7 @@ from gelfond import (
     sum_pfq,
     sum_pfq_unit,
 )
+from gelfond import closed_forms
 from gelfond.closed_forms import SERIES, gamma_ratio
 from conftest import (
     COSH_HALF_PI,
@@ -206,9 +207,23 @@ def test_second_gauss_ext_half_at_removable_poles(diff, a, d):
 @pytest.mark.parametrize("a, b", [(1.2, 0.2), (0.2, 1.2)], ids=["plus-one", "minus-one"])
 def test_second_gauss_ext_half_at_unit_difference_is_pole_error(a, b):
     # a - b = +-1: 1/(x (x+1)) is infinite, and the finite 3F2 (1.1174319686
-    # at (1.2, 0.2, 2), mpmath) is a limit with digamma values, not built
-    with pytest.raises(PoleError):
-        second_gauss_ext_half(a, b, 2.0)
+    # at (1.2, 0.2, 2), mpmath) is a limit with digamma values, not built;
+    # 1e-6 away the brace has cancelled to 7.6e-11 - 5.9e-10 relative (mpmath)
+    for gap in (0.0, 1e-6, -1e-6):
+        with pytest.raises(PoleError):
+            second_gauss_ext_half(a, b + gap, 2.0)
+
+
+@pytest.mark.parametrize("gap", [2e-3, -2e-3])
+@pytest.mark.parametrize("a, b", [(1.2, 0.2), (0.2, 1.2)], ids=["plus-one", "minus-one"])
+def test_second_gauss_ext_half_outside_the_unit_difference_width(a, b, gap):
+    # twice the width from a - b = +-1 the brace has cancelled to about
+    # 1e-13 relative (mpmath: 7.8e-14 to 2.1e-13)
+    b += gap
+    assert min(abs(a - b - 1.0), abs(a - b + 1.0)) > closed_forms.UNIT_DIFFERENCE_WIDTH
+    closed = second_gauss_ext_half(a, b, 2.0)
+    r = sum_pfq(_series("second_gauss_ext_half", a, b, 2.0), _half_policy())
+    assert abs(closed - r.value) <= r.tail_estimate + 1e-12 * abs(r.value)
 
 
 def test_second_gauss_ext_half_small_value():

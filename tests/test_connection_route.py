@@ -1,7 +1,7 @@
-"""sum_pfq's 1 - z connection route for 2F1 near z = 1 (DLMF 15.8.4, and
-A&S 15.3.10-15.3.12 where c - a - b is an integer), checked against
-tests/reference_pfq.py and against closed forms: every Converged result
-lies within its tail_estimate."""
+"""sum_pfq's 1 - z connection route for 2F1 and 1F0 near z = 1 (DLMF
+15.8.4, and A&S 15.3.10-15.3.12 where c - a - b is an integer), checked
+against tests/reference_pfq.py and against closed forms: every Converged
+result lies within its tail_estimate."""
 
 import cmath
 import math
@@ -78,9 +78,17 @@ def test_route_at_0999_against_reference(upper, lower, z):
     ((1.0, 1.0), (2.0,), 0.999, SumPolicy()),            # s = 0 at 1e-13
     # (1-z)^-12: the finite part alone has 12 terms, its log part none
     ((12.0, 0.3), (0.3,), 0.999, SumPolicy(1e-10, 10)),
+    # 1F0(a;;z) = (1-z)^-a, taken as 2F1(a, a+1; a+1; z)
+    ((-2.98,), (), 0.99, SumPolicy(1e-10)),             # a within 1/32 of -3
+    ((1.5,), (), 1.0 - RHO, SumPolicy(1e-10)),          # |1 - z| = rho
+    ((1.5,), (), 0.99, SumPolicy()),                    # 1e-13: below the bound
+    # a + 1 within 1e-9 of -2, which a 2F1 spec would refuse as a pole
+    ((-3.0 + 1e-10,), (), 0.99, SumPolicy(1e-10)),
 ], ids=["inexact-integer-s", "near-degenerate", "tight-tolerance", "max-terms",
         "off-envelope", "denominator-pole", "degenerate-off-envelope",
-        "degenerate-tight-tolerance", "zero-factor-max-terms"])
+        "degenerate-tight-tolerance", "zero-factor-max-terms",
+        "binomial-near-pole", "binomial-at-rho", "binomial-tight-tolerance",
+        "binomial-near-lower-pole"])
 def test_route_declines_to_the_direct_sum(upper, lower, z, policy):
     spec = SeriesSpec(upper, lower, z)
     assert series._connection_sum(spec, policy) is None
@@ -190,6 +198,84 @@ def test_log_route_zero_factor_skips_the_log_sum(monkeypatch):
     assert result.terms_used == 2
     assert abs(result.value - (1.0 - 0.999) ** -2) <= result.tail_estimate
     assert calls == []
+
+
+def test_zero_part_is_not_summed(monkeypatch):
+    """c = b makes DLMF 15.8.4's first factor hold 1/Gamma(c - b) =
+    1/Gamma(0) = 0: the route sums only the second part, F(c-a, 0; 1+s;
+    1-z), with the value and tail it gave when it summed both, and a 1F0
+    is that 2F1 with b = a + 1."""
+    calls = []
+    short_2f1 = series._short_2f1
+    monkeypatch.setattr(series, "_short_2f1",
+                        lambda a, b, c, w, cap: calls.append(b) or short_2f1(a, b, c, w, cap))
+    policy = SumPolicy(tolerance=1e-10)
+    result = sum_pfq(SeriesSpec((2.3, 0.7), (0.7,), 0.99), policy)
+    assert (repr(result.value), repr(result.tail_estimate), result.terms_used) == (
+        "(39810.717055349676+0j)", "1.6879501113703575e-07", 3)
+    assert calls == [0.0]
+    calls.clear()
+    result = sum_pfq(SeriesSpec((1.5,), (), 0.99), policy)
+    assert (repr(result.value), repr(result.tail_estimate), result.terms_used) == (
+        "(999.9999999999998+0j)", "4.370457455103485e-09", 2)
+    assert repr(result) == repr(sum_pfq(SeriesSpec((1.5, 2.5), (2.5,), 0.99), policy))
+    assert calls == [0.0, 0.0]
+
+
+def _binomial_draw(rng: random.Random):
+    """(spec, (1-z)^(-a)) of a 1F0 near z = 1, or (spec, None) for a draw
+    that the decimal reference checks.  a is a positive integer, a
+    half-integer, or uniform, real or complex, all with |Re a| <= 20;
+    |1 - z| is drawn as in _sweep_draw, and the reference's draws take
+    |1 - z| >= rho/2."""
+    real = rng.random() < 0.5
+    w = 10.0 ** rng.uniform(-4.0, math.log10(RHO))
+    if not real:
+        w *= cmath.exp(1j * rng.uniform(-1.2, 1.2))
+    kind = rng.randrange(4)
+    if kind == 0:
+        a = complex(rng.randint(1, 20))
+    elif kind == 1:
+        a = complex(rng.randint(-20, 19) + 0.5)
+    else:
+        a = complex(rng.uniform(-20.0, 20.0), 0.0 if kind == 2 else rng.uniform(-3.0, 3.0))
+    if rng.random() < 0.04:
+        return SeriesSpec((a,), (), 1.0 - w * max(1.0, RHO / 2 / abs(w))), None
+    z = 1.0 - w
+    w = 1.0 - z                 # exact: the w the route sees
+    return SeriesSpec((a,), (), z), cmath.exp(-a * cmath.log(w))
+
+
+def test_binomial_route_never_breaks_its_claim():
+    """400 seeded 1F0(a;;z) = (1-z)^(-a) near z = 1, which the route takes
+    as 2F1(a, a+1; a+1; z), at tolerances 1e-12 to 1e-6.  The closed form
+    is exp(-a ln(1-z)) in binary64, allowed (4 |a ln(1-z)| + 4) eps |F|
+    for its rounding; the draws with |1 - z| >= rho/2 go to the decimal
+    reference.  No Converged result of the route may lie beyond its
+    tail_estimate.  The draws it declines (a tolerance below its bound,
+    a within 1/32 of an integer other than a positive one) take the
+    direct sum, whose tail this near z = 1 is not yet a bound."""
+    rng = random.Random(0xB1A0)
+    broken, routed, referenced = [], 0, 0
+    for _ in range(400):
+        spec, exact = _binomial_draw(rng)
+        policy = SumPolicy(tolerance=10.0 ** rng.uniform(-12.0, -6.0))
+        result = sum_pfq(spec, policy)
+        if repr(result) != repr(series._connection_sum(spec, policy)):
+            continue
+        routed += 1
+        assert result.status is SumStatus.CONVERGED
+        if exact is None:
+            referenced += 1
+            error = _error(result, spec, rel=1e-18)
+        else:
+            (a,), w = spec.upper, 1.0 - spec.argument
+            error = abs(result.value - exact) - (
+                (4.0 * abs(a * cmath.log(w)) + 4.0) * math.ulp(1.0) * abs(exact))
+        if error > result.tail_estimate:
+            broken.append((spec, policy, result, error))
+    assert not broken, (len(broken), broken[:3])
+    assert routed >= 340 and referenced >= 8, (routed, referenced)
 
 
 def _agm(x: complex, y: complex) -> complex:
