@@ -12,7 +12,7 @@ Library layout:
   cli             command-line interface (eval / verify / constants / heegner)
 """
 
-from .complex_gamma import gamma, log_gamma, reciprocal_gamma, sin_pi
+from .complex_gamma import gamma, log_gamma, sin_pi
 from .closed_forms import (
     bailey_ext_half,
     bailey_half,
@@ -81,8 +81,8 @@ __all__ = [
     "dd_pi", "dd_round", "dd_sqrt", "dd_sub", "dd_to_decimal", "gamma",
     "gauss_ext_unit", "gauss_unit", "gelfond", "gelfond_lambda",
     "heegner_row", "heegner_table", "levin_accelerate", "log_gamma",
-    "reciprocal_gamma", "registry", "second_gauss_ext_half",
-    "second_gauss_half", "sin_pi", "sqrt_gelfond_pair", "sum_pfq",
-    "sum_pfq_unit", "theorem1", "theorem1_coefficients", "theorem2",
-    "theorem2_coefficients", "verify", "verify_all",
+    "registry", "second_gauss_ext_half", "second_gauss_half", "sin_pi",
+    "sqrt_gelfond_pair", "sum_pfq", "sum_pfq_unit", "theorem1",
+    "theorem1_coefficients", "theorem2", "theorem2_coefficients", "verify",
+    "verify_all",
 ]

@@ -13,12 +13,16 @@ hypergeometric sum:
 SERIES is this list as code: name -> (upper, lower, argument) of the same
 arguments, unrounded, so that an exact Fraction d gives an exact d+1.
 
-Every theorem is at most two terms, each a coefficient times one
-gamma_ratio.  A ratio is assembled in log space (one exponential at the
-end), so that ratios of four gammas do not lose digits to intermediate
-overflow or cancellation.  A denominator argument at a pole of Gamma makes
-its ratio zero instead of raising; the extension formulas rely on this to
-take their finite limits (e.g. a zero upper parameter).
+Every theorem is at most two terms, each a coefficient times one gamma
+ratio.  A ratio is assembled in log space (one exponential at the end), so
+that ratios of four gammas do not lose digits to intermediate overflow or
+cancellation.  A numerator that two ratios share (second_gauss_ext_half,
+bailey_ext_half, the connection formulas of series) is summed once by
+log_gamma_sum and divided twice by gamma_quotient, and log Gamma(1/2) is
+summed at import: the fold and its operands are gamma_ratio's, with fewer
+log-gammas.  A denominator argument at a pole of Gamma makes its ratio
+zero instead of raising; the extension formulas rely on this to take
+their finite limits (e.g. a zero upper parameter).
 
 Every log-gamma sum becomes a value by one rule, complex_gamma.exp_log_sum:
 a real part of -inf is an underflow and gives 0, and a sum that is NaN, has
@@ -78,23 +82,17 @@ SERIES = {
 }
 
 
-def gamma_ratio(numerator, denominator) -> complex:
-    """prod Gamma(numerator) / prod Gamma(denominator), in log space.
-
-    Each argument goes to log_gamma as given (it coerces to complex).  A
-    pole among the numerator arguments raises PoleError, also when a
-    denominator argument is a pole too; a pole among the denominator
-    arguments otherwise makes the ratio zero (scanned for only when
-    log_gamma raises on a denominator argument, so each argument is
-    checked once).  The log sum becomes a value by
-    complex_gamma.exp_log_sum's rule: zero for a real part of -inf (an
-    underflow); RangeError for a NaN or +inf real part (inf - inf from two
-    gammas beyond binary64 is NaN), an imaginary part that is not finite,
-    or an exponential that overflows.
-    """
-    acc = 0.0 + 0.0j
-    for z in numerator:
+def log_gamma_sum(arguments, acc: complex = 0.0 + 0.0j) -> complex:
+    """acc plus log_gamma of each argument, left to right: a numerator's
+    log sum for gamma_quotient.  PoleError at a pole."""
+    for z in arguments:
         acc += log_gamma(z)
+    return acc
+
+
+def gamma_quotient(acc: complex, denominator) -> complex:
+    """exp(acc) / prod Gamma(denominator) for a numerator's log sum acc,
+    by gamma_ratio's rules."""
     try:
         for z in denominator:
             acc -= log_gamma(z)
@@ -103,6 +101,22 @@ def gamma_ratio(numerator, denominator) -> complex:
             return 0.0 + 0.0j
         raise
     return exp_log_sum(acc)
+
+
+def gamma_ratio(numerator, denominator) -> complex:
+    """prod Gamma(numerator) / prod Gamma(denominator), as
+    gamma_quotient(log_gamma_sum(numerator), denominator): one fold from
+    0.0 + 0.0j, numerator first.
+
+    Each argument goes to log_gamma as given (it coerces to complex).  A
+    pole among the numerator arguments raises PoleError, also when a
+    denominator argument is a pole too; a pole among the denominator
+    arguments otherwise makes the ratio zero (scanned for only when
+    log_gamma raises on a denominator argument, so each argument is
+    checked once).  The log sum becomes a value by
+    complex_gamma.exp_log_sum's rule (see the module docstring).
+    """
+    return gamma_quotient(log_gamma_sum(numerator), denominator)
 
 
 def _finite(value: complex) -> complex:
@@ -143,11 +157,16 @@ def gauss_ext_unit(a: complex, b: complex, c: complex, d: complex) -> complex:
     return _finite(prefactor * (s + a * b / d))
 
 
+# the head of second_gauss_half's numerator
+_LOG_GAMMA_HALF = log_gamma_sum((0.5,))
+
+
 def second_gauss_half(a: complex, b: complex) -> complex:
     """2F1(a, b; (a+b+1)/2; 1/2) =
     Gamma(1/2) Gamma((a+b+1)/2) / (Gamma((a+1)/2) Gamma((b+1)/2))."""
     a, b = complex(a), complex(b)
-    return gamma_ratio((0.5, (a + b + 1) / 2), ((a + 1) / 2, (b + 1) / 2))
+    return gamma_quotient(log_gamma_sum(((a + b + 1) / 2,), _LOG_GAMMA_HALF),
+                          ((a + 1) / 2, (b + 1) / 2))
 
 
 def bailey_half(a: complex, c: complex) -> complex:
@@ -179,9 +198,9 @@ def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
     if min(abs(a - b - 1.0), abs(a - b + 1.0)) < UNIT_DIFFERENCE_WIDTH:
         raise PoleError(f"second_gauss_ext_half: no closed form within "
                         f"{UNIT_DIFFERENCE_WIDTH} of a - b = +-1, at {a - b}")
-    top = ((a + b) / 2 + 1.5,)
-    brace = (((a + b - 1) / 2 - a * b / d) * gamma_ratio(top, ((a + 1) / 2, (b + 1) / 2))
-             + ((a + b + 1) / d - 2.0) * gamma_ratio(top, (a / 2, b / 2)))
+    top = log_gamma_sum(((a + b) / 2 + 1.5,))
+    brace = (((a + b - 1) / 2 - a * b / d) * gamma_quotient(top, ((a + 1) / 2, (b + 1) / 2))
+             + ((a + b + 1) / d - 2.0) * gamma_quotient(top, (a / 2, b / 2)))
     return _finite(_SQRT_PI / (x * (x + 1.0)) * brace)
 
 
@@ -198,7 +217,7 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
     """
     a, c = complex(a), complex(c)
     d = check_d(d)
-    top = (c / 2 + 1.0, c / 2 + 0.5)
-    return _finite((2.0 / d) * gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
+    top = log_gamma_sum((c / 2 + 1.0, c / 2 + 0.5))
+    return _finite((2.0 / d) * gamma_quotient(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
                    + (1.0 - c / d)
-                   * gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))
+                   * gamma_quotient(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))

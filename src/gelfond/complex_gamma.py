@@ -39,8 +39,10 @@ _LANCZOS_COEF = (
 )
 # the Lanczos sum's first coefficient; log_gamma writes out the other eight
 _LANCZOS_HEAD = complex(_LANCZOS_COEF[0])
-_LOG_SQRT_2PI = 0.91893853320467274178032973640562
-_LOG_PI = math.log(math.pi)
+# complex, as are log_gamma's other constants that stand left of a complex
+# operand (see log_gamma)
+_LOG_SQRT_2PI = 0.91893853320467274178032973640562 + 0j
+_LOG_PI = complex(math.log(math.pi))
 
 POLE_TOLERANCE = 1e-12
 
@@ -73,8 +75,9 @@ def nearest_nonpositive_int(z: complex, tol: float = POLE_TOLERANCE) -> int | No
     gamma, series.NEAR_INT_TOLERANCE = 1e-9 for the lower-pole guard of
     series parameters, and closed_forms.D_POLE_TOLERANCE =
     1e-6 for the extension parameter d.  log_gamma calls it only for
-    Re z < 1/2 or a non-finite z; gamma and reciprocal_gamma go through
-    log_gamma, so a non-finite argument to any of them raises here.
+    Re z < 1/2 or a non-finite z; gamma and every gamma product of
+    closed_forms go through log_gamma, so a non-finite argument to any of
+    them raises here.
     """
     if not cmath.isfinite(z):
         raise RangeError(f"argument {z} is not finite")
@@ -132,6 +135,13 @@ def log_gamma(z: complex) -> complex:
     coefficients: the operations of ``acc += _LANCZOS_COEF[k] / (w + k)``
     for k = 1..8 from _LANCZOS_HEAD, in that order, so it has the bits of
     the loop that tests/conftest.py keeps as its reference.
+
+    Every constant left of a complex operand is complex (the numerators'
+    x + 0j folds to one constant, and _LOG_SQRT_2PI, _LOG_PI and the 1 of
+    1 - z): CPython 3.10-3.13 computes ``float op complex``, after the
+    float method returns NotImplemented, as the complex operation on
+    complex(x, 0.0), so the complex constant gives the same bits without
+    that round trip (the conftest reference keeps the float form).
     """
     z = complex(z)
     reflect = z.real < 0.5
@@ -139,12 +149,16 @@ def log_gamma(z: complex) -> complex:
         raise PoleError(f"log_gamma: {z} is within {POLE_TOLERANCE} of a pole")
     if reflect:
         # Re(1 - z) > 1/2, never a pole: the Lanczos sum below applies
-        head, z = _LOG_PI - cmath.log(sin_pi(z)), 1.0 - z
+        head, z = _LOG_PI - cmath.log(sin_pi(z)), (1.0 + 0j) - z
     w = z - 1.0
-    acc = (_LANCZOS_HEAD + 676.5203681218851 / (w + 1) + -1259.1392167224028 / (w + 2)
-           + 771.32342877765313 / (w + 3) + -176.61502916214059 / (w + 4)
-           + 12.507343278686905 / (w + 5) + -0.13857109526572012 / (w + 6)
-           + 9.9843695780195716e-6 / (w + 7) + 1.5056327351493116e-7 / (w + 8))
+    acc = (_LANCZOS_HEAD + (676.5203681218851 + 0j) / (w + 1.0)
+           + (-1259.1392167224028 + 0j) / (w + 2.0)
+           + (771.32342877765313 + 0j) / (w + 3.0)
+           + (-176.61502916214059 + 0j) / (w + 4.0)
+           + (12.507343278686905 + 0j) / (w + 5.0)
+           + (-0.13857109526572012 + 0j) / (w + 6.0)
+           + (9.9843695780195716e-6 + 0j) / (w + 7.0)
+           + (1.5056327351493116e-7 + 0j) / (w + 8.0))
     t = w + _LANCZOS_G + 0.5
     value = _LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
     return head - value if reflect else value
@@ -211,8 +225,8 @@ def digamma(z: complex) -> complex:
 
 
 def exp_log_sum(acc: complex) -> complex:
-    """exp(acc) for a sum of log-gammas, the one rule by which gamma,
-    reciprocal_gamma and every gamma product of closed_forms become a value.
+    """exp(acc) for a sum of log-gammas, the one rule by which gamma and
+    every gamma product of closed_forms become a value.
 
     A real part of -inf is an underflow and gives 0.  RangeError when the
     real part is NaN (such as inf - inf from two gammas beyond binary64
@@ -232,14 +246,3 @@ def gamma(z: complex) -> complex:
     non-positive integers, RangeError beyond binary64."""
     return exp_log_sum(log_gamma(z))
 
-
-def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z), exp_log_sum(-log_gamma(z)), defined as exactly 0 at (and
-    within POLE_TOLERANCE of) the poles of Gamma.  RangeError when
-    1/Gamma(z) is beyond binary64.  Public API; no closed form calls it,
-    since closed_forms.gamma_ratio takes a denominator pole as a zero
-    factor itself."""
-    try:
-        return exp_log_sum(-log_gamma(z))
-    except PoleError:
-        return 0.0 + 0.0j

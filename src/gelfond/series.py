@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .closed_forms import gamma_ratio
+from .closed_forms import gamma_quotient, log_gamma_sum
 from .complex_gamma import (BERNOULLI, DIGAMMA_ENVELOPE, ENVELOPE_POLE_DISTANCE,
                             EULER_GAMMA, LOG_GAMMA_ENVELOPE, PSI_SLACK,
                             TRIGAMMA_BOUND, digamma, nearest_nonpositive_int,
@@ -774,12 +774,13 @@ def _gauss_terms(a, b, c, w, log_w, cap: int):
         A F(a, b; 1-s; w) + w^s B F(c-a, c-b; 1+s; w),  w = 1 - z,
     for _connection_sum: e = s = c - a - b, A = Gamma(c) Gamma(s) /
     (Gamma(c-a) Gamma(c-b)) and B = Gamma(c) Gamma(-s) / (Gamma(a)
-    Gamma(b)), each one gamma_ratio, and the two short sums with their
-    truncation and rounding (_short_2f1); None when one runs past cap
-    terms.  For c equal to a or b, A holds 1/Gamma(0) = 0, so the first
-    part is returned as zero in zero terms, without its sum or its
-    gamma_ratio: T1, |A| err_1 and |T1| are 0 as when it was summed, so
-    value and bound keep their bits.  The bound terms of this formula:
+    Gamma(b)), each one gamma ratio over a numerator log sum that starts
+    from the one log Gamma(c) (closed_forms.log_gamma_sum), and the two
+    short sums with their truncation and rounding (_short_2f1); None when
+    one runs past cap terms.  For c equal to a or b, A holds 1/Gamma(0) =
+    0, so the first part is returned as zero in zero terms, without its
+    sum or its ratio: T1, |A| err_1 and |T1| are 0 as when it was summed,
+    so value and bound keep their bits.  The bound terms of this formula:
     - in the rate, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term, and 8 eps
       for the exponentials of the log sums and the final products and sum;
     - to first order, the rounding of the derived parameters s, 1 -+ s,
@@ -803,9 +804,11 @@ def _gauss_terms(a, b, c, w, log_w, cap: int):
     h = 2.0 * _EPS * (abs(a) + abs(b) + abs(c) + 1.0)
     rate = 4.0 * LOG_GAMMA_ENVELOPE + 8.0 * _EPS + h * (3.0 * psi + abs(log_w))
     pole = 3.0 * h / ENVELOPE_POLE_DISTANCE
-    ratio_1 = 0j if zero else gamma_ratio((c, s), (c - a, c - b))
+    log_c = log_gamma_sum((c,))
+    ratio_1 = 0j if zero else gamma_quotient(log_gamma_sum((s,), log_c), (c - a, c - b))
     return (s, rate, (ratio_1, f1, err1 + pole * k1, n1),
-            (gamma_ratio((c, -s), (a, b)), f2, err2 + pole * k2, n2))
+            (gamma_quotient(log_gamma_sum((-s,), log_c), (a, b)), f2,
+             err2 + pole * k2, n2))
 
 
 def _log_terms(a, b, c, m: int, w, log_w, cap: int):
@@ -822,7 +825,8 @@ def _log_terms(a, b, c, m: int, w, log_w, cap: int):
     -psi(1) - psi(M+1) is 2 gamma - H_M, and _log_2f1 steps h_k.  F's sum
     is _short_2f1 capped at M terms.  L's factor is exactly 0 when
     Gamma(p) or Gamma(q) is at a pole (2F1(M, b; b; z) = w^-M), and then
-    L is 0 without its sum or digamma.  None when M reaches cap or the
+    L is 0 without its sum or digamma.  Both factors divide the one log
+    Gamma(c) (closed_forms.gamma_quotient).  None when M reaches cap or the
     log sum runs past cap terms.  The bound terms of this formula:
     - h_0's error, 2 DIGAMMA_ENVELOPE for digamma and 6 eps (|ln w| + 1 +
       H_M + |psi(P)| + |psi(Q)|) for the roundings of ln w, H_M, gamma and
@@ -849,7 +853,8 @@ def _log_terms(a, b, c, m: int, w, log_w, cap: int):
     psi = math.log(2.0 + max(map(abs, (c, p, q, P, Q)))) + PSI_SLACK
     rate = 3.0 * LOG_GAMMA_ENVELOPE + 10.0 * _EPS + d * psi
     sign = 1.0 if big % 2 else -1.0
-    ratio = sign * gamma_ratio((c,), (p, q)) / math.factorial(big)
+    log_c = log_gamma_sum((c,))
+    ratio = sign * gamma_quotient(log_c, (p, q)) / math.factorial(big)
     log_part = (ratio, 0.0, 0.0, 0)
     if ratio:
         psi_1, psi_2 = digamma(P), digamma(Q)
@@ -868,7 +873,7 @@ def _log_terms(a, b, c, m: int, w, log_w, cap: int):
     finite = (0.0, 0.0, 0.0, 0)
     if big:
         f, err, _, k = _short_2f1(p, q, 1.0 - big, w, big)
-        finite = (math.factorial(big - 1) * gamma_ratio((c,), (P, Q)), f,
+        finite = (math.factorial(big - 1) * gamma_quotient(log_c, (P, Q)), f,
                   err + d / ENVELOPE_POLE_DISTANCE * k, big)
     return (m, rate) + ((finite, log_part) if m >= 0 else (log_part, finite))
 
@@ -984,27 +989,11 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     terms plus an asymptotic tail (_unit_sum); DivergentError for
     |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1.
 
-    A 2F1 with |z| < 1 and |1 - z| < rho = CONNECTION_RADIUS = 1/16 is
-    first tried by a connection formula (_connection_sum), and a 1F0 there
-    as 2F1(a, a+1; a+1; z), every gamma and digamma argument inside the
-    measured envelopes: for s = c - a - b
-    at least delta = 1/32 from every integer,
-    A F(a, b; 1-s; 1-z) + (1-z)^s B F(c-a, c-b; 1+s; 1-z) (DLMF 15.8.4);
-    for s exactly an integer m at the binary64 parameters, a finite sum of
-    |m| terms and a sum whose terms carry ln(1-z) and digamma values
-    (A&S 15.3.10-15.3.12).  Its tail_estimate adds each sum's truncation
-    (the term ratio's supremum from the last term on, times a bound on
-    the digamma weights) and rounding, LOG_GAMMA_ENVELOPE per log-gamma
-    and DIGAMMA_ENVELOPE per digamma, the rounding of the powers of 1-z
-    and of the combination, and a first-order bound for the rounding of
-    the derived parameters.  It is returned, as Converged, only when that
-    meets the tolerance by _direct_sum's test; else the sum is direct, as
-    for a tolerance below about 4e-12 relative.  At tolerance 1e-10 the
-    route takes 25-45 us and the direct sum as long from |1 - z| of about
-    0.1 (real) or 0.12 and more (complex); at 1e-6, from 0.05-0.06 (real)
-    or 0.1 (complex).  A 1F0 takes at most 2 terms there for Re a < 2
-    and about Re a beyond: 1F0(3/2;;0.99) at 1e-10 takes 13 us, against
-    2,464 direct terms in 430 us.
+    A 2F1 with |z| < 1 and |1 - z| < CONNECTION_RADIUS = 1/16, and a
+    1F0 there, is first tried by a 1 - z connection formula
+    (_connection_sum, which holds the formulas and their bound); it
+    answers, as Converged, only when its bound meets the tolerance, and
+    otherwise the sum is direct.
     """
     if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
         if spec.argument == 1.0:

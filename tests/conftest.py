@@ -15,11 +15,13 @@ from operator import add
 import pytest
 
 from gelfond import (
+    ConvergenceDomainError,
     PoleError,
     RangeError,
     SeriesSpec,
     SumResult,
     SumStatus,
+    closed_forms,
     complex_gamma,
     series,
     sum_pfq,
@@ -201,25 +203,127 @@ def reference_unit_sum(spec, policy) -> SumResult:
     return SumResult(value, size + 1, estimate, SumStatus.MAX_TERMS_EXCEEDED)
 
 
+def outcome(f, *args) -> tuple[str, str]:
+    """("value", repr of f(*args)), or f's exception's name and message."""
+    try:
+        return "value", repr(f(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture
+def log_gamma_calls(monkeypatch) -> list:
+    """The arguments of every closed_forms.log_gamma call the test makes."""
+    calls = []
+    log_gamma = closed_forms.log_gamma
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+    monkeypatch.setattr(closed_forms, "log_gamma", counted)
+    return calls
+
+
 def reference_log_gamma(z) -> complex:
     """complex_gamma.log_gamma as it stood before its Lanczos sum looped over
     (coefficient, k) pairs: an index loop over _LANCZOS_COEF from
-    complex(_LANCZOS_COEF[0]).  log_gamma must return a repr-equal value, or
-    raise the same exception and message, for every z."""
+    complex(_LANCZOS_COEF[0]), with float constants left of complex
+    operands (the real parts of _LOG_PI and _LOG_SQRT_2PI).  log_gamma must
+    return a repr-equal value, or raise the same exception and message, for
+    every z."""
     cg = complex_gamma
     z = complex(z)
     if cg.nearest_nonpositive_int(z) is not None:
         raise PoleError(f"log_gamma: {z} is within {cg.POLE_TOLERANCE} of a pole")
     reflect = z.real < 0.5
     if reflect:
-        head, z = cg._LOG_PI - cmath.log(cg.sin_pi(z)), 1.0 - z
+        head, z = cg._LOG_PI.real - cmath.log(cg.sin_pi(z)), 1.0 - z
     w = z - 1.0
     acc = complex(cg._LANCZOS_COEF[0])
     for k in range(1, len(cg._LANCZOS_COEF)):
         acc += cg._LANCZOS_COEF[k] / (w + k)
     t = w + cg._LANCZOS_G + 0.5
-    value = cg._LOG_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    value = cg._LOG_SQRT_2PI.real + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
     return head - value if reflect else value
+
+
+# The gamma layer as it stood before gamma_ratio split into log_gamma_sum and
+# gamma_quotient and the theorems formed a shared numerator once: each
+# reference_* below is that body over reference_log_gamma.  The functions of
+# complex_gamma and closed_forms must return a repr-equal value, or raise
+# the same exception and message, for every input.
+
+def reference_gamma(z) -> complex:
+    return complex_gamma.exp_log_sum(reference_log_gamma(z))
+
+
+def reference_gamma_ratio(numerator, denominator) -> complex:
+    acc = 0.0 + 0.0j
+    for z in numerator:
+        acc += reference_log_gamma(z)
+    try:
+        for z in denominator:
+            acc -= reference_log_gamma(z)
+    except (PoleError, RangeError):
+        if any(complex_gamma.nearest_nonpositive_int(complex(z)) is not None
+               for z in denominator):
+            return 0.0 + 0.0j
+        raise
+    return complex_gamma.exp_log_sum(acc)
+
+
+def reference_gauss_unit(a, b, c) -> complex:
+    a, b, c = complex(a), complex(b), complex(c)
+    s = c - a - b
+    if s.real <= 0.0:
+        raise ConvergenceDomainError(f"gauss_unit requires Re(c-a-b) > 0, got {s.real}")
+    return reference_gamma_ratio((c, s), (c - a, c - b))
+
+
+def reference_gauss_ext_unit(a, b, c, d) -> complex:
+    a, b, c = complex(a), complex(b), complex(c)
+    d = closed_forms.check_d(d)
+    s = c - a - b
+    if s.real <= 0.0:
+        raise ConvergenceDomainError(
+            f"gauss_ext_unit requires Re(c-a-b) > 0, got {s.real}")
+    prefactor = reference_gamma_ratio((c + 1, s), (c - a + 1, c - b + 1))
+    return closed_forms._finite(prefactor * (s + a * b / d))
+
+
+def reference_second_gauss_half(a, b) -> complex:
+    a, b = complex(a), complex(b)
+    return reference_gamma_ratio((0.5, (a + b + 1) / 2), ((a + 1) / 2, (b + 1) / 2))
+
+
+def reference_bailey_half(a, c) -> complex:
+    a, c = complex(a), complex(c)
+    return reference_gamma_ratio((c / 2, c / 2 + 0.5), (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
+
+
+def reference_second_gauss_ext_half(a, b, d) -> complex:
+    a, b = complex(a), complex(b)
+    d = closed_forms.check_d(d)
+    x = (a - b) / 2 - 0.5
+    width = closed_forms.UNIT_DIFFERENCE_WIDTH
+    if min(abs(a - b - 1.0), abs(a - b + 1.0)) < width:
+        raise PoleError(f"second_gauss_ext_half: no closed form within "
+                        f"{width} of a - b = +-1, at {a - b}")
+    top = ((a + b) / 2 + 1.5,)
+    brace = (((a + b - 1) / 2 - a * b / d)
+             * reference_gamma_ratio(top, ((a + 1) / 2, (b + 1) / 2))
+             + ((a + b + 1) / d - 2.0) * reference_gamma_ratio(top, (a / 2, b / 2)))
+    return closed_forms._finite(math.sqrt(math.pi) / (x * (x + 1.0)) * brace)
+
+
+def reference_bailey_ext_half(a, c, d) -> complex:
+    a, c = complex(a), complex(c)
+    d = closed_forms.check_d(d)
+    top = (c / 2 + 1.0, c / 2 + 0.5)
+    return closed_forms._finite(
+        (2.0 / d) * reference_gamma_ratio(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))
+        + (1.0 - c / d)
+        * reference_gamma_ratio(top, (c / 2 + a / 2 + 0.5, c / 2 - a / 2 + 1.0)))
 
 
 def zeta_reference(s: float, cutoff: int = 2000) -> float:

@@ -16,7 +16,6 @@ from gelfond import (
     gamma,
     gauss_ext_unit,
     gauss_unit,
-    reciprocal_gamma,
     second_gauss_ext_half,
     second_gauss_half,
     sum_pfq,
@@ -31,7 +30,16 @@ from conftest import (
     E_PI,
     SINH_HALF_PI,
     SINH_PI,
+    outcome,
     random_complex,
+    reference_bailey_ext_half,
+    reference_bailey_half,
+    reference_gamma,
+    reference_gamma_ratio,
+    reference_gauss_ext_unit,
+    reference_gauss_unit,
+    reference_second_gauss_ext_half,
+    reference_second_gauss_half,
     rel_err,
 )
 
@@ -320,7 +328,7 @@ def test_cancellation_to_base_theorems(rng):
 @pytest.mark.parametrize("f, args", [
     (gamma_ratio, ((200.0,), ())),
     (gauss_unit, (1e300j, -1e300j, 0.5)),           # through gamma_ratio
-    (reciprocal_gamma, (0.5 + 1e300j,)),
+    (gamma_ratio, ((), (0.5 + 1e300j,))),          # 1/Gamma(z)
     (bailey_ext_half, (0.5 + 1000j, 400, 2)),       # 3F2 = 1.5e347 (mpmath)
 ], ids=["gamma_ratio", "gauss_unit", "reciprocal_gamma", "bailey_ext_half"])
 def test_exp_overflow_is_range_error(f, args):
@@ -351,10 +359,14 @@ def _ratio_of_two(a, b, c, d):
     return gamma_ratio((a, b), (c, d))
 
 
+def _reciprocal(z):
+    return gamma_ratio((), (z,))
+
+
 # the nine functions that turn a log-gamma sum into a value, by arity
 _GAMMA_LAYER = [
     (gamma, 1),
-    (reciprocal_gamma, 1),
+    (_reciprocal, 1),
     (_ratio_of_two, 4),
     (gauss_unit, 3),
     (gauss_ext_unit, 4),
@@ -399,7 +411,7 @@ def test_gamma_layer_returns_finite_or_typed_error():
     lambda: gamma_ratio((1e306,), ()),                  # log sum +inf
     lambda: bailey_ext_half(0.3, 1e308, 2),
     lambda: gamma(1 + 1e308j),                          # Im log sum inf
-    lambda: reciprocal_gamma(1 + 1e308j),
+    lambda: gamma_ratio((), (1 + 1e308j,)),             # 1/Gamma(z)
     lambda: bailey_ext_half(0.5, 1 + 1e308j, 2),
     # a finite gamma product times a brace of 0 * inf
     lambda: gauss_ext_unit(3.5372662611579756e+272, -2.211889099253394e+83,
@@ -433,7 +445,7 @@ def test_numerator_pole_over_denominator_pole_is_pole_error(call):
 def test_log_sum_minus_inf_is_zero():
     # Re log sum = -inf is an underflow also when Im log sum is infinite:
     # log_gamma(1e306 + 1e308j) is inf + inf j
-    assert reciprocal_gamma(1e306 + 1e308j) == 0
+    assert gamma_ratio((), (1e306 + 1e308j,)) == 0
     assert gamma_ratio((1.0,), (1e306 + 1e308j,)) == 0
 
 
@@ -465,3 +477,70 @@ def test_realness_on_conjugate_symmetric_inputs(rng):
         assert abs(value.imag) <= 1e-12 * max(1.0, abs(value))
         value = second_gauss_half(a, a.conjugate())
         assert abs(value.imag) <= 1e-12 * max(1.0, abs(value))
+
+
+# ----------------------------------------------------------------------
+# the gamma layer keeps its bits and its log-gamma counts
+# ----------------------------------------------------------------------
+
+def _reference_ratio_of_two(a, b, c, d):
+    return reference_gamma_ratio((a, b), (c, d))
+
+
+# (function, its reference_* copy in conftest, arity, draws)
+_BIT_SWEEP = [
+    (gamma, reference_gamma, 1, 250),
+    (_ratio_of_two, _reference_ratio_of_two, 4, 250),
+    (gauss_unit, reference_gauss_unit, 3, 250),
+    (gauss_ext_unit, reference_gauss_ext_unit, 4, 250),
+    (second_gauss_half, reference_second_gauss_half, 2, 250),
+    (bailey_half, reference_bailey_half, 2, 250),
+    (second_gauss_ext_half, reference_second_gauss_ext_half, 3, 250),
+    (bailey_ext_half, reference_bailey_ext_half, 3, 250),
+]
+
+
+def _sweep_argument(rng: random.Random) -> complex:
+    """Modulus up to 700 one draw in ten (Gamma beyond binary64); else a
+    real part on the half-integers of [-8, 8] (poles, zero ratios) or
+    uniform there, and an imaginary part 0, up to 2 or up to 300 (past
+    about 226 the reflection path's sin_pi overflows)."""
+    if rng.random() < 0.1:
+        return cmath.rect(rng.uniform(100.0, 700.0), rng.uniform(-math.pi, math.pi))
+    re = rng.randint(-16, 16) / 2 if rng.random() < 0.6 else rng.uniform(-8.0, 8.0)
+    im = rng.choice((0.0, 0.0, rng.uniform(-2.0, 2.0), rng.uniform(-300.0, 300.0)))
+    return complex(re, im)
+
+
+def test_gamma_layer_keeps_its_bits():
+    """2,000 seeded draws: gamma, gamma_ratio and the six theorems give the
+    repr, or the exception type and message, of the bodies they had before
+    shared numerators were formed once and log_gamma's constants became
+    complex (the reference_* copies in conftest)."""
+    rng = random.Random(36)
+    kinds, mismatches = set(), []
+    for f, reference, arity, draws in _BIT_SWEEP:
+        for _ in range(draws):
+            args = [_sweep_argument(rng) for _ in range(arity)]
+            got = outcome(f, *args)
+            kinds.add(got[0])
+            if got != outcome(reference, *args):
+                mismatches.append((f.__name__, args, got))
+    assert not mismatches, f"{len(mismatches)} differ, first {mismatches[:3]}"
+    # the draws reach values, zero ratios' poles and every error kind
+    assert kinds >= {"value", "PoleError", "RangeError", "ConvergenceDomainError"}
+
+
+@pytest.mark.parametrize("f, args, count", [
+    (gauss_unit, (0.3 + 0.2j, -0.1 + 0.4j, 2.2), 4),
+    (gauss_ext_unit, (0.3 + 0.2j, -0.1 + 0.4j, 2.2, 1.7), 4),
+    (second_gauss_half, (0.3 + 0.2j, -0.1 + 0.4j), 3),
+    (bailey_half, (0.3 + 0.2j, 1.4), 4),
+    (second_gauss_ext_half, (0.3 + 0.2j, -0.1 + 0.4j, 1.7), 5),
+    (bailey_ext_half, (0.3 + 0.2j, 1.4, 1.7), 6),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_log_gamma_calls_per_theorem(log_gamma_calls, f, args, count):
+    """A numerator that two ratios share is formed once, and log Gamma(1/2)
+    at import: 4, 4, 3, 4, 5 and 6 log-gammas."""
+    f(*args)
+    assert len(log_gamma_calls) == count

@@ -346,3 +346,24 @@ def test_log_route_sweep_never_breaks_its_claim():
             broken.append((spec, result, error))
     assert not broken, (len(broken), broken[:3])
     assert converged >= 390
+
+
+@pytest.mark.parametrize("upper, lower, count", [
+    ((0.3 + 0.2j, 0.7), (2.1 - 0.5j,), 7),      # DLMF 15.8.4
+    ((0.3, 0.45), (1.9,), 7),
+    ((0.3, 0.45), (0.3,), 4),                   # c = a: first part exactly 0
+    ((1.5,), (), 4),                            # 1F0 as 2F1(a, a+1; a+1; z)
+    ((0.5, 0.5), (3.0,), 5),                    # A&S 15.3.11, m = 2
+    ((0.5, 1.5), (1.0,), 5),                    # A&S 15.3.12, m = -1
+    ((0.25 + 0.5j, 0.75 - 0.5j), (3.0,), 5),
+    ((1.0, 1.0), (2.0,), 3),                    # A&S 15.3.10, m = 0
+    ((0.5, 0.5), (1.0,), 3),
+], ids=["gauss-complex", "gauss-real", "gauss-zero-part", "1F0", "log-m2",
+        "log-m-1", "log-m2-complex", "log-m0", "log-m0-half"])
+def test_log_gamma_calls_per_connection_answer(log_gamma_calls, upper, lower, count):
+    """Both ratios of a formula divide one log Gamma(c): an answer of DLMF
+    15.8.4 makes 7 log-gamma calls (4 when its first part is exactly 0),
+    one of A&S 15.3.10-15.3.12 makes 5 (3 for m = 0)."""
+    spec = SeriesSpec(upper, lower, 0.99)
+    assert series._connection_sum(spec, SumPolicy(tolerance=1e-10)) is not None
+    assert len(log_gamma_calls) == count
