@@ -7,21 +7,20 @@ parameter exactly at a non-positive integer, not merely near one; see
 truncation_degree()) is summed directly at every z and ends at its last
 term, and only a series that does not terminate is checked for divergence
 (p > q+1 refused for z != 0, p = q+1 for |z| > 1 and |z| = 1 off 1).
-The direct sum keeps only the current term, in floats for a real spec with
-the bits of complex arithmetic, in a loop compiled once per parameter shape
-(p, q, real) so that a term does not pay for a for loop over its
-parameters, and a real loop adds a float copy of the term index to its
-parameters, not an int (see _direct_sum).  At unit argument a
+The direct sum keeps only the current term.  At unit argument a
 non-polynomial p = q+1 series converges only algebraically (term magnitudes
 ~ n^{-1-s} with s = Re(sum(lower) - sum(upper))), so sum_pfq sums a head of
 terms and adds the rest from the terms' asymptotic expansion (see
-_unit_sum).  The head runs in floats when its term ratio is exactly real:
-all parameters real, or a conjugate pair leading the upper row and the rest
-real; it too steps a float index.  The tail runs in floats for conjugate
-pairs, forms its power sums by the multiplication chain of complex ** and
-does its fixed-size work in one function compiled on first use
-(_asymptotic_tail, _power_sums, _tail_kernel).  All of them keep the bits
-of complex arithmetic.
+_unit_sum).  The direct loop and the head run in floats when the term ratio
+is exactly real: z and every parameter real, or a conjugate pair leading
+the upper row and the rest real (_loop_parameters); each is compiled once
+per parameter shape (p, q, kind) from a source template, so that a term
+pays for no for loop over its parameters and no test of its kind
+(_direct_loop, _unit_head).  The tail runs in floats for conjugate pairs,
+forms its power sums by the multiplication chain of complex ** and does
+its fixed-size work in one function per kind, float or complex, compiled
+on first use (_asymptotic_tail, _power_sums, _tail_kernel).  All of them
+keep the bits of complex arithmetic.
 Near z = 1, |1 - z| < CONNECTION_RADIUS = 1/16 with |z| < 1, a 2F1 that
 does not terminate is first tried by a 1 - z connection formula: DLMF
 15.8.4, two short sums in 1 - z and two gamma ratios, for s = c - a - b
@@ -147,13 +146,73 @@ def _observed_tail(abs_t: float, prev_abs: float) -> float:
     return abs_t / (1.0 - ratio)
 
 
-# The first _UNROLL parameters of each side enter the loop as names a0..,
+def _loop_parameters(spec: SeriesSpec) -> tuple[str, tuple, tuple, complex | float]:
+    """(kind, upper, lower, z) for a term loop.  The kind is "real" when
+    the argument and every parameter have zero imaginary part, "pair" when
+    the argument is real, upper[0] and upper[1] are a conjugate pair
+    x +- iy with y != 0 and every other parameter is real, and "complex"
+    otherwise; the first two come as floats, a pair as x and y * y.
+
+    A float loop has the bits of the complex one.  CPython's complex * and
+    / (3.10-3.13) on operands with zero imaginary parts perform the very
+    float operations on the real parts, and the pair's complex factor
+    1.0 * (a0 + n) * (a1 + n) = (X + iy)(X - iy), X = x + n, has the real
+    part X * X - y * -y = X * X + y * y and the imaginary part
+    X * -y + y * X, which cancels exactly, so the real factors after it see
+    a zero imaginary part too.  A pair anywhere else does not cancel:
+    behind a real factor r the parts are r X * -y and r y * X, rounded
+    differently, and den, which starts at n + 1, puts every lower pair
+    behind one.  The tests that pin these bits in tests/test_series.py
+    hold the rest of the argument."""
+    upper, lower, z = spec
+    if z.imag or any(c.imag for c in upper[2:] + lower):
+        return "complex", upper, lower, z
+    lead = ()
+    if any(c.imag for c in upper[:2]):
+        if len(upper) < 2 or upper[1] != upper[0].conjugate():
+            return "complex", upper, lower, z
+        lead = (upper[0].real, upper[0].imag * upper[0].imag)
+        upper = upper[2:]
+    return ("pair" if lead else "real", lead + tuple(a.real for a in upper),
+            tuple(b.real for b in lower), z.real)
+
+
+# The first _UNROLL parameters of each side enter a loop as names a0..,
 # b0.. of straight-line products; any more are stepped by a for loop.
 _UNROLL = 4
 
-# _direct_loop's source; each placeholder fills one line, and the code is
-# compiled with _LOOP_LINE - 1 blank lines ahead so that tracebacks and
-# profiles point at these lines of this file
+
+def _term_lines(p: int, q: int, kind: str, i: str, one: str, first: str) -> dict:
+    """The template fields that form a term's num and den for p upper and
+    q lower parameters and the index named i: the parameter names; num as
+    the product of the factors (a_j + i), behind one for a complex kind or
+    p = 0, and for a pair with xk * xk + a1, xk = a0 + i, in place of the
+    first two; den as the product of first and the factors (b_j + i)."""
+    a = [f"a{j}" for j in range(min(p, _UNROLL))]
+    b = [f"b{j}" for j in range(min(q, _UNROLL))]
+    num = [f"({v} + {i})" for v in a]
+    if kind == "pair":
+        num[:2] = ["(xk * xk + a1)"]
+    elif kind == "complex" or not num:
+        num.insert(0, one)
+    return dict(
+        upper="".join(v + ", " for v in a), lower="".join(v + ", " for v in b),
+        num=(f"xk = a0 + {i}; " if kind == "pair" else "") + "num = " + " * ".join(num),
+        num_rest=f"for a in upper: num *= a + {i}" if p > _UNROLL else "pass",
+        den=" * ".join([first] + [f"({v} + {i})" for v in b]),
+        den_rest=f"for b in lower: den *= b + {i}" if q > _UNROLL else "pass")
+
+
+def _compiled(source: str, line: int, name: str, scope: dict):
+    """The function name that source defines, compiled with line - 1 blank
+    lines ahead, so that tracebacks and profiles point at the template's
+    own lines in this file, and run with scope as its globals."""
+    exec(compile("\n" * (line - 1) + source, __file__, "exec"), scope)
+    return scope[name]
+
+
+# _direct_loop's source; each placeholder fills one line, statements
+# joined by "; "
 _LOOP_LINE = sys._getframe().f_lineno + 2
 _LOOP = """\
 def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
@@ -186,7 +245,7 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
             if n == stop:
                 break
             prev_abs = abs_t
-            num = {num}
+            {num}
             {num_rest}
             den = {den}
             {den_rest}
@@ -213,30 +272,22 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
 
 
 @lru_cache(maxsize=32)
-def _direct_loop(p: int, q: int, real: bool):
-    """_direct_sum's loop for p upper and q lower parameters, real (floats)
-    or complex, compiled from _LOOP on first use.  Only the shape enters the
-    source, never a value, so every spec of one shape shares the function
-    and the cache holds no result.  The loop is called as
-    loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
+def _direct_loop(p: int, q: int, kind: str):
+    """_direct_sum's loop for p upper and q lower parameters of one kind
+    (_loop_parameters), compiled from _LOOP on first use.  Only the shape
+    enters the source, never a value, so every spec of one shape shares
+    the function and the cache holds no result.  A float loop steps the
+    float index x beside the int n, a complex one n alone.  The loop is
+    called as loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
     lower[_UNROLL:], z, tol, stop, trunc, isfinite)."""
-    a = [f"a{i}" for i in range(min(p, _UNROLL))]
-    b = [f"b{i}" for i in range(min(q, _UNROLL))]
-    # a real loop reads the index as the float x, a complex one as the int n
-    i, one = ("x", "1.0") if real else ("n", "1")
-    num = [f"({v} + {i})" for v in a]
-    source = _LOOP.format(
-        start="n = 0; x = 0.0" if real else "n = 0",
-        step="n += 1; x += 1.0" if real else "n += 1",
-        upper="".join(v + ", " for v in a), lower="".join(v + ", " for v in b),
-        num=" * ".join(num if real and num else ["1.0"] + num),
-        num_rest=f"for a in upper: num *= a + {i}" if p > _UNROLL else "pass",
-        den=" * ".join([f"({i} + {one})"] + [f"({v} + {i})" for v in b]),
-        den_rest=f"for b in lower: den *= b + {i}" if q > _UNROLL else "pass")
-    scope = {"RangeError": RangeError, "SumResult": SumResult,
-             "SumStatus": SumStatus, "_observed_tail": _observed_tail}
-    exec(compile("\n" * (_LOOP_LINE - 1) + source, __file__, "exec"), scope)
-    return scope["direct_loop"]
+    real = kind != "complex"
+    lines = (_term_lines(p, q, kind, "x", "1.0", "(x + 1.0)") if real
+             else _term_lines(p, q, kind, "n", "1.0", "(n + 1)"))
+    source = _LOOP.format(start="n = 0; x = 0.0" if real else "n = 0",
+                          step="n += 1; x += 1.0" if real else "n += 1", **lines)
+    return _compiled(source, _LOOP_LINE, "direct_loop", {
+        "RangeError": RangeError, "SumResult": SumResult,
+        "SumStatus": SumStatus, "_observed_tail": _observed_tail})
 
 
 def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
@@ -244,33 +295,15 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     series at z = 1 that does not terminate.
 
     No term is stored: one loop keeps the current term and steps it to the
-    next, so memory does not grow with the number of terms.  A spec whose
-    argument and parameters all have zero imaginary part is summed in
-    floats, any other in complex arithmetic.  CPython's complex * and / on
-    numbers with zero imaginary parts perform the very float operations the
-    float loop performs on the real parts, so the float sum has the bits of
-    the complex one.  The tail estimate is worked out only at the exits that
-    report it; a polynomial returns at its last term with tail 0, since the
-    term after it, zero by construction, is never formed.
-
-    The loop is compiled once per shape (p, q, real) (_direct_loop: about
-    0.4 ms for a new shape, 2 ms for the first compile of a fresh
-    interpreter), because a for loop over the parameters took about 40% of
-    each term.  The first _UNROLL parameters of a side are multiplied in as
-    straight-line products, 1.0 * (a0 + n) * (a1 + n) and
-    (n + 1) * (b0 + n), the operations of the for loop in its order; any
-    further ones go through a for loop.  A real loop keeps the int n for
-    its control and messages and steps a float x = n beside it, so that
-    its factors (a0 + x) * (a1 + x) and (x + 1.0) * (b0 + x) add two floats,
-    not a float and an int, which CPython does not specialize.  float + int
-    converts the int exactly, and x stays exact below 2^53 terms, so the
-    bits do not move; nor does dropping the 1.0 *, since 1.0 * v is v for
-    every float.  The complex loop keeps n and its 1.0 *: there a float
-    index was slower, and 1.0 * sets the signs of zero parts.  A term that
-    is not small passes two comparisons and one test of n against
-    stop = min(last polynomial term, max_terms - 1); the sum is tested for
-    finiteness only on the path of small terms, which a total that is not
-    finite always takes.
+    next, so memory does not grow with the number of terms.  A real spec,
+    or one led by a conjugate pair, is summed in floats with the bits of
+    complex arithmetic (_loop_parameters).  The loop is compiled once per
+    shape (p, q, kind) (_direct_loop), with the first _UNROLL parameters of
+    a side as straight-line products, because a for loop over the
+    parameters took about 40% of each term.  The tail estimate is worked
+    out only at the exits that report it; a polynomial returns at its last
+    term with tail 0, since the term after it, zero by construction, is
+    never formed.
 
     A denominator product at the binary64 limit, one with a part of 2^1023
     or more so that 2 * den is not finite, can make the next term 0 or NaN:
@@ -280,20 +313,14 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     or a polynomial's last term after such a denominator, and for a
     denominator that underflows to 0.
     """
-    upper, lower, z = spec.upper, spec.lower, spec.argument
-    isfinite = cmath.isfinite
-    real = z.imag == 0.0 and all(c.imag == 0.0 for c in upper + lower)
-    if real:
-        upper = tuple(a.real for a in upper)
-        lower = tuple(b.real for b in lower)
-        z = z.real
-        isfinite = math.isfinite
+    kind, upper, lower, z = _loop_parameters(spec)
     last = policy.max_terms - 1
     trunc = spec.truncation_degree()
     stop, trunc = (last, -1) if trunc is None else (min(trunc, last), trunc)
-    loop = _direct_loop(len(upper), len(lower), real)
+    loop = _direct_loop(len(upper), len(lower), kind)
     return loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
-                lower[_UNROLL:], z, policy.tolerance, stop, trunc, isfinite)
+                lower[_UNROLL:], z, policy.tolerance, stop, trunc,
+                cmath.isfinite if kind == "complex" else math.isfinite)
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +457,8 @@ def _tail_weights() -> tuple[tuple[tuple[float, ...], ...],
                        for j, (p, q) in enumerate(BERNOULLI) if j and not j % 2)
 
 
-# _tail_kernel's source; each placeholder fills one line (statements joined
-# by "; "), compiled as _LOOP is so that tracebacks point at these lines
+# _tail_kernel's source; each placeholder fills one line, statements joined
+# by "; "
 _TAIL_LINE = sys._getframe().f_lineno + 2
 _TAIL = """\
 def tail_kernel({powers}, n, t):
@@ -439,10 +466,11 @@ def tail_kernel({powers}, n, t):
     {kg}
     {d}  # d_m = (0 + kg_1 d_{{m-1}} + .. + kg_m d_0) / m
     inv = 1.0 / n
-    norm = whole = 0
+    {start}
+    norm = whole = {zero}
     weight = part = rest = 0.0
-    for m, dm in enumerate(({ds})):
-        sigma = m - p1
+    for m, dm in zip({ms}, ({ds})):
+        sigma = {sigma}
         prev_weight, prev_part = weight, part
         weight = dm * inv ** m
         z = n / (sigma - 1.0) + 0.5
@@ -460,36 +488,45 @@ def tail_kernel({powers}, n, t):
 """
 
 
-@lru_cache(maxsize=1)
-def _tail_kernel():
-    """_asymptotic_tail's work after the power sums, compiled from _TAIL on
-    first use (about 1 ms, 2.5-3.5 ms as the first compile of a fresh
-    interpreter) with _tail_weights() as literals: called as
-    kernel(P_1, .., P_{K+2}, n, t), floats or complex, it returns
-    (tail, estimate).  Each row, convolution and Euler-Maclaurin sum is
-    written out as a left-to-right fold from 0 that keeps its zero weights,
-    the operations of the loops it replaces in their order, so the bits do
-    not move; the Euler-Maclaurin steps are unrolled over their triples."""
+@lru_cache(maxsize=2)
+def _tail_kernel(kind: str):
+    """_asymptotic_tail's work after the power sums for float ("real") or
+    complex power sums, compiled from _TAIL on first use with
+    _tail_weights() as literals: called as kernel(P_1, .., P_{K+2}, n, t),
+    n a float, it returns (tail, estimate).  Each row, convolution and
+    Euler-Maclaurin sum is written out as a left-to-right fold from 0, the
+    operations of the loops it replaces in their order, so the bits do not
+    move; the products by the rows' zero weights are left out, since the
+    powers are finite and a fold from 0 never holds -0.0, so adding +-0.0
+    leaves it as it is.  The complex kernel's constants are complex, its
+    n too, and it forms m - P_1 as -P_1 + m, so that no float or int
+    stands left of a complex operand: CPython would first try the float
+    method and then convert the float to exactly that complex number."""
+    real = kind == "real"
+    const = repr if real else (lambda v: repr(complex(v)))
+
     def fold(terms):
-        return " + ".join(["0", *terms])
+        return " + ".join([const(0.0), *terms])
 
     rows, euler = _tail_weights()
-    g = [f"g{k} = " + fold(f"{w!r} * p{k + 1 - j}" for j, w in enumerate(row))
+    g = [f"g{k} = " + fold(f"{const(w)} * p{k + 1 - j}" for j, w in enumerate(row) if w)
          for k, row in enumerate(rows, 1)]
-    d = ["d0 = 1.0"] + [f"d{m} = (" + fold(f"kg{k} * d{m - k}" for k in range(1, m + 1))
-                        + f") / {m}" for m in range(1, _ORDERS + 1)]
+    d = [f"d0 = {const(1.0)}"] + [
+        f"d{m} = (" + fold(f"kg{k} * d{m - k}" for k in range(1, m + 1))
+        + f") / {const(float(m))}" for m in range(1, _ORDERS + 1)]
     steps = []
     for c, lo, hi in euler:
-        steps += [f"last = {c!r} * rising", "z += last",
+        steps += [f"last = {const(c)} * rising", "z += last",
                   f"rising *= (sigma + {lo!r}) * (sigma + {hi!r}) * inv * inv"]
     source = _TAIL.format(
         powers=", ".join(f"p{m}" for m in range(1, _ORDERS + 3)), g="; ".join(g),
-        kg="; ".join(f"kg{k} = {k} * g{k}" for k in range(1, _ORDERS + 1)),
+        kg="; ".join(f"kg{k} = {const(float(k))} * g{k}" for k in range(1, _ORDERS + 1)),
         d="; ".join(d), ds=", ".join(f"d{m}" for m in range(_ORDERS + 1)),
+        start="pass" if real else "n, minus_p1 = complex(n), -p1",
+        zero=const(0.0), ms=repr(tuple(map(float, range(_ORDERS + 1)))),
+        sigma="m - p1" if real else "minus_p1 + m",
         euler="; ".join(steps[:-1]), orders=_ORDERS + 1)
-    scope = {}
-    exec(compile("\n" * (_TAIL_LINE - 1) + source, __file__, "exec"), scope)
-    return scope["tail_kernel"]
+    return _compiled(source, _TAIL_LINE, "tail_kernel", {})
 
 
 def _power_sums(params) -> list:
@@ -539,23 +576,25 @@ def _asymptotic_tail(upper: tuple[complex, ...], lower: tuple[complex, ...],
     estimate adds the last two terms of each sum (the lower one relative,
     times |tail|), |g_{K+1}| n^-(K+1) |tail| and the last Euler-Maclaurin
     terms.  It runs in floats when every P_m is real, as for conjugate
-    pairs, with the bits of complex arithmetic (see _direct_sum), and sums
-    by explicit left-to-right folds from 0, as sum() did up to Python 3.11
-    (3.12 compensates).  The power sums come from one pass over each row
-    (_power_sums) with the bits of folds of a ** m; a power sum that is not
-    finite gives (0, inf), as the OverflowError of a ** m did.  Everything
-    after the power sums, a fixed amount of work with fixed weights, runs
-    in one function compiled once per process on first use (_tail_kernel),
-    the same code for float and complex power sums.
+    pairs, with the bits of complex arithmetic (see _loop_parameters), and
+    sums by explicit left-to-right folds from 0, as sum() did up to Python
+    3.11 (3.12 compensates).  The power sums come from one pass over each
+    row (_power_sums) with the bits of folds of a ** m; a power sum that
+    is not finite gives (0, inf), as the OverflowError of a ** m did.
+    Everything after the power sums, a fixed amount of work with fixed
+    weights, runs in one function per kind, float or complex, compiled
+    once per process on first use (_tail_kernel).
     """
     powers = [up - low for up, low in zip(_power_sums(upper),
                                           _power_sums(lower + (1.0,)))]
     if not all(map(cmath.isfinite, powers)):
         return 0.0, math.inf
     try:
-        if not any(p.imag for p in powers):
-            powers = [p.real for p in powers]
-        tail, estimate = _tail_kernel()(*powers, n, t)
+        if any(p.imag for p in powers):
+            tail, estimate = _tail_kernel("complex")(*powers, float(n), t)
+        else:
+            tail, estimate = _tail_kernel("real")(*[p.real for p in powers],
+                                                  float(n), t)
     except (OverflowError, ZeroDivisionError):
         return 0.0, math.inf
     finite = cmath.isfinite(tail) and math.isfinite(estimate)
@@ -577,6 +616,72 @@ def _terms_stay_below(spec: SeriesSpec, n: int) -> bool:
                                       squared_modulus(spec.lower + (1.0,))))
 
 
+# _unit_head's source; each placeholder fills one line, statements joined
+# by "; "
+_HEAD_LINE = sys._getframe().f_lineno + 2
+_HEAD = """\
+def unit_head({upper}upper, {lower}lower, size, rho, spread, spec):
+    total = comp = {zero}
+    t = {one}
+    err = 0.0
+    abs_t = 1.0
+    k = 0.0                     # n as a float: exact, and no int to convert
+    try:
+        for n in range(size):
+            partial = total + t
+            back = partial - total
+            comp += (total - (partial - back)) + (t - back)
+            total = partial
+            err += (k * rho + spread) * {abs_t}
+            {num}
+            {num_rest}
+            den = {den}
+            {den_rest}
+            t = t * num / den
+            {abs_step}
+            if not t:
+                # a true underflow: num is not 0, and den, at least 1, has
+                # not lifted a product that underflowed
+                if not (num and 1.0 <= abs(den) < inf and stays_below(spec, n + 1)):
+                    raise RangeError(f"term {{n + 1}}: underflowed to 0")
+                size = n + 1
+                break
+            if not {finite}:
+                raise RangeError(f"term {{n + 1}}: not finite")
+            k += 1.0
+    except ZeroDivisionError:
+        raise RangeError(f"term {{n + 1}}: denominator underflowed to 0") from None
+    except OverflowError:
+        raise RangeError("series accumulation overflowed binary64") from None
+    if not isfinite(total):
+        raise RangeError("series accumulation overflowed binary64")
+    return total, comp, err, t, size
+"""
+
+
+@lru_cache(maxsize=32)
+def _unit_head(p: int, q: int, kind: str):
+    """_unit_sum's head for p upper and q lower parameters of one kind
+    (_loop_parameters), compiled from _HEAD on first use as _direct_loop
+    is: called as head(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
+    lower[_UNROLL:], N, rho, spread, spec), it sums t_0 .. t_{N-1} and
+    returns (total, compensation, err, t, N) with t = t_N, or t = 0 and
+    N = n + 1 for a term t_{n+1} that underflowed in a series whose terms
+    cannot grow again.  A float head takes abs(t) once a term, for the
+    next step's err and the test for a term that is not finite."""
+    real = kind != "complex"
+    lines = (_term_lines(p, q, kind, "k", "1.0", "(k + 1.0)") if real
+             else _term_lines(p, q, kind, "k", "(1.0 + 0.0j)", "((k + 1.0) + 0j)"))
+    source = _HEAD.format(
+        zero="0.0" if real else "0j", one="1.0" if real else "(1.0 + 0.0j)",
+        abs_t="abs_t" if real else "abs(t)",
+        abs_step="abs_t = abs(t)" if real else "pass",
+        finite="abs_t < inf" if real else "isfinite(t)", **lines)
+    return _compiled(source, _HEAD_LINE, "unit_head", {
+        "RangeError": RangeError, "inf": math.inf, "stays_below": _terms_stay_below,
+        "isfinite": math.isfinite if real else cmath.isfinite})
+
+
 def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     """A p = q+1 series at z = 1 with s > 0: the head t_0 .. t_{N-1} plus
     the asymptotic tail from t_N, N = max(40, ceil(8 max|parameter|))
@@ -589,89 +694,34 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     A term that is not finite, or a denominator or partial sum out of the
     binary64 range, raises RangeError, as does a term that underflows to 0
     unless the terms cannot grow again (_terms_stay_below): then the sum
-    ends there, with 5e-324 (1 + n/s) for the rest and no cap on N.
-
-    The head runs in floats, with the bits of complex arithmetic, whenever
-    the complex term ratio num / den has an exactly zero imaginary part:
-    when every parameter is real (see _direct_sum), or when upper[0] and
-    upper[1] are a conjugate pair x +- iy and every other parameter is
-    real.  Then 1.0 * (a0 + n) * (a1 + n) is (X + iy)(X - iy) with
-    X = x + n, whose real part is X * X + y * y and whose imaginary part
-    X * -y + y * X cancels exactly, and the real factors after it keep the
-    imaginary part 0.  A pair anywhere else does not cancel: behind a real
-    factor r the parts are r X * -y and r y * X, rounded differently, and
-    den, which starts at n + 1, puts every lower pair behind one.  rho
-    still counts a pair's steps as complex, so the estimate keeps its bits
-    too.  Both heads add the float k = n, not the int n, to their
-    parameters (see _direct_sum), and form the pair's factor from
-    xk = x + k as xk * xk + y * y.
+    ends there, with 5e-324 (1 + n/s) for the rest and no cap on N.  The
+    head runs in floats for a real spec or one led by a conjugate pair,
+    with the bits of complex arithmetic (_loop_parameters), in a function
+    compiled once per shape (_unit_head).
     """
-    upper, lower = spec.upper, spec.lower
-    params = upper + lower
+    kind, upper, lower, _ = _loop_parameters(spec)
     p, q = len(upper), len(lower)
     # math.hypot, not abs(): abs() of a complex number is libm's hypot,
     # which differs in the last bit now and then and so could move N
-    want = 8.0 * max(math.hypot(c.real, c.imag) for c in params)
+    want = 8.0 * max(math.hypot(c.real, c.imag) for c in spec.upper + spec.lower)
     size = max(40, math.ceil(min(want, 2.0 ** 62)))
     capped = size >= policy.max_terms
     size = min(size, policy.max_terms - 1)
     # p+q additions, p+q+1 products and a division per step, at eps/2 each
-    # for real parameters and at eps/2, sqrt(5) eps/2 and 4 eps for complex
-    real = not any(c.imag for c in params)
-    rho = (p + q + 1 if real else 2 * (p + q) + 6) * _EPS
+    # for real parameters and at eps/2, sqrt(5) eps/2 and 4 eps for complex,
+    # a pair's steps counted as complex
+    rho = (p + q + 1 if kind == "real" else 2 * (p + q) + 6) * _EPS
     spread = (size * _EPS) ** 2
-    x, y = upper[0].real, upper[0].imag
-    pair = (p > 1 and y != 0.0 and upper[1] == upper[0].conjugate()
-            and not any(c.imag for c in upper[2:] + lower))
-    if real or pair:
-        rest = tuple(a.real for a in (upper[2:] if pair else upper))
-        lows = tuple(b.real for b in lower)
-        one, zero, isfinite = 1.0, 0.0, math.isfinite
+    head = _unit_head(p, q, kind)
+    total, comp, err, t, size = head(*upper[:_UNROLL], upper[_UNROLL:],
+                                     *lower[:_UNROLL], lower[_UNROLL:],
+                                     size, rho, spread, spec)
+    if t:
+        tail, estimate = _asymptotic_tail(spec.upper, spec.lower, size, complex(t))
+        estimate += (size + _ORDERS) * rho * abs(tail)
     else:
-        rest, lows = upper, lower
-        one, zero, isfinite = 1.0 + 0.0j, 0.0 + 0.0j, cmath.isfinite
-    total = comp = zero
-    t, err = one, 0.0
-    k = 0.0                     # n as a float: exact, and no int to convert
-    try:
-        for n in range(size):
-            partial = total + t
-            back = partial - total
-            comp += (total - (partial - back)) + (t - back)
-            total = partial
-            err += (k * rho + spread) * abs(t)
-            if pair:
-                xk = x + k
-                num = xk * xk + y * y
-            else:
-                num = one
-            for a in rest:
-                num *= a + k
-            den = (k + 1.0) + zero
-            for b in lows:
-                den *= b + k
-            t = t * num / den
-            if not t:
-                # a true underflow: num is not 0, and den, at least 1, has
-                # not lifted a product that underflowed
-                if not (num and 1.0 <= abs(den) < math.inf
-                        and _terms_stay_below(spec, n + 1)):
-                    raise RangeError(f"term {n + 1}: underflowed to 0")
-                size, capped = n + 1, False
-                tail, estimate = 0.0, 5e-324 * (1.0 + size / spec.convergence_parameter())
-                break
-            if not isfinite(t):
-                raise RangeError(f"term {n + 1}: not finite")
-            k += 1.0
-        else:
-            tail, estimate = _asymptotic_tail(upper, lower, size, complex(t))
-            estimate += (size + _ORDERS) * rho * abs(tail)
-    except ZeroDivisionError:
-        raise RangeError(f"term {n + 1}: denominator underflowed to 0") from None
-    except OverflowError:
-        raise RangeError("series accumulation overflowed binary64") from None
-    if not isfinite(total):
-        raise RangeError("series accumulation overflowed binary64")
+        capped = False
+        tail, estimate = 0.0, 5e-324 * (1.0 + size / spec.convergence_parameter())
     value = complex(total) + (complex(comp) + tail)
     estimate += err + _EPS * (abs(value) + abs(tail))
     if not capped and estimate <= policy.tolerance * max(1.0, abs(value)):

@@ -57,6 +57,9 @@ CASES = {
     "eval-complex-half.json": (
         ["eval", "--upper", "1/2+i,1/2-i", "--lower", "3/2", "--z", "1/2",
          "--format", "json"], 0),
+    "eval-pair-3f2-half.json": (
+        ["eval", "--upper", "1/2+i,1/2-i,4/3", "--lower", "5/2,1/3", "--z", "1/2",
+         "--format", "json"], 0),
     "eval-complex-z.json": (
         ["eval", "--upper=1+2i", "--lower", "1/2-i", "--z", "3-4i",
          "--format", "json"], 0),

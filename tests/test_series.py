@@ -422,12 +422,15 @@ def test_direct_sum_fixed_outcomes(spec, expected):
     assert outcome == expected
 
 
-def _code_numbers(code) -> set:
-    """Every int, float and complex constant of a code object and of the
-    code objects nested in it."""
+def _code_numbers(consts) -> set:
+    """Every int, float and complex number among a code object's
+    constants, in the tuples among them and in the code objects nested in
+    them."""
     numbers = set()
-    for c in code.co_consts:
+    for c in consts:
         if hasattr(c, "co_consts"):
+            numbers |= _code_numbers(c.co_consts)
+        elif isinstance(c, tuple):
             numbers |= _code_numbers(c)
         elif isinstance(c, (int, float, complex)) and not isinstance(c, bool):
             numbers.add(c)
@@ -435,27 +438,153 @@ def _code_numbers(code) -> set:
 
 
 def test_direct_sum_compiles_one_loop_per_shape():
-    """Every spec of one shape (p, q, real) runs one compiled loop, whose
+    """Every spec of one shape (p, q, kind) runs one compiled loop, whose
     code holds no parameter value, argument or tolerance: the shape alone
-    makes the code, and the values are arguments.  A real and a complex
-    spec of one (p, q) run two loops; only the real one steps the float
-    counter x."""
+    makes the code, and the values are arguments.  A real, a pair and a
+    complex spec of one (p, q) run three loops.
+
+    The float loops keep the bits of the complex one (see the sweeps
+    against it) by doing its float operations in its order.  The complex loop
+    forms num as 1.0 * (a0 + n) * (a1 + n) and den as (n + 1) * (b0 + n),
+    the first _UNROLL parameters of a side as straight-line products and
+    any further ones by a for loop.  A float loop keeps the int n for its
+    control and messages and steps a float x = n beside it, so that its
+    factors (a0 + x) * (a1 + x) and (x + 1.0) * (b0 + x) add two floats,
+    which CPython specializes, not a float and an int: float + int converts
+    the int exactly, and x stays exact below 2^53 terms.  A real loop drops
+    the 1.0 *, since 1.0 * v is v for every float; the complex loop keeps
+    it, since there it sets the signs of zero parts.  A pair loop takes
+    x and y * y for a0 and a1 and forms xk = a0 + x and xk * xk + a1."""
     specs = [SeriesSpec((0.123456789, -0.987654321 + 0.5j), (2.718281828e-3,), 0.31830988),
              SeriesSpec((0.4, 0.6), (1.7,), 0.25),
              SeriesSpec((0.4, 0.6 + 2j), (1.7,), 0.25 - 0.1j),
-             SeriesSpec((0.3, 0.7), (1.9,), -0.125)]
+             SeriesSpec((0.3, 0.7), (1.9,), -0.125),
+             SeriesSpec((0.5 + 1.25j, 0.5 - 1.25j), (1.7,), 0.375),
+             SeriesSpec((-0.25 + 3j, -0.25 - 3j), (2.5,), -0.5)]
     series._direct_loop.cache_clear()
     for spec in specs:
         series._direct_sum(spec, SumPolicy(tolerance=7.25e-12))
     info = series._direct_loop.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-    for real in (True, False):
-        loop = series._direct_loop(2, 1, real)
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    for kind in ("real", "pair", "complex"):
+        loop = series._direct_loop(2, 1, kind)
         assert loop.__code__.co_filename == series.__file__
-        assert ("x" in loop.__code__.co_varnames) is real
-        numbers = _code_numbers(loop.__code__)
+        names = loop.__code__.co_varnames
+        assert ("x" in names, "xk" in names) == (kind != "complex", kind == "pair")
+        numbers = _code_numbers(loop.__code__.co_consts)
         # the loop's own constants: term indices, 1.0, 2.0 * den and the 0.99 cap
         assert numbers <= {0, 1, 2, 0.99}, numbers
+
+
+def _complex_direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
+    """spec summed by the complex direct loop, whatever its kind."""
+    upper, lower = spec.upper, spec.lower
+    last = policy.max_terms - 1
+    trunc = spec.truncation_degree()
+    stop, trunc = (last, -1) if trunc is None else (min(trunc, last), trunc)
+    loop = series._direct_loop(len(upper), len(lower), "complex")
+    return loop(*upper[:series._UNROLL], upper[series._UNROLL:],
+                *lower[:series._UNROLL], lower[series._UNROLL:], spec.argument,
+                policy.tolerance, stop, trunc, cmath.isfinite)
+
+
+def _pair_direct_spec(rng: random.Random, behind: bool) -> SeriesSpec:
+    """A seeded pFq, p = 2..4, with a conjugate pair x +- iy leading the
+    upper row or, for behind, at upper[1:3] behind a real one; the other
+    upper parameters real, now and then a non-positive integer that
+    truncates the series, the lower ones real, z real.  A p = q+1 series
+    that does not terminate has z in (-1, 1); an entire one, p <= q, and
+    a polynomial take |z| up to 10^3.5 as well.  x comes as +-0.0 now and
+    then, with the other sign in the conjugate."""
+    p = rng.randint(3 if behind else 2, 4)
+    q = rng.choice((p - 1, p, p + 1))
+    x = rng.choice((0.0, rng.uniform(-3.0, 3.0)))
+    y = rng.choice((0.1, 1.0, 8.0)) * rng.uniform(0.01, 2.0) * rng.choice((1.0, -1.0))
+    pair = [complex(x, y), complex(-x if x == 0.0 else x, -y)]
+    rest = [complex(rng.uniform(-3.0, 3.0)) for _ in range(p - 2)]
+    if rest and rng.random() < 0.3:
+        rest[rng.randrange(len(rest))] = complex(-rng.randint(0, 12))
+    upper = rest[:1] + pair + rest[1:] if behind else pair + rest
+    lower = [complex(rng.uniform(-3.0, 3.0)) for _ in range(q)]
+    imag = rng.choice((0.0, -0.0))
+    if p > q and not any(a.imag == 0.0 and a.real <= 0 and a.real.is_integer()
+                         for a in upper):
+        z = complex(rng.uniform(-1.0, 1.0), imag)
+    else:
+        z = complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.5), imag)
+    return SeriesSpec(upper, lower, z)
+
+
+def test_pair_direct_sums_keep_complex_bits():
+    """A direct sum led by a conjugate pair runs in floats with the bits of
+    the complex loop: repr-equal results, or the same exception and
+    message, against _direct_loop(p, q, "complex") on the same spec, for
+    seeded pairs and fixed inputs that underflow, overflow and reach the
+    denominator checks.  A pair behind a real parameter stays complex, and
+    so its sums match trivially; were the float rule widened to such a
+    pair, these draws would not match.  All 20 z = 1/2 sums of the
+    registry, and the golden eval-complex-half spec, take the pair loop."""
+    rng = random.Random(0x9A1D)
+    cases = []
+    while len(cases) < 2400:
+        behind = rng.random() < 0.25
+        try:
+            spec = _pair_direct_spec(rng, behind)
+        except PoleError:
+            continue
+        assert series._loop_parameters(spec)[0] == ("complex" if behind else "pair")
+        policy = SumPolicy(10.0 ** rng.uniform(-15.0, -6.0), rng.choice((10, 25, 10**6)))
+        cases.append((spec, policy))
+    big, pair = 1e200, (0.5 + 1j, 0.5 - 1j)
+    for upper, lower, z in [(pair, (1e300,), 0.5),                # terms underflow to 0
+                            (pair, (1e-8, 1e-8), 1e300),          # term 1 overflows
+                            ((big + big * 1j, big - big * 1j), (1.0,), 0.5),  # x y overflows
+                            ((1e154 + 1j, 1e154 - 1j), (1.0,), -0.999),  # x x, term 2
+                            ((1.7e308j, -1.7e308j), (1.7e308, 1.0), 0.5),  # y y
+                            (pair, (1.7e308,), 0.5),              # den at the limit
+                            (pair + (-1.0,), (1.7e308, 1.0), -0.5),
+                            (pair + (-2.0,), (1e154, 1e154), 0.5),
+                            (pair, (1e-5,) * 70, 0.5)]:           # den underflows to 0
+        cases.append((SeriesSpec(upper, lower, z), SumPolicy()))
+    seen = set()
+    for spec, policy in cases:
+        got = _outcome(series._direct_sum, spec, policy)
+        assert got == _outcome(_complex_direct_sum, spec, policy), (spec, policy)
+        seen.add(got[0] if got[0] != "result" else got[1].split("'")[-2])
+    assert {"RangeError", "Converged", "Truncated", "MaxTermsExceeded"} <= seen, seen
+    # A denominator product that overflows before its last factor is
+    # refused either way, but the complex loop's imaginary part turns
+    # inf * 0 = NaN first, so it names the total, not the denominator; the
+    # pair loop names the denominator, as a real loop does.
+    spec = SeriesSpec(pair, (big, big, big), 0.5)
+    assert (_outcome(series._direct_sum, spec, SumPolicy())
+            == _outcome(series._direct_sum, spec._replace(upper=(0.5, 0.7)), SumPolicy())
+            == ("RangeError", "term 1: denominator at the binary64 limit"))
+    assert _outcome(_complex_direct_sum, spec, SumPolicy()) == (
+        "RangeError", "series accumulation overflowed binary64")
+
+    kinds = []
+    loop = series._direct_loop
+
+    def recorded(p, q, kind):
+        kinds.append(kind)
+        return loop(p, q, kind)
+
+    specs = []
+    direct = series._direct_sum
+
+    def recorded_sum(spec, policy):
+        specs.append(spec)
+        return direct(spec, policy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_direct_loop", recorded)
+        patch.setattr(series, "_direct_sum", recorded_sum)
+        for case in registry():
+            verify(case)
+        sum_pfq(SeriesSpec((0.5 + 1j, 0.5 - 1j), (1.5,), 0.5))
+    half = [kind for spec, kind in zip(specs, kinds) if spec.argument == 0.5]
+    assert half == ["pair"] * 21
 
 
 @pytest.mark.parametrize("upper, lower, z", [
@@ -898,24 +1027,18 @@ def test_unit_sum_matches_reference(monkeypatch):
 
 
 def _unit_heads(run) -> list:
-    """Call run() and return, for each _unit_sum call it made, the set of
-    isfinite functions that _unit_sum's own frame called: {math.isfinite}
-    for the float head, {cmath.isfinite} for the complex one."""
-    code = series._unit_sum.__code__
+    """Call run() and return the kind of compiled head that each _unit_sum
+    call it made ran: "real" or "pair" for a float head, "complex"."""
     heads = []
+    head = series._unit_head
 
-    def profile(frame, event, arg):
-        if frame.f_code is code:
-            if event == "call":
-                heads.append(set())
-            elif event == "c_call" and arg in (math.isfinite, cmath.isfinite):
-                heads[-1].add(arg)
+    def recorded(p, q, kind):
+        heads.append(kind)
+        return head(p, q, kind)
 
-    sys.setprofile(profile)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_unit_head", recorded)
         run()
-    finally:
-        sys.setprofile(None)
     return heads
 
 
@@ -946,7 +1069,15 @@ def test_unit_sum_heads_match_reference(monkeypatch):
     conjugate pair leads the upper row, and in complex arithmetic for a
     pair behind a real upper parameter or among the lower ones; either way
     the result is repr-equal to the complex reference.  All 48 z = 1 sums
-    of the registry take the float head."""
+    of the registry take the float head.
+
+    Each head is compiled per shape from _HEAD.  The float head adds the
+    float k = n, not the int n, to its parameters, drops the complex
+    head's 1.0 * and + 0.0 (1.0 * v and v + 0.0 are v for every float and
+    for den >= 1), forms the pair's factor as xk * xk + a1 from xk = x + k
+    and a1 = y * y, formed once per sum, and tests abs(t), formed once a
+    term, against inf for a term that is not finite.  rho still counts a
+    pair's steps as complex, so the estimate keeps its bits too."""
     rng = random.Random(0x4EAD)
     cases, floats = [], []
     for _ in range(200):
@@ -958,48 +1089,56 @@ def test_unit_sum_heads_match_reference(monkeypatch):
             floats.append(where in ("lead", "real"))
     got = []
     heads = _unit_heads(lambda: got.extend(_sweep_outcome(*case) for case in cases))
-    assert heads == [{math.isfinite} if f else {cmath.isfinite} for f in floats]
+    assert [kind != "complex" for kind in heads] == floats
     assert min(sum(floats), len(floats) - sum(floats)) >= 100
     monkeypatch.setattr(series, "_unit_sum", reference_unit_sum)
     for (spec, policy), outcome in zip(cases, got):
         assert outcome == _sweep_outcome(spec, policy), (spec, policy)
     monkeypatch.undo()
     heads = _unit_heads(lambda: [verify(case) for case in registry()])
-    assert heads == [{math.isfinite}] * 48
+    assert len(heads) == 48 and "complex" not in heads, heads
 
 
 def test_tail_kernel_is_compiled_once_and_holds_no_value():
-    """One compiled kernel serves every tail, with float or complex power
-    sums, and its code holds the weights and its own constants, never a
-    parameter value, t or n."""
+    """One compiled kernel per kind serves every tail, float power sums or
+    complex ones, and its code holds the weights and its own constants,
+    never a parameter value, t or n; the complex kernel's constants are
+    complex numbers with the same real parts and +0.0 imaginary parts."""
     series._tail_kernel.cache_clear()
     calls = [((0.3 + 1.7j, 0.3 - 1.7j, -1.234567), (2.345678, 0.75), 1000, 0.0123 + 0j),
              ((0.3 + 1.7j, 0.9), (2.345678 - 0.5j,), 1000, 0.0123 - 0.0456j)]
-    for upper, lower, n, t in calls:
+    for upper, lower, n, t in calls + calls:
         assert series._asymptotic_tail(upper, lower, n, t)[1] < math.inf
     info = series._tail_kernel.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    kernel = series._tail_kernel()
-    assert kernel.__code__.co_filename == series.__file__
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
     rows, euler = series._tail_weights()
     own = {w for row in rows for w in row} | {x for step in euler for x in step}
     own |= set(range(series._ORDERS + 2)) | {0.5}
-    assert _code_numbers(kernel.__code__) <= own
     # and no value of the calls above is one of those constants
     assert not own & {1000, 1.7, 0.3, 1.234567, 2.345678, 0.75, 0.9, 0.0123, 0.0456}
+    for kind, number in (("real", float), ("complex", complex)):
+        kernel = series._tail_kernel(kind)
+        assert kernel.__code__.co_filename == series.__file__
+        numbers = _code_numbers(kernel.__code__.co_consts)
+        assert numbers <= own, numbers - own
+        weights = {w for w in numbers if type(w) is number and w not in (0.5, 1.0)}
+        assert len(weights) > 40, (kind, weights)
+        if number is complex:
+            assert all(repr(w.imag) == "0.0" for w in weights), weights
 
 
 def test_import_compiles_no_loop_or_kernel():
-    """Importing the package and its CLI compiles neither the tail kernel
-    nor any direct-sum loop: both are built on first use."""
+    """Importing the package and its CLI compiles no tail kernel, direct-sum
+    loop or z = 1 head: each is built on first use."""
     code = ("import gelfond, gelfond.cli; from gelfond import series; "
             "print(series._tail_kernel.cache_info().currsize, "
-            "series._direct_loop.cache_info().currsize)")
+            "series._direct_loop.cache_info().currsize, "
+            "series._unit_head.cache_info().currsize)")
     src = str(Path(series.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "0 0\n"
+    assert out == "0 0 0\n"
 
 
 def test_bernoulli_table_satisfies_recurrence():
