@@ -47,7 +47,6 @@ from .identities import (
     IdentityCase,
     VerificationReport,
     corollary_case,
-    corollary_parameters,
     gelfond,
     gelfond_lambda,
     registry,
@@ -77,11 +76,11 @@ __all__ = [
     "InsufficientTermsError", "ParseError", "PoleError", "RangeError",
     "SeriesSpec", "SumPolicy", "SumResult", "SumStatus",
     "VerificationReport", "bailey_ext_half", "bailey_half",
-    "corollary_case", "corollary_parameters", "dd_add", "dd_exp", "dd_mul",
-    "dd_pi", "dd_round", "dd_sqrt", "dd_sub", "dd_to_decimal", "gamma",
-    "gauss_ext_unit", "gauss_unit", "gelfond", "gelfond_lambda",
-    "heegner_row", "heegner_table", "levin_accelerate", "log_gamma",
-    "registry", "second_gauss_ext_half", "second_gauss_half", "sin_pi",
+    "corollary_case", "dd_add", "dd_exp", "dd_mul", "dd_pi", "dd_round",
+    "dd_sqrt", "dd_sub", "dd_to_decimal", "gamma", "gauss_ext_unit",
+    "gauss_unit", "gelfond", "gelfond_lambda", "heegner_row",
+    "heegner_table", "levin_accelerate", "log_gamma", "registry",
+    "second_gauss_ext_half", "second_gauss_half", "sin_pi",
     "sqrt_gelfond_pair", "sum_pfq", "sum_pfq_unit", "theorem1",
     "theorem1_coefficients", "theorem2", "theorem2_coefficients", "verify",
     "verify_all",

@@ -282,14 +282,6 @@ def _corollary_row(kind: str, n: int, printed: bool) -> _Corollary:
     return row
 
 
-def corollary_parameters(kind: str, n: int, printed: bool = False
-                         ) -> tuple[Fraction, Fraction]:
-    """Exact (d1, d2) of the row that corollary_case(kind, n, printed)
-    takes: ``printed=True`` gives the as-printed d1 of cor3, and raises
-    ValueError for cor1 and cor4, which have no printed row."""
-    return _corollary_row(kind, n, printed).d(n)
-
-
 def corollary_case(kind: str, n: int, printed: bool = False) -> IdentityCase:
     """One corollary-family case.  ``printed=True`` selects the as-printed
     variant for cor2 (divergent companion) and cor3 (wrong-multiple

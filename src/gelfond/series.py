@@ -14,24 +14,16 @@ terms and adds the rest from the terms' asymptotic expansion (see
 _unit_sum).  The direct loop and the head run in floats when the term ratio
 is exactly real: z and every parameter real, or a conjugate pair leading
 the upper row and the rest real (_loop_parameters); each is compiled once
-per parameter shape (p, q, kind) from a source template, so that a term
-pays for no for loop over its parameters and no test of its kind
-(_direct_loop, _unit_head).  The tail runs in floats for conjugate pairs,
+per parameter shape (p, q, kind) from a source template by one builder,
+so that a term pays for no for loop over its parameters and no test of
+its kind (_term_loop).  The tail runs in floats for conjugate pairs,
 forms its power sums by the multiplication chain of complex ** and does
 its fixed-size work in one function per kind, float or complex, compiled
 on first use (_asymptotic_tail, _power_sums, _tail_kernel).  All of them
 keep the bits of complex arithmetic.
-Near z = 1, |1 - z| < CONNECTION_RADIUS = 1/16 with |z| < 1, a 2F1 that
-does not terminate is first tried by a 1 - z connection formula: DLMF
-15.8.4, two short sums in 1 - z and two gamma ratios, for s = c - a - b
-at least 1/32 from every integer, or A&S 15.3.10-15.3.12, a finite sum
-and a sum weighted by digamma values, for s exactly an integer.  A 1F0
-that does not terminate is tried the same way, as 2F1(a, a+1; a+1; z);
-a part whose gamma factor is exactly 0 is not summed.  Each formula
-comes with a bound that counts truncation, rounding and the measured
-envelopes of log_gamma and digamma (see _connection_sum).  The formula
-answers only when that bound meets the tolerance; otherwise the sum runs
-directly, as it does for every other spec.
+Near z = 1 a 2F1 or 1F0 that does not terminate is first tried by a 1 - z
+connection formula, which answers only when its bound meets the tolerance
+(_connection_sum); otherwise it is summed directly.
 levin_accelerate, a Levin u-transform evaluated exactly in integers (see
 _levin_orders), is public but no summation route uses it.
 """
@@ -139,13 +131,6 @@ class SumPolicy(namedtuple("SumPolicy", "tolerance max_terms")):
 SumResult = namedtuple("SumResult", "value terms_used tail_estimate status")
 
 
-def _observed_tail(abs_t: float, prev_abs: float) -> float:
-    """|t_n| / (1 - r): the geometric tail at the observed ratio
-    r = |t_n / t_{n-1}| capped at 0.99, or at r = 0 when prev_abs is 0."""
-    ratio = min(abs_t / prev_abs, 0.99) if prev_abs > 0.0 else 0.0
-    return abs_t / (1.0 - ratio)
-
-
 def _loop_parameters(spec: SeriesSpec) -> tuple[str, tuple, tuple, complex | float]:
     """(kind, upper, lower, z) for a term loop.  The kind is "real" when
     the argument and every parameter have zero imaginary part, "pair" when
@@ -181,13 +166,24 @@ def _loop_parameters(spec: SeriesSpec) -> tuple[str, tuple, tuple, complex | flo
 # b0.. of straight-line products; any more are stepped by a for loop.
 _UNROLL = 4
 
+# Per kind, the parts of a term that _LOOP and _HEAD share: the index the
+# factors add (both loops step the int n and the float x = n), the one
+# that starts t, and num for a complex kind or p = 0, den's first factor,
+# total's first value and the loops' isfinite.  tests/test_series.py holds
+# why each kind keeps the bits of complex arithmetic.
+_TERMS = {"real": ("x", "1.0", "(x + 1.0)", "0.0", math.isfinite),
+          "complex": ("n", "(1.0 + 0.0j)", "(n + 1)", "0j", cmath.isfinite)}
+_TERMS["pair"] = _TERMS["real"]
 
-def _term_lines(p: int, q: int, kind: str, i: str, one: str, first: str) -> dict:
-    """The template fields that form a term's num and den for p upper and
-    q lower parameters and the index named i: the parameter names; num as
-    the product of the factors (a_j + i), behind one for a complex kind or
-    p = 0, and for a pair with xk * xk + a1, xk = a0 + i, in place of the
-    first two; den as the product of first and the factors (b_j + i)."""
+
+def _term_lines(p: int, q: int, kind: str) -> dict:
+    """The template fields of p upper and q lower parameters of one kind
+    (_TERMS): the parameter names, total's and t's first values, num as
+    the product of the factors (a_j + i), i the kind's index, behind one
+    for a complex kind or p = 0, and for a pair with xk * xk + a1,
+    xk = a0 + i, in place of the first two, and den as the product of its
+    first factor and the factors (b_j + i)."""
+    i, one, first, zero, _ = _TERMS[kind]
     a = [f"a{j}" for j in range(min(p, _UNROLL))]
     b = [f"b{j}" for j in range(min(q, _UNROLL))]
     num = [f"({v} + {i})" for v in a]
@@ -197,60 +193,69 @@ def _term_lines(p: int, q: int, kind: str, i: str, one: str, first: str) -> dict
         num.insert(0, one)
     return dict(
         upper="".join(v + ", " for v in a), lower="".join(v + ", " for v in b),
+        zero=zero, one=one,
         num=(f"xk = a0 + {i}; " if kind == "pair" else "") + "num = " + " * ".join(num),
         num_rest=f"for a in upper: num *= a + {i}" if p > _UNROLL else "pass",
         den=" * ".join([first] + [f"({v} + {i})" for v in b]),
         den_rest=f"for b in lower: den *= b + {i}" if q > _UNROLL else "pass")
 
 
-def _compiled(source: str, line: int, name: str, scope: dict):
-    """The function name that source defines, compiled with line - 1 blank
-    lines ahead, so that tracebacks and profiles point at the template's
-    own lines in this file, and run with scope as its globals."""
+def _compiled(template: tuple[int, str], fields: dict, scope: dict):
+    """The function that template, a (first line, source) pair, defines
+    once fields fill its placeholders, compiled with the blank lines ahead
+    that make tracebacks and profiles point at the template's own lines in
+    this file, and run with scope as its globals."""
+    line, source = template
+    source = source.format(**fields)
     exec(compile("\n" * (line - 1) + source, __file__, "exec"), scope)
-    return scope[name]
+    return scope[source[4:source.index("(")]]
 
 
-# _direct_loop's source; each placeholder fills one line, statements
-# joined by "; "
-_LOOP_LINE = sys._getframe().f_lineno + 2
-_LOOP = """\
-def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
-    total = 0.0
-    t = 1.0
+# _direct_sum's loop, a (first line, source) pair; each placeholder fills
+# one line, statements joined by "; "
+_LOOP = sys._getframe().f_lineno + 1, """\
+def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc):
+    total = {zero}
+    t = {one}
     den = 1.0
     prev_abs = 0.0
     small_streak = 0
-    {start}
+    n = 0
+    x = 0.0
     try:
         while True:
             total += t
             abs_t = abs(t)
-            if abs_t > tol and abs_t > tol * abs(total):
+            if abs_t > tol and abs_t > tol * abs(total) and n != stop:
                 small_streak = 0
             else:
-                # reached by every total that is not finite: both tests fail
+                # reached by the last term and by every total that is not
+                # finite: both tests fail.  A term of 0, inf or NaN (which
+                # the complex kind's inf * 0 parts give) after a
+                # denominator at the limit names the denominator first
+                if not 0.0 < abs_t < inf and not isfinite(2.0 * den):
+                    raise RangeError(f"term {{n}}: denominator at the binary64 limit")
                 if not isfinite(total):
                     raise RangeError("series accumulation overflowed binary64")
-                if not abs_t and not isfinite(2.0 * den):
-                    raise RangeError(f"term {{n}}: denominator at the binary64 limit")
                 small_streak += 1
-                if small_streak >= 2 and n != trunc:
-                    # _observed_tail inline; the ratio may be inf, never NaN
-                    ratio = abs_t / prev_abs if prev_abs > 0.0 else 0.0
-                    tail = abs_t / (1.0 - (ratio if ratio < 0.99 else 0.99))
-                    if tail <= tol or tail <= tol * abs(total):
-                        return SumResult(complex(total), n + 1, tail,
-                                         SumStatus.CONVERGED)
-            if n == stop:
-                break
+                # |t_n| / (1 - r), the geometric tail at the observed ratio
+                # r = |t_n / t_(n-1)| capped at 0.99, or at r = 0 when
+                # prev_abs is 0; r may be inf, never NaN
+                ratio = abs_t / prev_abs if prev_abs > 0.0 else 0.0
+                tail = abs_t / (1.0 - (ratio if ratio < 0.99 else 0.99))
+                if (small_streak >= 2 and n != trunc
+                        and (tail <= tol or tail <= tol * abs(total))):
+                    return SumResult(complex(total), n + 1, tail, SumStatus.CONVERGED)
+                if n == stop:
+                    break
             prev_abs = abs_t
             {num}
             {num_rest}
             den = {den}
             {den_rest}
             t = t * z * num / den
-            {step}
+            n += 1
+            x += 1.0
     except ZeroDivisionError:
         raise RangeError(f"term {{n + 1}}: denominator underflowed to 0") from None
     except OverflowError:
@@ -266,28 +271,21 @@ def direct_loop({upper}upper, {lower}lower, z, tol, stop, trunc, isfinite):
             raise RangeError(f"term {{n}}: denominator at the binary64 limit")
         # polynomial case: the remaining terms vanish
         return SumResult(complex(total), n + 1, 0.0, SumStatus.TRUNCATED)
-    return SumResult(complex(total), n + 1, _observed_tail(abs_t, prev_abs),
-                     SumStatus.MAX_TERMS_EXCEEDED)
+    return SumResult(complex(total), n + 1, tail, SumStatus.MAX_TERMS_EXCEEDED)
 """
 
 
-@lru_cache(maxsize=32)
-def _direct_loop(p: int, q: int, kind: str):
-    """_direct_sum's loop for p upper and q lower parameters of one kind
-    (_loop_parameters), compiled from _LOOP on first use.  Only the shape
-    enters the source, never a value, so every spec of one shape shares
-    the function and the cache holds no result.  A float loop steps the
-    float index x beside the int n, a complex one n alone.  The loop is
+@lru_cache(maxsize=64)
+def _term_loop(template: tuple[int, str], p: int, q: int, kind: str):
+    """The function template, _LOOP or _HEAD, defines for p upper and q
+    lower parameters of one kind (_loop_parameters), compiled on first
+    use.  Only the shape enters the source, never a value, so every spec
+    of one shape shares the function and the cache holds no result.  It is
     called as loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
-    lower[_UNROLL:], z, tol, stop, trunc, isfinite)."""
-    real = kind != "complex"
-    lines = (_term_lines(p, q, kind, "x", "1.0", "(x + 1.0)") if real
-             else _term_lines(p, q, kind, "n", "1.0", "(n + 1)"))
-    source = _LOOP.format(start="n = 0; x = 0.0" if real else "n = 0",
-                          step="n += 1; x += 1.0" if real else "n += 1", **lines)
-    return _compiled(source, _LOOP_LINE, "direct_loop", {
-        "RangeError": RangeError, "SumResult": SumResult,
-        "SumStatus": SumStatus, "_observed_tail": _observed_tail})
+    lower[_UNROLL:], ...), the template's own arguments after those."""
+    return _compiled(template, _term_lines(p, q, kind), {
+        "RangeError": RangeError, "SumResult": SumResult, "SumStatus": SumStatus,
+        "stays_below": _terms_stay_below, "inf": math.inf, "isfinite": _TERMS[kind][-1]})
 
 
 def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
@@ -298,29 +296,29 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     next, so memory does not grow with the number of terms.  A real spec,
     or one led by a conjugate pair, is summed in floats with the bits of
     complex arithmetic (_loop_parameters).  The loop is compiled once per
-    shape (p, q, kind) (_direct_loop), with the first _UNROLL parameters of
+    shape (p, q, kind) (_term_loop), with the first _UNROLL parameters of
     a side as straight-line products, because a for loop over the
     parameters took about 40% of each term.  The tail estimate is worked
-    out only at the exits that report it; a polynomial returns at its last
-    term with tail 0, since the term after it, zero by construction, is
-    never formed.
+    out only for a small term and the last one; a polynomial returns at
+    its last term with tail 0, since the term after it, zero by
+    construction, is never formed.
 
     A denominator product at the binary64 limit, one with a part of 2^1023
     or more so that 2 * den is not finite, can make the next term 0 or NaN:
     float division by inf gives 0, and complex division scales by
     |den|^2 / max(|Re den|, |Im den|), which then overflows.  No value
-    summed past it can be trusted, so RangeError is raised for a zero term
-    or a polynomial's last term after such a denominator, and for a
+    summed past it can be trusted, so RangeError names the denominator
+    for a term of 0, inf or NaN or a polynomial's last term after it, in
+    every kind, before it tests the total; and it is raised for a
     denominator that underflows to 0.
     """
     kind, upper, lower, z = _loop_parameters(spec)
     last = policy.max_terms - 1
     trunc = spec.truncation_degree()
     stop, trunc = (last, -1) if trunc is None else (min(trunc, last), trunc)
-    loop = _direct_loop(len(upper), len(lower), kind)
+    loop = _term_loop(_LOOP, len(upper), len(lower), kind)
     return loop(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
-                lower[_UNROLL:], z, policy.tolerance, stop, trunc,
-                cmath.isfinite if kind == "complex" else math.isfinite)
+                lower[_UNROLL:], z, policy.tolerance, stop, trunc)
 
 
 # ----------------------------------------------------------------------
@@ -457,10 +455,9 @@ def _tail_weights() -> tuple[tuple[tuple[float, ...], ...],
                        for j, (p, q) in enumerate(BERNOULLI) if j and not j % 2)
 
 
-# _tail_kernel's source; each placeholder fills one line, statements joined
-# by "; "
-_TAIL_LINE = sys._getframe().f_lineno + 2
-_TAIL = """\
+# _tail_kernel's source, a (first line, source) pair; each placeholder
+# fills one line, statements joined by "; "
+_TAIL = sys._getframe().f_lineno + 1, """\
 def tail_kernel({powers}, n, t):
     {g}  # g_k = 0 + rows[k-1][0] * P_{{k+1}} + .. + rows[k-1][k] * P_1
     {kg}
@@ -518,15 +515,14 @@ def _tail_kernel(kind: str):
     for c, lo, hi in euler:
         steps += [f"last = {const(c)} * rising", "z += last",
                   f"rising *= (sigma + {lo!r}) * (sigma + {hi!r}) * inv * inv"]
-    source = _TAIL.format(
+    return _compiled(_TAIL, dict(
         powers=", ".join(f"p{m}" for m in range(1, _ORDERS + 3)), g="; ".join(g),
         kg="; ".join(f"kg{k} = {const(float(k))} * g{k}" for k in range(1, _ORDERS + 1)),
         d="; ".join(d), ds=", ".join(f"d{m}" for m in range(_ORDERS + 1)),
         start="pass" if real else "n, minus_p1 = complex(n), -p1",
         zero=const(0.0), ms=repr(tuple(map(float, range(_ORDERS + 1)))),
         sigma="m - p1" if real else "minus_p1 + m",
-        euler="; ".join(steps[:-1]), orders=_ORDERS + 1)
-    return _compiled(source, _TAIL_LINE, "tail_kernel", {})
+        euler="; ".join(steps[:-1]), orders=_ORDERS + 1), {})
 
 
 def _power_sums(params) -> list:
@@ -616,29 +612,31 @@ def _terms_stay_below(spec: SeriesSpec, n: int) -> bool:
                                       squared_modulus(spec.lower + (1.0,))))
 
 
-# _unit_head's source; each placeholder fills one line, statements joined
-# by "; "
-_HEAD_LINE = sys._getframe().f_lineno + 2
-_HEAD = """\
+# _unit_sum's head, a (first line, source) pair; each placeholder fills
+# one line, statements joined by "; ".  Called with N, rho, spread and
+# spec after the parameters, it sums t_0 .. t_{N-1} and returns (total,
+# compensation, err, t, N) with t = t_N, or t = 0 and N = n + 1 for a
+# term t_{n+1} that underflowed in a series whose terms cannot grow again.
+_HEAD = sys._getframe().f_lineno + 1, """\
 def unit_head({upper}upper, {lower}lower, size, rho, spread, spec):
     total = comp = {zero}
     t = {one}
     err = 0.0
     abs_t = 1.0
-    k = 0.0                     # n as a float: exact, and no int to convert
+    x = 0.0
     try:
         for n in range(size):
             partial = total + t
             back = partial - total
             comp += (total - (partial - back)) + (t - back)
             total = partial
-            err += (k * rho + spread) * {abs_t}
+            err += (x * rho + spread) * abs_t
             {num}
             {num_rest}
             den = {den}
             {den_rest}
             t = t * num / den
-            {abs_step}
+            abs_t = abs(t)
             if not t:
                 # a true underflow: num is not 0, and den, at least 1, has
                 # not lifted a product that underflowed
@@ -646,9 +644,9 @@ def unit_head({upper}upper, {lower}lower, size, rho, spread, spec):
                     raise RangeError(f"term {{n + 1}}: underflowed to 0")
                 size = n + 1
                 break
-            if not {finite}:
+            if not abs_t < inf:
                 raise RangeError(f"term {{n + 1}}: not finite")
-            k += 1.0
+            x += 1.0
     except ZeroDivisionError:
         raise RangeError(f"term {{n + 1}}: denominator underflowed to 0") from None
     except OverflowError:
@@ -657,29 +655,6 @@ def unit_head({upper}upper, {lower}lower, size, rho, spread, spec):
         raise RangeError("series accumulation overflowed binary64")
     return total, comp, err, t, size
 """
-
-
-@lru_cache(maxsize=32)
-def _unit_head(p: int, q: int, kind: str):
-    """_unit_sum's head for p upper and q lower parameters of one kind
-    (_loop_parameters), compiled from _HEAD on first use as _direct_loop
-    is: called as head(*upper[:_UNROLL], upper[_UNROLL:], *lower[:_UNROLL],
-    lower[_UNROLL:], N, rho, spread, spec), it sums t_0 .. t_{N-1} and
-    returns (total, compensation, err, t, N) with t = t_N, or t = 0 and
-    N = n + 1 for a term t_{n+1} that underflowed in a series whose terms
-    cannot grow again.  A float head takes abs(t) once a term, for the
-    next step's err and the test for a term that is not finite."""
-    real = kind != "complex"
-    lines = (_term_lines(p, q, kind, "k", "1.0", "(k + 1.0)") if real
-             else _term_lines(p, q, kind, "k", "(1.0 + 0.0j)", "((k + 1.0) + 0j)"))
-    source = _HEAD.format(
-        zero="0.0" if real else "0j", one="1.0" if real else "(1.0 + 0.0j)",
-        abs_t="abs_t" if real else "abs(t)",
-        abs_step="abs_t = abs(t)" if real else "pass",
-        finite="abs_t < inf" if real else "isfinite(t)", **lines)
-    return _compiled(source, _HEAD_LINE, "unit_head", {
-        "RangeError": RangeError, "inf": math.inf, "stays_below": _terms_stay_below,
-        "isfinite": math.isfinite if real else cmath.isfinite})
 
 
 def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
@@ -691,13 +666,13 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     term n counts as off by n rho relative, rho bounding the rounding of
     one step.  The estimate adds that, the compensated sum's own bound
     (Ogita, Rump and Oishi 2005), the tail's estimate and (N+K) rho |tail|.
-    A term that is not finite, or a denominator or partial sum out of the
-    binary64 range, raises RangeError, as does a term that underflows to 0
-    unless the terms cannot grow again (_terms_stay_below): then the sum
-    ends there, with 5e-324 (1 + n/s) for the rest and no cap on N.  The
+    A term that is not finite or of modulus beyond binary64, or a
+    denominator or partial sum out of the binary64 range, raises
+    RangeError, as does a term that underflows to 0 unless the terms
+    cannot grow again (_terms_stay_below): then the sum ends there, with 5e-324 (1 + n/s) for the rest and no cap on N.  The
     head runs in floats for a real spec or one led by a conjugate pair,
     with the bits of complex arithmetic (_loop_parameters), in a function
-    compiled once per shape (_unit_head).
+    compiled once per shape (_term_loop).
     """
     kind, upper, lower, _ = _loop_parameters(spec)
     p, q = len(upper), len(lower)
@@ -712,7 +687,7 @@ def _unit_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     # a pair's steps counted as complex
     rho = (p + q + 1 if kind == "real" else 2 * (p + q) + 6) * _EPS
     spread = (size * _EPS) ** 2
-    head = _unit_head(p, q, kind)
+    head = _term_loop(_HEAD, p, q, kind)
     total, comp, err, t, size = head(*upper[:_UNROLL], upper[_UNROLL:],
                                      *lower[:_UNROLL], lower[_UNROLL:],
                                      size, rho, spread, spec)
@@ -739,8 +714,10 @@ CONNECTION_RADIUS = 1.0 / 16.0
 
 def _short_2f1(a, b, c, w, cap: int):
     """(value, bound, terms, sum of k |t_k|) of 2F1(a, b; c; w), summed
-    until the truncation bound is below eps sum|t_k|; at cap terms, the
-    sum of those with its rounding bound alone and terms None.
+    until the truncation bound is below eps sum|t_k|, or to t_k, with no
+    truncation, when a or b is exactly -k, k a non-negative integer, as
+    _direct_sum ends a polynomial; at cap terms, the sum of those with its
+    rounding bound alone and terms None.
 
     For k >= n >= 1 with n + min(Re c, 0) > 0, |c + k| >= k + min(Re c, 0)
     and k + 1 > k give |t_{k+1} / t_k| <= r_n = |w| (1 + |a|/n)
@@ -753,10 +730,16 @@ def _short_2f1(a, b, c, w, cap: int):
     terms of A&S 15.3.10's finite part."""
     rho = (5.0 if type(w) is float else 14.0) * _EPS
     aw, ma, mb, low = abs(w), abs(a), abs(b), min(c.real, 0.0)
+    last = -1           # k for an a or b of exactly -k, the smaller of two
+    for x in (a, b):
+        if x.imag == 0.0 and x.real <= 0.0 and x.real.is_integer():
+            last = -int(x.real) if last < 0 else min(last, -int(x.real))
     t = total = 1.0
     abs_sum, weighted = 1.0, 0.0
     n = 0
     while n + 1 < cap:
+        if n == last:
+            return total, rho * weighted + n * _EPS * abs_sum, n + 1, weighted
         t = t * w * (a + n) * (b + n) / ((c + n) * (n + 1))
         n += 1
         total += t
@@ -828,9 +811,8 @@ def _gauss_terms(a, b, c, w, log_w, cap: int):
     from the one log Gamma(c) (closed_forms.log_gamma_sum), and the two
     short sums with their truncation and rounding (_short_2f1); None when
     one runs past cap terms.  For c equal to a or b, A holds 1/Gamma(0) =
-    0, so the first part is returned as zero in zero terms, without its
-    sum or its ratio: T1, |A| err_1 and |T1| are 0 as when it was summed,
-    so value and bound keep their bits.  The bound terms of this formula:
+    0, and the first part is returned as zero in zero terms, without its
+    sum or its ratio.  The bound terms of this formula:
     - in the rate, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term, and 8 eps
       for the exponentials of the log sums and the final products and sum;
     - to first order, the rounding of the derived parameters s, 1 -+ s,
@@ -937,16 +919,15 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
     bound meets the tolerance by _direct_sum's test.
 
     A 1F0(a;;z) = (1 - z)^-a is taken as 2F1(a, b; b; z), equal to it for
-    every b, with b = a + 1: c - a = 1 and c - b = 0, so 15.8.4's first
-    part is exactly 0 and not summed, its second part is the one term
-    F(1, 0; 1+s; w) = 1 and its factor Gamma(a+1) Gamma(a) / (Gamma(a)
-    Gamma(a+1)); a positive integer a takes the finite part of A&S
-    15.3.12 alone.  The padded parameters never form a SeriesSpec, whose
-    lower-pole guard would refuse an a + 1 within 1e-9 of a non-positive
-    integer.  An a within 1/32 of an integer, unless exactly a positive
-    one, puts a, a + 1 or s = -a off the envelope and stays direct.
-    Other pads answer less often: b = 1/2 puts every half-integer a at a
-    pole of 1/2 - a, and b = 1 every integer a >= 2 at one of 1 - a.
+    every b, with b = a + 1: c - b = 0, so 15.8.4's first part is 0
+    (_gauss_terms) and its second the polynomial F(1, 0; 1+s; w) = 1, and
+    a positive integer a takes the finite part of A&S 15.3.12 alone.  The
+    padded parameters never form a SeriesSpec, whose lower-pole guard
+    would refuse an a + 1 within 1e-9 of a non-positive integer.  An a
+    within 1/32 of an integer, unless exactly a positive one, puts a,
+    a + 1 or s = -a off the envelope and stays direct.  Other pads answer
+    less often: b = 1/2 puts every half-integer a at a pole of 1/2 - a,
+    and b = 1 every integer a >= 2 at one of 1 - a.
 
     Every gamma and digamma argument must lie where LOG_GAMMA_ENVELOPE
     and DIGAMMA_ENVELOPE were measured (within_envelope): a, b and c, and
@@ -1037,13 +1018,8 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     argument: at z = 1 by s = Re(sum(lower) - sum(upper)), where s <= 0
     returns status Divergent without summing and s > 0 sums a head of
     terms plus an asymptotic tail (_unit_sum); DivergentError for
-    |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1.
-
-    A 2F1 with |z| < 1 and |1 - z| < CONNECTION_RADIUS = 1/16, and a
-    1F0 there, is first tried by a 1 - z connection formula
-    (_connection_sum, which holds the formulas and their bound); it
-    answers, as Converged, only when its bound meets the tolerance, and
-    otherwise the sum is direct.
+    |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1,
+    after _connection_sum for a 2F1 or 1F0 near z = 1.
     """
     if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
         if spec.argument == 1.0:

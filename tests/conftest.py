@@ -23,6 +23,7 @@ from gelfond import (
     SumStatus,
     closed_forms,
     complex_gamma,
+    identities,
     series,
     sum_pfq,
 )
@@ -39,6 +40,14 @@ SINH_HALF_PI = (E_HALF_PI - E_MINUS_HALF_PI) / 2
 
 def rel_err(value, reference) -> float:
     return abs(value - reference) / abs(reference)
+
+
+def corollary_d(kind: str, n: int, printed: bool = False) -> tuple:
+    """The exact (d1, d2) at n of the identities.COROLLARIES row of family
+    kind with this printed flag, the row the registry and corollary_case
+    take."""
+    (row,) = [r for r in identities.COROLLARIES if (r.kind, r.printed) == (kind, printed)]
+    return row.d(n)
 
 
 def reduced_3f2(a, b, c, d, z) -> complex:
@@ -153,7 +162,9 @@ def reference_unit_sum(spec, policy) -> SumResult:
     """series._unit_sum as it stood before its head bound cmath.isfinite to
     a local and tested a zero term first, with reference_asymptotic_tail
     for its tail.  series._unit_sum must return a repr-equal result, or
-    raise the same exception and message, for every input."""
+    raise the same exception and message, for every input but one whose
+    complex head ends at a term of modulus beyond binary64, which
+    series._unit_sum refuses (test_complex_head_refuses_a_last_term_beyond_binary64)."""
     upper, lower = spec.upper, spec.lower
     p, q = len(upper), len(lower)
     want = 8.0 * max(math.hypot(c.real, c.imag) for c in upper + lower)

@@ -13,7 +13,6 @@ from gelfond import (
     SumPolicy,
     bailey_ext_half,
     corollary_case,
-    corollary_parameters,
     gauss_ext_unit,
     gauss_unit,
     gelfond,
@@ -30,7 +29,8 @@ from gelfond import (
 from gelfond.cli import main
 from gelfond.ddreal import DDReal, dd_add, dd_exp, dd_mul, two_prod, two_sum
 from gelfond.heegner import is_near_integer
-from conftest import E_MINUS_PI, E_PI, random_complex, reduced_3f2, rel_err
+from conftest import (E_MINUS_PI, E_PI, corollary_d, random_complex, reduced_3f2,
+                      rel_err)
 
 I = 1j
 F = Fraction
@@ -90,9 +90,9 @@ def test_criterion_04_corollary1():
         report = verify(corollary_case("cor1", n))
         assert report.verdict == "Pass"
         assert rel_err(report.closed_value, n * E_PI) <= 1e-12
-    d1, d2 = corollary_parameters("cor1", 2)
+    d1, d2 = corollary_d("cor1", 2)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(11, 9), F(2, 9), F(41, 26), F(15, 26))
-    d1, d2 = corollary_parameters("cor1", 3)
+    d1, d2 = corollary_d("cor1", 3)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(8, 7), F(1, 7), F(19, 14), F(5, 14))
     _passed(4, "n*e^pi at 1e-12 with the published parameter tuples")
 
@@ -185,7 +185,7 @@ def test_criterion_09_corollary4():
         report = verify(corollary_case("cor4", n))
         assert report.verdict == "Pass"
         assert rel_err(report.closed_value, n * math.exp(math.pi / 2)) <= 1e-11
-    d1, d2 = corollary_parameters("cor4", 2)
+    d1, d2 = corollary_d("cor4", 2)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(10, 9), F(1, 9), F(49, 34), F(15, 34))
     _passed(9, "n*e^(pi/2) at 1e-11 with the published n=2 parameters")
 

@@ -203,8 +203,10 @@ def test_log_route_zero_factor_skips_the_log_sum(monkeypatch):
 def test_zero_part_is_not_summed(monkeypatch):
     """c = b makes DLMF 15.8.4's first factor hold 1/Gamma(c - b) =
     1/Gamma(0) = 0: the route sums only the second part, F(c-a, 0; 1+s;
-    1-z), with the value and tail it gave when it summed both, and a 1F0
-    is that 2F1 with b = a + 1."""
+    1-z), with the value it gave when it summed both, since T1, |A| err_1
+    and |T1| were 0 then too, and a 1F0 is that 2F1 with b = a + 1.  That
+    part is the polynomial 1, one term with no truncation
+    (test_short_sum_ends_a_polynomial_at_its_last_term)."""
     calls = []
     short_2f1 = series._short_2f1
     monkeypatch.setattr(series, "_short_2f1",
@@ -212,14 +214,38 @@ def test_zero_part_is_not_summed(monkeypatch):
     policy = SumPolicy(tolerance=1e-10)
     result = sum_pfq(SeriesSpec((2.3, 0.7), (0.7,), 0.99), policy)
     assert (repr(result.value), repr(result.tail_estimate), result.terms_used) == (
-        "(39810.717055349676+0j)", "1.6879501113703575e-07", 3)
+        "(39810.717055349676+0j)", "1.687773316271551e-07", 1)
     assert calls == [0.0]
     calls.clear()
     result = sum_pfq(SeriesSpec((1.5,), (), 0.99), policy)
     assert (repr(result.value), repr(result.tail_estimate), result.terms_used) == (
-        "(999.9999999999998+0j)", "4.370457455103485e-09", 2)
+        "(999.9999999999998+0j)", "4.37023541049856e-09", 1)
     assert repr(result) == repr(sum_pfq(SeriesSpec((1.5, 2.5), (2.5,), 0.99), policy))
     assert calls == [0.0, 0.0]
+
+
+def test_short_sum_ends_a_polynomial_at_its_last_term():
+    """An upper parameter of _short_2f1 exactly -k, k a non-negative
+    integer with zero imaginary part, ends the sum at t_k with no
+    truncation bound, as _direct_sum ends a polynomial: 1F0(a;;z) near
+    z = 1 sums F(1, 0; 1-a; 1-z) = 1 in one term, whatever a, where the
+    ratio bound alone needed about Re a terms, and a finite part of
+    A&S 15.3.10 stops at its last nonzero term.  The values keep their
+    bits; only the terms and the bound move."""
+    policy = SumPolicy(tolerance=1e-10)
+    for a, value in ((40.5, "(1.0000000000000077e+81+0j)"),
+                     (7.25, "(316227766016836.8+0j)")):
+        result = sum_pfq(SeriesSpec((a,), (), 0.99), policy)
+        assert (repr(result.value), result.terms_used, result.status) == (
+            value, 1, SumStatus.CONVERGED)
+    for w in (0.01, 0.3 + 0.2j):
+        assert series._short_2f1(1.0, 0.0, -39.5, w, 10**6) == (1.0, 0.0, 1, 0.0)
+        value, bound, terms, _ = series._short_2f1(-3.0, 0.5 + 2j, 1.25, w, 10**6)
+        reference = sum(math.prod((j - 3.0) * (0.5 + 2j + j) * w / ((1.25 + j) * (j + 1))
+                                  for j in range(k)) for k in range(4))
+        assert terms == 4 and abs(value - reference) <= bound
+        # a finite part capped at M = 6 terms stops at t_2 of the degree-2 sum
+        assert series._short_2f1(-2.0, 0.7, -5.0, w, 6)[2] == 3
 
 
 def _binomial_draw(rng: random.Random):

@@ -13,7 +13,6 @@ from gelfond import (
     SeriesSpec,
     SumPolicy,
     corollary_case,
-    corollary_parameters,
     gauss_ext_unit,
     gauss_unit,
     gelfond,
@@ -30,7 +29,7 @@ from gelfond import (
 )
 from gelfond import identities
 from gelfond.identities import _lambda_case, closed_route, expected_value
-from conftest import COSH_PI, E_MINUS_PI, E_PI, rel_err
+from conftest import COSH_PI, E_MINUS_PI, E_PI, corollary_d, rel_err
 
 I = 1j
 F = Fraction
@@ -48,30 +47,30 @@ def test_coefficients_recover_base_identities():
 
 @pytest.mark.parametrize("n", range(1, 51))
 def test_corollary_coefficients_exact(n):
-    d1, d2 = corollary_parameters("cor1", n)
+    d1, d2 = corollary_d("cor1", n)
     assert theorem1_coefficients(d1, d2) == (F(n), F(0))
-    d1, d2 = corollary_parameters("cor2", n)
+    d1, d2 = corollary_d("cor2", n)
     assert theorem1_coefficients(d1, d2) == (F(0), F(n))
-    d1, d2 = corollary_parameters("cor3", n)
+    d1, d2 = corollary_d("cor3", n)
     assert theorem1_coefficients(d1, d2) == (F(n), F(n))
-    d1, d2 = corollary_parameters("cor3", n, printed=True)
+    d1, d2 = corollary_d("cor3", n, printed=True)
     assert theorem1_coefficients(d1, d2) == (4 * n - F(3, 10),) * 2
-    d1, d2 = corollary_parameters("cor4", n)
+    d1, d2 = corollary_d("cor4", n)
     assert theorem2_coefficients(d1, d2) == (F(n), F(0))
 
 
 def test_printed_parameter_tuples():
     # upper/lower pairs (d+1, d) of the published n = 2, 3 instances
-    d1, d2 = corollary_parameters("cor1", 2)
+    d1, d2 = corollary_d("cor1", 2)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(11, 9), F(2, 9), F(41, 26), F(15, 26))
-    d1, d2 = corollary_parameters("cor1", 3)
+    d1, d2 = corollary_d("cor1", 3)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(8, 7), F(1, 7), F(19, 14), F(5, 14))
-    d1, d2 = corollary_parameters("cor2", 1)
+    d1, d2 = corollary_d("cor2", 1)
     assert (d2 + 1, d2) == (F(7, 22), F(-15, 22))
     assert 15 / (64 * d2) == F(-11, 32)
-    d1, d2 = corollary_parameters("cor4", 2)
+    d1, d2 = corollary_d("cor4", 2)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(10, 9), F(1, 9), F(49, 34), F(15, 34))
-    d1, d2 = corollary_parameters("cor4", 3)
+    d1, d2 = corollary_d("cor4", 3)
     assert (d1 + 1, d1, d2 + 1, d2) == (F(17, 16), F(1, 16), F(73, 58), F(15, 58))
 
 
@@ -215,19 +214,19 @@ def test_cor3_variants_disagree_with_claim():
 
 
 def test_cor1_and_cor4_have_no_printed_variant():
-    # one rule for both lookups: no printed row, so no printed parameters
-    for call in (corollary_parameters, corollary_case):
-        for kind, n in (("cor1", 1), ("cor4", 2)):
-            with pytest.raises(ValueError,
-                               match=f"{kind} has no distinct printed variant"):
-                call(kind, n, printed=True)
+    # no printed row, so no printed parameters and no printed case
+    for kind, n in (("cor1", 1), ("cor4", 2)):
+        assert not [r for r in identities.COROLLARIES if r.kind == kind and r.printed]
+        with pytest.raises(ValueError,
+                           match=f"{kind} has no distinct printed variant"):
+            corollary_case(kind, n, printed=True)
 
 
 @pytest.mark.parametrize("kind, n, message", [
     ("cor1", 0, "corollary index n must be >= 1"),
     ("cor9", 1, "unknown corollary kind 'cor9'"),
 ])
-@pytest.mark.parametrize("call", [corollary_parameters, corollary_case])
+@pytest.mark.parametrize("call", [corollary_case])
 def test_corollary_rejects_bad_index_and_kind(call, kind, n, message):
     with pytest.raises(ValueError) as excinfo:
         call(kind, n)

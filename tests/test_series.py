@@ -412,8 +412,16 @@ def test_direct_sum_near_unit_2f1_matches_reference():
     (SeriesSpec((-3, 3.714e307) + (-1 + 2.0 ** -52,) * 19 + (-1 + 2.0 ** -34,),
                 (-0.75,), 0.7 * cmath.exp(1.2j)),
      "RangeError('series accumulation overflowed binary64')"),
+    # a denominator product that overflows before its last factor: the
+    # complex kind's term is NaN, not 0, and the denominator is named
+    # before the total, as it is when the numerator overflows too
+    (SeriesSpec((0.5 + 1j, 0.5 + 1j), (1e200,) * 3, 0.5),
+     "RangeError('term 1: denominator at the binary64 limit')"),
+    (SeriesSpec((1e200, 1e200), (1e200,) * 3, 0.5),
+     "RangeError('term 1: denominator at the binary64 limit')"),
 ], ids=["3000-parameters", "63F62-subnormal", "abs-overflow-term",
-        "abs-overflow-last-term", "abs-overflow-total"])
+        "abs-overflow-last-term", "abs-overflow-total", "complex-denominator-limit",
+        "numerator-and-denominator-limit"])
 def test_direct_sum_fixed_outcomes(spec, expected):
     try:
         outcome = repr(sum_pfq(spec))
@@ -441,36 +449,51 @@ def test_direct_sum_compiles_one_loop_per_shape():
     """Every spec of one shape (p, q, kind) runs one compiled loop, whose
     code holds no parameter value, argument or tolerance: the shape alone
     makes the code, and the values are arguments.  A real, a pair and a
-    complex spec of one (p, q) run three loops.
+    complex spec of one (p, q) run three loops, built by the one cached
+    builder that also builds the z = 1 heads.
 
     The float loops keep the bits of the complex one (see the sweeps
-    against it) by doing its float operations in its order.  The complex loop
-    forms num as 1.0 * (a0 + n) * (a1 + n) and den as (n + 1) * (b0 + n),
-    the first _UNROLL parameters of a side as straight-line products and
-    any further ones by a for loop.  A float loop keeps the int n for its
-    control and messages and steps a float x = n beside it, so that its
-    factors (a0 + x) * (a1 + x) and (x + 1.0) * (b0 + x) add two floats,
-    which CPython specializes, not a float and an int: float + int converts
-    the int exactly, and x stays exact below 2^53 terms.  A real loop drops
-    the 1.0 *, since 1.0 * v is v for every float; the complex loop keeps
-    it, since there it sets the signs of zero parts.  A pair loop takes
-    x and y * y for a0 and a1 and forms xk = a0 + x and xk * xk + a1."""
+    against it) by doing its float operations in its order.  The complex
+    loop forms num as (1.0 + 0.0j) * (a0 + n) * (a1 + n) and den as
+    (n + 1) * (b0 + n), the first _UNROLL parameters of a side as
+    straight-line products and any further ones by a for loop.  Both
+    loops step the int n, for control and messages, and the float x = n;
+    a float loop's factors (a0 + x) * (a1 + x) and (x + 1.0) * (b0 + x)
+    add two floats, which CPython specializes, not a float and an int:
+    float + int converts the int exactly, and x stays exact below 2^53
+    terms.  A real loop drops the leading 1.0, since 1.0 * v is v for
+    every float; the complex loop keeps it, since there it sets the signs
+    of zero parts.  A pair loop takes x and y * y for a0 and a1 and forms
+    xk = a0 + x and xk * xk + a1.
+
+    The complex kind adds the int n, and (n + 1) is an int: CPython's
+    complex + and * (3.10-3.13) turn an int or float operand into the
+    complex number with that real part and a +0.0 imaginary part, so
+    1.0 * v, (1.0 + 0.0j) * v and v + n, v + float(n) have the same bits,
+    as do (n + 1) * v and ((n + 1.0) + 0j) * v.  The spelling is the one
+    that measured fastest: (1.0 + 0.0j), not 1.0, stands left of the
+    complex factors, so no float method is tried first, and (n + 1)
+    spares the two additions of the head's former ((x + 1.0) + 0j)."""
     specs = [SeriesSpec((0.123456789, -0.987654321 + 0.5j), (2.718281828e-3,), 0.31830988),
              SeriesSpec((0.4, 0.6), (1.7,), 0.25),
              SeriesSpec((0.4, 0.6 + 2j), (1.7,), 0.25 - 0.1j),
              SeriesSpec((0.3, 0.7), (1.9,), -0.125),
              SeriesSpec((0.5 + 1.25j, 0.5 - 1.25j), (1.7,), 0.375),
              SeriesSpec((-0.25 + 3j, -0.25 - 3j), (2.5,), -0.5)]
-    series._direct_loop.cache_clear()
+    series._term_loop.cache_clear()
     for spec in specs:
         series._direct_sum(spec, SumPolicy(tolerance=7.25e-12))
-    info = series._direct_loop.cache_info()
+    info = series._term_loop.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    sum_pfq(SeriesSpec((0.4, 0.6), (2.7,), 1.0))
+    assert series._term_loop.cache_info().currsize == 4
     for kind in ("real", "pair", "complex"):
-        loop = series._direct_loop(2, 1, kind)
+        loop = series._term_loop(series._LOOP, 2, 1, kind)
         assert loop.__code__.co_filename == series.__file__
         names = loop.__code__.co_varnames
-        assert ("x" in names, "xk" in names) == (kind != "complex", kind == "pair")
+        lines = series._term_lines(2, 1, kind)
+        assert ("(b0 + x)" in lines["den"], "xk" in names) == (kind != "complex",
+                                                              kind == "pair")
         numbers = _code_numbers(loop.__code__.co_consts)
         # the loop's own constants: term indices, 1.0, 2.0 * den and the 0.99 cap
         assert numbers <= {0, 1, 2, 0.99}, numbers
@@ -482,10 +505,10 @@ def _complex_direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
     last = policy.max_terms - 1
     trunc = spec.truncation_degree()
     stop, trunc = (last, -1) if trunc is None else (min(trunc, last), trunc)
-    loop = series._direct_loop(len(upper), len(lower), "complex")
+    loop = series._term_loop(series._LOOP, len(upper), len(lower), "complex")
     return loop(*upper[:series._UNROLL], upper[series._UNROLL:],
                 *lower[:series._UNROLL], lower[series._UNROLL:], spec.argument,
-                policy.tolerance, stop, trunc, cmath.isfinite)
+                policy.tolerance, stop, trunc)
 
 
 def _pair_direct_spec(rng: random.Random, behind: bool) -> SeriesSpec:
@@ -518,7 +541,7 @@ def _pair_direct_spec(rng: random.Random, behind: bool) -> SeriesSpec:
 def test_pair_direct_sums_keep_complex_bits():
     """A direct sum led by a conjugate pair runs in floats with the bits of
     the complex loop: repr-equal results, or the same exception and
-    message, against _direct_loop(p, q, "complex") on the same spec, for
+    message, against the complex direct loop on the same spec, for
     seeded pairs and fixed inputs that underflow, overflow and reach the
     denominator checks.  A pair behind a real parameter stays complex, and
     so its sums match trivially; were the float rule widened to such a
@@ -552,23 +575,24 @@ def test_pair_direct_sums_keep_complex_bits():
         assert got == _outcome(_complex_direct_sum, spec, policy), (spec, policy)
         seen.add(got[0] if got[0] != "result" else got[1].split("'")[-2])
     assert {"RangeError", "Converged", "Truncated", "MaxTermsExceeded"} <= seen, seen
-    # A denominator product that overflows before its last factor is
-    # refused either way, but the complex loop's imaginary part turns
-    # inf * 0 = NaN first, so it names the total, not the denominator; the
-    # pair loop names the denominator, as a real loop does.
+    # A denominator product that overflows before its last factor names
+    # the denominator in every kind: the complex loop's imaginary part
+    # turns inf * 0 = NaN, so its term is NaN where a float loop's is 0,
+    # and the denominator is tested before the total.
     spec = SeriesSpec(pair, (big, big, big), 0.5)
     assert (_outcome(series._direct_sum, spec, SumPolicy())
             == _outcome(series._direct_sum, spec._replace(upper=(0.5, 0.7)), SumPolicy())
             == ("RangeError", "term 1: denominator at the binary64 limit"))
     assert _outcome(_complex_direct_sum, spec, SumPolicy()) == (
-        "RangeError", "series accumulation overflowed binary64")
+        "RangeError", "term 1: denominator at the binary64 limit")
 
     kinds = []
-    loop = series._direct_loop
+    loop = series._term_loop
 
-    def recorded(p, q, kind):
-        kinds.append(kind)
-        return loop(p, q, kind)
+    def recorded(template, p, q, kind):
+        if template is series._LOOP:
+            kinds.append(kind)
+        return loop(template, p, q, kind)
 
     specs = []
     direct = series._direct_sum
@@ -578,7 +602,7 @@ def test_pair_direct_sums_keep_complex_bits():
         return direct(spec, policy)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series, "_direct_loop", recorded)
+        patch.setattr(series, "_term_loop", recorded)
         patch.setattr(series, "_direct_sum", recorded_sum)
         for case in registry():
             verify(case)
@@ -1026,18 +1050,38 @@ def test_unit_sum_matches_reference(monkeypatch):
                     "term 1: denominator underflowed to 0"}, seen
 
 
+def test_complex_head_refuses_a_last_term_beyond_binary64():
+    """A complex head tests abs(t) < inf as the float heads do, so a term
+    with finite parts and a modulus beyond binary64 is refused wherever it
+    falls in the head.  As t_N, the last term, it used to be handed to the
+    tail unrefused, and the sum came back MaxTermsExceeded with an
+    infinite estimate, as the reference still does; one term later in the
+    head, at max_terms 11, both refuse it."""
+    spec = SeriesSpec((-3.568494257095725e17 + 3.568494257095725e17j,
+                       3.568494257095561e17), (-7.9,), 1)
+    assert series._loop_parameters(spec)[0] == "complex"
+    refused = ("RangeError", "series accumulation overflowed binary64")
+    assert _outcome(sum_pfq, spec, SumPolicy(1e-6, 10)) == refused
+    assert _outcome(reference_unit_sum, spec, SumPolicy(1e-6, 10))[1].endswith(
+        "terms_used=10, tail_estimate=inf, "
+        "status=<SumStatus.MAX_TERMS_EXCEEDED: 'MaxTermsExceeded'>)")
+    assert (_outcome(sum_pfq, spec, SumPolicy(1e-6, 11))
+            == _outcome(reference_unit_sum, spec, SumPolicy(1e-6, 11)) == refused)
+
+
 def _unit_heads(run) -> list:
     """Call run() and return the kind of compiled head that each _unit_sum
     call it made ran: "real" or "pair" for a float head, "complex"."""
     heads = []
-    head = series._unit_head
+    loop = series._term_loop
 
-    def recorded(p, q, kind):
-        heads.append(kind)
-        return head(p, q, kind)
+    def recorded(template, p, q, kind):
+        if template is series._HEAD:
+            heads.append(kind)
+        return loop(template, p, q, kind)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series, "_unit_head", recorded)
+        patch.setattr(series, "_term_loop", recorded)
         run()
     return heads
 
@@ -1071,13 +1115,16 @@ def test_unit_sum_heads_match_reference(monkeypatch):
     the result is repr-equal to the complex reference.  All 48 z = 1 sums
     of the registry take the float head.
 
-    Each head is compiled per shape from _HEAD.  The float head adds the
-    float k = n, not the int n, to its parameters, drops the complex
-    head's 1.0 * and + 0.0 (1.0 * v and v + 0.0 are v for every float and
-    for den >= 1), forms the pair's factor as xk * xk + a1 from xk = x + k
-    and a1 = y * y, formed once per sum, and tests abs(t), formed once a
-    term, against inf for a term that is not finite.  rho still counts a
-    pair's steps as complex, so the estimate keeps its bits too."""
+    Each head is compiled per shape from _HEAD, with the factors of the
+    direct loop of its kind (see test_direct_sum_compiles_one_loop_per_shape
+    for why they keep the bits).  The float head adds the float x = n, not
+    the int n, to its parameters, drops the reference's leading
+    1.0 + 0.0j and + 0.0j (1.0 * v and v + 0.0 are v for every float and
+    for den >= 1) and forms the pair's factor as xk * xk + a1 from
+    xk = a0 + x and a1 = y * y, formed once per sum.  Every head tests
+    abs(t), formed once a term, against inf for a term that is not
+    finite.  rho still counts a pair's steps as complex, so the estimate
+    keeps its bits too."""
     rng = random.Random(0x4EAD)
     cases, floats = [], []
     for _ in range(200):
@@ -1132,13 +1179,12 @@ def test_import_compiles_no_loop_or_kernel():
     loop or z = 1 head: each is built on first use."""
     code = ("import gelfond, gelfond.cli; from gelfond import series; "
             "print(series._tail_kernel.cache_info().currsize, "
-            "series._direct_loop.cache_info().currsize, "
-            "series._unit_head.cache_info().currsize)")
+            "series._term_loop.cache_info().currsize)")
     src = str(Path(series.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "0 0 0\n"
+    assert out == "0 0\n"
 
 
 def test_bernoulli_table_satisfies_recurrence():
