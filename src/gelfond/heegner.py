@@ -30,8 +30,8 @@ HeegnerRow = namedtuple("HeegnerRow",
 
 
 def heegner_row(n: int) -> HeegnerRow:
-    if n not in HEEGNER_BASES:
-        raise ValueError(f"n must be one of {sorted(HEEGNER_BASES)}, got {n}")
+    if type(n) is not int or n not in HEEGNER_BASES:
+        raise ValueError(f"n must be one of the ints {sorted(HEEGNER_BASES)}, got {n!r}")
     base = HEEGNER_BASES[n]
     reference = base**3 + 744
     exponent = dd_mul(dd_pi(), dd_sqrt(DDReal.from_int(n)))

@@ -271,6 +271,8 @@ COROLLARIES = (
 def _corollary_row(kind: str, n: int, printed: bool) -> _Corollary:
     """The row of family ``kind`` with this ``printed`` flag, once n and
     kind are checked; cor1 and cor4 have no printed row."""
+    if type(n) is not int:
+        raise ValueError(f"corollary index n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("corollary index n must be >= 1")
     rows = [row for row in COROLLARIES if row.kind == kind]

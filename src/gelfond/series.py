@@ -24,8 +24,8 @@ keep the bits of complex arithmetic.
 Near z = 1 a 2F1 or 1F0 that does not terminate is first tried by a 1 - z
 connection formula, which answers only when its bound meets the tolerance
 (_connection_sum); otherwise it is summed directly.
-levin_accelerate, a Levin u-transform evaluated exactly in integers (see
-_levin_orders), is public but no summation route uses it.
+levin_accelerate, a Levin u-transform evaluated exactly in rationals, at
+beta = 1 (see _levin_orders), is public but no summation route uses it.
 """
 
 from __future__ import annotations
@@ -322,72 +322,42 @@ def _direct_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult:
 
 
 # ----------------------------------------------------------------------
-# Levin u-transform, exact-integer kernel
+# Levin u-transform, in exact rationals
 # ----------------------------------------------------------------------
 
-def _gauss_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-@lru_cache(maxsize=64)
-def _levin_weights(beta: int) -> tuple[tuple[int, ...], ...]:
-    """Integer weights of orders 1..LEVIN_MAX_ORDER at this beta: row k holds
-    v_kj = (-1)^j C(k, j) (beta+j)^(k-2) for j = 0..k, and row 1, whose
-    exponent is -1, is scaled by beta (beta+1) to (beta+1, -beta)."""
-    rows = [(beta + 1, -beta)]
-    for k in range(2, LEVIN_MAX_ORDER + 1):
-        rows.append(tuple((-1) ** j * comb(k, j) * (beta + j) ** (k - 2)
-                          for j in range(k + 1)))
-    return tuple(rows)
-
-
-def _levin_orders(terms: list[complex], beta: int) -> list[complex]:
-    """u-transform values for orders 1..LEVIN_MAX_ORDER on a term window,
-    computed exactly in integers; RangeError when an order lies beyond the
-    binary64 range.  Every term must be nonzero, since the remainder
-    estimates omega_j = (beta+j) t_j divide; callers refuse a zero term.
-
-    Every binary64 part is dyadic, so with one common power of two D each
-    term is a Gaussian integer m_j / D.  Scaling S_j/omega_j and 1/omega_j by
-    the common factor prod_i m_i / D leaves, with R_j = prod_{i != j} m_i,
-    M_j the partial sums of the m_j and the weights v_kj of _levin_weights
-    (which absorb the 1/(beta+j), so the long products carry no beta),
-        u_k = sum_j v_kj M_j R_j / (D sum_j v_kj R_j).
-    Each part of u_k is one correctly rounded int / int over D |den|^2, and
-    an order whose denominator is 0 is skipped.  A real window has ni = di
-    = 0, so its real part is the rational nr / (D dr) and its imaginary part
-    +0.0.
-    """
-    rows = _levin_weights(beta)[:len(terms) - 1]
-    parts = [(t.real.as_integer_ratio(), t.imag.as_integer_ratio()) for t in terms]
-    scale = max(max(da, db) for (_, da), (_, db) in parts)
-    m = [(a * (scale // da), b * (scale // db)) for (a, da), (b, db) in parts]
-    prefix = [(1, 0)]
-    for x in m[:-1]:
-        prefix.append(_gauss_mul(prefix[-1], x))
-    r = [(0, 0)] * len(m)
-    suffix = (1, 0)
-    for j in reversed(range(len(m))):
-        r[j] = _gauss_mul(prefix[j], suffix)
-        suffix = _gauss_mul(suffix, m[j])
-    mr = []
-    sr = si = 0
-    for (a, b), rj in zip(m, r):
-        sr += a
-        si += b
-        mr.append(_gauss_mul((sr, si), rj))
+def _levin_orders(terms: list[complex]) -> list[complex]:
+    """u-transform values for orders 1..LEVIN_MAX_ORDER on a term window at
+    beta = 1, in exact rational arithmetic (Levin 1973, Weniger 1989):
+        u_k = (sum_j w_kj S_j/omega_j) / (sum_j w_kj/omega_j),  j = 0..k,
+    with partial sums S_j, remainder estimates omega_j = (j+1) t_j and
+    weights w_kj = (-1)^j C(k, j) (j+1)^(k-1).  Each binary64 part is taken
+    exactly as a Fraction, a complex value as a (real, imaginary) pair of
+    them; each part of an order is rounded once, and an order whose
+    denominator is 0 is skipped.  RangeError when an order lies beyond the
+    binary64 range.  Every term must be nonzero, since the omega_j divide;
+    callers refuse a zero term."""
+    rows = []
+    sr = si = Fraction(0)
+    for j, t in enumerate(terms[:LEVIN_MAX_ORDER + 1]):
+        r, i = Fraction(t.real), Fraction(t.imag)
+        sr += r
+        si += i
+        wr, wi = (j + 1) * r, (j + 1) * i
+        norm = wr * wr + wi * wi
+        # S/omega and 1/omega as (real, imaginary) pairs, through
+        # multiplication by conj(omega)/|omega|^2
+        rows.append(((sr * wr + si * wi) / norm, (si * wr - sr * wi) / norm,
+                     wr / norm, -wi / norm))
+    columns = list(zip(*rows))
     out: list[complex] = []
     try:
-        for row in rows:
-            nr = ni = dr = di = 0
-            for v, (ar, ai), (br, bi) in zip(row, mr, r):
-                nr += v * ar
-                ni += v * ai
-                dr += v * br
-                di += v * bi
-            norm = scale * (dr * dr + di * di)
+        for k in range(1, len(rows)):
+            w = [(-1) ** j * comb(k, j) * (j + 1) ** (k - 1) for j in range(k + 1)]
+            nr, ni, dr, di = (sum(x * y for x, y in zip(w, c)) for c in columns)
+            norm = dr * dr + di * di
             if norm:
-                out.append(complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm))
+                out.append(complex(float((nr * dr + ni * di) / norm),
+                                   float((ni * dr - nr * di) / norm)))
     except OverflowError:
         raise RangeError("a Levin order lies beyond the binary64 range") from None
     return out
@@ -397,21 +367,19 @@ def _pick_transform(values: list[complex]) -> tuple[complex, float] | None:
     """Select the transform order whose two trailing consecutive differences
     are jointly smallest.  A single spuriously small difference between two
     equally wrong orders cannot pass this two-difference consistency check.
-    Each difference is formed once; on equal scores the lowest order wins."""
-    if len(values) < 3:
-        return None
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    best_score, best_value = max(diffs[1], diffs[0]), values[2]
-    for value, d1, d0 in zip(values[3:], diffs[2:], diffs[1:]):
-        score = max(d1, d0)
-        if score < best_score:
-            best_score, best_value = score, value
-    return best_value, best_score
+    On equal scores the lowest order wins; fewer than three values give
+    None."""
+    best = None
+    for k in range(2, len(values)):
+        score = max(abs(values[k] - values[k - 1]), abs(values[k - 1] - values[k - 2]))
+        if best is None or score < best[1]:
+            best = values[k], score
+    return best
 
 
 def levin_accelerate(terms) -> tuple[complex, float]:
-    """Levin u-transform estimate of sum(terms + tail), at beta = 1 and
-    orders up to LEVIN_MAX_ORDER.
+    """Levin u-transform estimate of sum(terms + tail), evaluated in
+    rationals, at beta = 1 and orders up to LEVIN_MAX_ORDER.
 
     Returns (value, error_estimate) where the estimate is the difference of
     the last two transform orders used.  Requires at least 8 terms of a
@@ -427,7 +395,7 @@ def levin_accelerate(terms) -> tuple[complex, float]:
         raise RangeError("levin_accelerate: a term is not finite")
     if 0 in terms:
         raise ValueError("levin_accelerate: zero term in input (omega undefined)")
-    picked = _pick_transform(_levin_orders(terms, 1))
+    picked = _pick_transform(_levin_orders(terms))
     if picked is None:
         raise InsufficientTermsError("levin_accelerate: too few usable orders")
     value, err = picked

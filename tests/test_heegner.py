@@ -96,3 +96,10 @@ def test_error_bound_holds_against_decimal_oracle():
 def test_rejects_other_indices():
     with pytest.raises(ValueError):
         heegner_row(11)
+
+
+@pytest.mark.parametrize("n", [19.0, True, Fraction(43), "67"])
+def test_rejects_an_index_that_is_not_an_int(n):
+    # 19.0 and Fraction(43) equal a Heegner number but are not ints
+    with pytest.raises(ValueError, match="must be one of the ints"):
+        heegner_row(n)

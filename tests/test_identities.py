@@ -224,6 +224,8 @@ def test_cor1_and_cor4_have_no_printed_variant():
 
 @pytest.mark.parametrize("kind, n, message", [
     ("cor1", 0, "corollary index n must be >= 1"),
+    ("cor1", True, "corollary index n must be an int, got True"),
+    ("cor1", 2.0, "corollary index n must be an int, got 2.0"),
     ("cor9", 1, "unknown corollary kind 'cor9'"),
 ])
 @pytest.mark.parametrize("call", [corollary_case])

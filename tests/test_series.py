@@ -1256,6 +1256,70 @@ def test_levin_non_finite_term_is_range_error(bad):
         levin_accelerate([1.0] * 7 + [bad])
 
 
+def test_levin_order_beyond_binary64_is_range_error():
+    # terms near the top of the binary64 range give orders above it; the
+    # rounding of such an order must not leak an OverflowError
+    real = [complex(1e307 * (1 + 0.01 * j) ** -2) for j in range(21)]
+    skew = [t * (1 + 1j) for t in real]
+    for terms in (real, skew):
+        with pytest.raises(RangeError):
+            series._levin_orders(terms)
+        with pytest.raises(RangeError):
+            levin_accelerate(terms)
+
+
+# levin_accelerate's (value, estimate) on 21-term windows at offsets 1, 4
+# and 12 of 2F1(i, -i; 1/2; 1), eq. 1.1's first series, whose terms are
+# real, and of 2F1(0.3+2i, 0.1; 3; 1), whose terms are complex; each order
+# is the correctly rounded u-transform, so these bits hold on every
+# supported Python
+LEVIN_PINNED = (
+    ("real", (1j, -1j), (0.5,), (
+        "((10.591953275309397+0j), 1.267157045958811e-09)",
+        "((6.369731011619929+0j), 5.027574534466339e-08)",
+        "((3.743925235954886+0j), 1.6119070176401351e-06)")),
+    ("complex", (0.3 + 2j, 0.1), (3.0,), (
+        "((-0.02005535380679476+0.07309366498655293j), 8.988715717497376e-15)",
+        "((-0.004075095473489219-0.008329501680121199j), 9.601253626305117e-14)",
+        "((0.0008212396688223634+0.00017509420530513372j), 3.4328037755300925e-12)")),
+)
+
+
+@pytest.mark.parametrize("kind, upper, lower, expected", LEVIN_PINNED,
+                         ids=[row[0] for row in LEVIN_PINNED])
+def test_levin_pinned_windows(kind, upper, lower, expected):
+    # terms by the pFq recurrence in complex arithmetic
+    spec = SeriesSpec(upper, lower, 1.0)
+    terms = [1.0 + 0.0j]
+    for n in range(32):
+        num = 1.0 + 0.0j
+        for a in spec.upper:
+            num *= a + n
+        den = (n + 1) + 0.0j
+        for b in spec.lower:
+            den *= b + n
+        terms.append(terms[-1] * spec.argument * num / den)
+    assert all(t.imag == 0.0 for t in terms) == (kind == "real")
+    got = tuple(repr(levin_accelerate(terms[m:m + 21])) for m in (1, 4, 12))
+    assert got == expected
+    # 21 terms give every order 1..LEVIN_MAX_ORDER
+    assert len(series._levin_orders(terms[1:22])) == series.LEVIN_MAX_ORDER
+
+
+def test_pick_transform_rules():
+    pick = series._pick_transform
+    # equal scores go to the lowest order, a strictly lower score wins
+    assert repr(pick([0j, 1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j])) == "((2+0j), 1.0)"
+    assert repr(pick([0j, 1 + 0j, 2 + 0j, 3 + 0j, 3.5 + 0j, 3.75 + 0j])) == "((3.75+0j), 0.5)"
+    # differences beyond binary64 give infinite scores, not an error, and
+    # on all-infinite scores the first order wins
+    huge = [complex(1e308), complex(-1e308), complex(1e308, 1e308),
+            complex(-1e308, -1e308), 0j]
+    assert repr(pick(huge)) == "((1e+308+1e+308j), inf)"
+    for values in ([], [1 + 0j], [1 + 0j, 2 + 0j]):
+        assert pick(values) is None
+
+
 # ----------------------------------------------------------------------
 # contiguous reduction
 # ----------------------------------------------------------------------
