@@ -24,21 +24,9 @@ import math
 
 from .errors import PoleError, RangeError
 
-# Lanczos g=7, 9 coefficients (Godfrey's set, widely published).
+# Lanczos g=7; its 9 coefficients (Godfrey's set, widely published) are
+# written once, as the literals of log_gamma's sum
 _LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-# the Lanczos sum's first coefficient; log_gamma writes out the other eight
-_LANCZOS_HEAD = complex(_LANCZOS_COEF[0])
 # complex, as are log_gamma's other constants that stand left of a complex
 # operand (see log_gamma)
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562 + 0j
@@ -132,9 +120,10 @@ def log_gamma(z: complex) -> complex:
     is caught by ``isfinite``.
 
     The Lanczos sum is written out left to right with literal
-    coefficients: the operations of ``acc += _LANCZOS_COEF[k] / (w + k)``
-    for k = 1..8 from _LANCZOS_HEAD, in that order, so it has the bits of
-    the loop that tests/conftest.py keeps as its reference.
+    coefficients, the one copy of the set in the package: the operations
+    of ``acc += coef[k] / (w + k)`` for k = 1..8 from complex(coef[0]), in
+    that order, so it has the bits of the loop that tests/conftest.py keeps
+    as its reference, with the set as that loop's data.
 
     Every constant left of a complex operand is complex (the numerators'
     x + 0j folds to one constant, and _LOG_SQRT_2PI, _LOG_PI and the 1 of
@@ -151,7 +140,7 @@ def log_gamma(z: complex) -> complex:
         # Re(1 - z) > 1/2, never a pole: the Lanczos sum below applies
         head, z = _LOG_PI - cmath.log(sin_pi(z)), (1.0 + 0j) - z
     w = z - 1.0
-    acc = (_LANCZOS_HEAD + (676.5203681218851 + 0j) / (w + 1.0)
+    acc = ((0.99999999999980993 + 0j) + (676.5203681218851 + 0j) / (w + 1.0)
            + (-1259.1392167224028 + 0j) / (w + 2.0)
            + (771.32342877765313 + 0j) / (w + 3.0)
            + (-176.61502916214059 + 0j) / (w + 4.0)

@@ -222,7 +222,10 @@ def dd_round(x: DDReal) -> int:
 def dd_to_decimal(x: DDReal, digits: int = 31) -> str:
     """Decimal string of hi + lo correctly rounded (ties away from zero) to
     ``digits`` significant digits, with no float formatting involved;
-    ``digits`` below 1 raises ValueError, a non-finite x RangeError."""
+    ``digits`` that is not an int (a bool included) or is below 1 raises
+    ValueError, a non-finite x RangeError."""
+    if type(digits) is not int:
+        raise ValueError(f"digits must be an int, got {digits!r}")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     value = Context(prec=digits, rounding=ROUND_HALF_UP).add(Decimal(x.hi),

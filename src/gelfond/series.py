@@ -38,12 +38,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Real
 
 from .closed_forms import gamma_quotient, log_gamma_sum
 from .complex_gamma import (BERNOULLI, DIGAMMA_ENVELOPE, ENVELOPE_POLE_DISTANCE,
                             EULER_GAMMA, LOG_GAMMA_ENVELOPE, PSI_SLACK,
                             TRIGAMMA_BOUND, digamma, nearest_nonpositive_int,
                             within_envelope)
+from .ddreal import two_sum
 from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
 
 _EPS = 2.220446049250313e-16
@@ -59,6 +61,15 @@ class SumStatus(Enum):
     TRUNCATED = "Truncated"
     MAX_TERMS_EXCEEDED = "MaxTermsExceeded"
     DIVERGENT = "Divergent"
+
+
+def _truncation(params) -> int | None:
+    """The smallest -x over parameters x with zero imaginary part and a real
+    part that is a non-positive integer, where a series with x upstairs ends
+    at its term of that index; None when there is no such x."""
+    return min((-int(x.real) for x in params
+                if x.imag == 0.0 and x.real <= 0.0 and x.real.is_integer()),
+               default=None)
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "upper lower argument")):
@@ -98,12 +109,9 @@ class SeriesSpec(namedtuple("SeriesSpec", "upper lower argument")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def truncation_degree(self) -> int | None:
-        """The smallest -a over upper parameters a with zero imaginary part
-        and a real part that is a non-positive integer (the series is then a
-        polynomial of that degree); None when no upper parameter truncates."""
-        return min((-int(a.real) for a in self.upper
-                    if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer()),
-                   default=None)
+        """The degree of the polynomial the series is when an upper parameter
+        truncates it, _truncation(upper); None when none does."""
+        return _truncation(self.upper)
 
     def convergence_parameter(self) -> float:
         """s = Re(sum(lower) - sum(upper)); at z=1 a p = q+1 series converges
@@ -113,12 +121,17 @@ class SeriesSpec(namedtuple("SeriesSpec", "upper lower argument")):
 
 class SumPolicy(namedtuple("SumPolicy", "tolerance max_terms")):
     """Summation tolerance and term budget, a named tuple; SumPolicy() holds
-    the defaults.  The constructor, _replace and _make refuse a tolerance
-    below 1e-15 or not finite and a max_terms that is not an int >= 10."""
+    the defaults.  The tolerance may be any real number but a bool (int,
+    float, Fraction), and max_terms must be an int: the constructor, _replace
+    and _make raise ValueError for any other type, for a tolerance below
+    1e-15 or not finite, and for a max_terms below 10."""
 
     __slots__ = ()
 
     def __new__(cls, tolerance: float = 1e-13, max_terms: int = 10**6):
+        # float first: the common case skips the slower ABC check
+        if type(tolerance) is bool or not isinstance(tolerance, (float, Real)):
+            raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
         if not (1e-15 <= tolerance < math.inf):
             raise ValueError("tolerance must be finite and >= 1e-15")
         if type(max_terms) is not int or max_terms < 10:
@@ -698,10 +711,7 @@ def _short_2f1(a, b, c, w, cap: int):
     terms of A&S 15.3.10's finite part."""
     rho = (5.0 if type(w) is float else 14.0) * _EPS
     aw, ma, mb, low = abs(w), abs(a), abs(b), min(c.real, 0.0)
-    last = -1           # k for an a or b of exactly -k, the smaller of two
-    for x in (a, b):
-        if x.imag == 0.0 and x.real <= 0.0 and x.real.is_integer():
-            last = -int(x.real) if last < 0 else min(last, -int(x.real))
+    last = _truncation((a, b))
     t = total = 1.0
     abs_sum, weighted = 1.0, 0.0
     n = 0
@@ -778,9 +788,14 @@ def _gauss_terms(a, b, c, w, log_w, cap: int):
     Gamma(b)), each one gamma ratio over a numerator log sum that starts
     from the one log Gamma(c) (closed_forms.log_gamma_sum), and the two
     short sums with their truncation and rounding (_short_2f1); None when
-    one runs past cap terms.  For c equal to a or b, A holds 1/Gamma(0) =
-    0, and the first part is returned as zero in zero terms, without its
-    sum or its ratio.  The bound terms of this formula:
+    one runs past cap terms, or when s, -s, c - a or c - b, but for one of
+    the last two of exactly 0, lies off the region where LOG_GAMMA_ENVELOPE
+    was measured (within_envelope).  That puts s at least delta =
+    ENVELOPE_POLE_DISTANCE = 1/32 from every integer, so an s near an
+    integer but not exactly one stays direct.  c - a or c - b is 0 only
+    for c equal to a or b, exactly: then A holds 1/Gamma(0) = 0, and the
+    first part is returned as zero in zero terms, without its sum or its
+    ratio.  The bound terms of this formula:
     - in the rate, LOG_GAMMA_ENVELOPE per log-gamma, 4 a term, and 8 eps
       for the exponentials of the log sums and the final products and sum;
     - to first order, the rounding of the derived parameters s, 1 -+ s,
@@ -792,6 +807,8 @@ def _gauss_terms(a, b, c, w, log_w, cap: int):
       is at least delta from 0.
     """
     s = c - a - b
+    if not all(map(within_envelope, (s, -s, *filter(None, (c - a, c - b))))):
+        return None
     zero = not (c - a and c - b)
     first = (0.0, 0.0, 0, 0.0) if zero else _short_2f1(a, b, 1.0 - s, w, cap)
     if first[2] is None:
@@ -825,9 +842,12 @@ def _log_terms(a, b, c, m: int, w, log_w, cap: int):
     -psi(1) - psi(M+1) is 2 gamma - H_M, and _log_2f1 steps h_k.  F's sum
     is _short_2f1 capped at M terms.  L's factor is exactly 0 when
     Gamma(p) or Gamma(q) is at a pole (2F1(M, b; b; z) = w^-M), and then
-    L is 0 without its sum or digamma.  Both factors divide the one log
-    Gamma(c) (closed_forms.gamma_quotient).  None when M reaches cap or the
-    log sum runs past cap terms.  The bound terms of this formula:
+    L is 0 without its sum or digamma; for m < 0 that is a + m = c - b of
+    exactly 0.  Both factors divide the one log Gamma(c)
+    (closed_forms.gamma_quotient).  None when M reaches cap, when the log
+    sum runs past cap terms, or when a + m or b + m, unless exactly 0, lies
+    off the region where LOG_GAMMA_ENVELOPE and DIGAMMA_ENVELOPE were
+    measured (within_envelope).  The bound terms of this formula:
     - h_0's error, 2 DIGAMMA_ENVELOPE for digamma and 6 eps (|ln w| + 1 +
       H_M + |psi(P)| + |psi(Q)|) for the roundings of ln w, H_M, gamma and
       the sum, which _log_2f1 counts times sum|t_k| in L's error;
@@ -841,15 +861,12 @@ def _log_terms(a, b, c, m: int, w, log_w, cap: int):
       d TRIGAMMA_BOUND sum|t_k| in L's, for psi(P+k) and psi(Q+k).
     """
     big = abs(m)
-    if big >= cap:
+    shifted = a + m, b + m
+    if big >= cap or not all(map(within_envelope, filter(None, shifted))):
         return None
-    (p, q), (P, Q) = ((a, b), (a + m, b + m)) if m >= 0 else ((a + m, b + m), (a, b))
-    # the rounding of a + m and b + m, exactly (TwoSum)
-    d = 0.0
-    for x in (a.real, b.real):
-        y = x + m
-        v = y - x
-        d += abs((x - (y - v)) + (m - v))
+    (p, q), (P, Q) = ((a, b), shifted) if m >= 0 else (shifted, (a, b))
+    # the rounding of a + m and b + m, exactly
+    d = abs(two_sum(a.real, m)[1]) + abs(two_sum(b.real, m)[1])
     psi = math.log(2.0 + max(map(abs, (c, p, q, P, Q)))) + PSI_SLACK
     rate = 3.0 * LOG_GAMMA_ENVELOPE + 10.0 * _EPS + d * psi
     sign = 1.0 if big % 2 else -1.0
@@ -897,13 +914,10 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
     less often: b = 1/2 puts every half-integer a at a pole of 1/2 - a,
     and b = 1 every integer a >= 2 at one of 1 - a.
 
-    Every gamma and digamma argument must lie where LOG_GAMMA_ENVELOPE
-    and DIGAMMA_ENVELOPE were measured (within_envelope): a, b and c, and
-    s, -s, c - a and c - b for 15.8.4 or a + m and b + m for s = m, but
-    for one of the last two of exactly 0.  For 15.8.4 that puts s at
-    least delta = ENVELOPE_POLE_DISTANCE = 1/32 from every integer, so
-    an s near an integer but not exactly one stays direct.  A real spec,
-    z < 1, sums in floats and returns the real part of the combination.
+    a, b and c must lie where LOG_GAMMA_ENVELOPE and DIGAMMA_ENVELOPE
+    were measured (within_envelope); each formula checks its other gamma
+    and digamma arguments.  A real spec, z < 1, sums in floats and returns
+    the real part of the combination.
 
     A formula returns what is its own: the exponent e of w = 1 - z, a
     rate, and two parts, each a gamma factor F_i, a sum S_i, that sum's
@@ -932,17 +946,6 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
     # fsum rounds the exact sum once, so it is 0 only when s is exactly m
     degenerate = (math.fsum((c.real, -a.real, -b.real, -m)) == 0.0
                   and math.fsum((c.imag, -a.imag, -b.imag)) == 0.0)
-    if degenerate:
-        args = (a + m, b + m)
-    elif within_envelope(s) and within_envelope(-s):
-        args = (c - a, c - b)
-    else:
-        return None
-    # c - a or c - b is 0 only for c equal to a or b, exactly: then
-    # 1/Gamma(0) = 0 makes A and T1 exactly 0 (gamma_ratio's pole rule),
-    # and for s = m < 0, where a + m is c - b, the log sum's factor
-    if not all(within_envelope(x) for x in args if x):
-        return None
     w = 1.0 - z
     real = not (a.imag or b.imag or c.imag or w.imag)
     if real:

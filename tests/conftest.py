@@ -235,10 +235,25 @@ def log_gamma_calls(monkeypatch) -> list:
     return calls
 
 
+# Lanczos g = 7, 9 coefficients (Godfrey's set, widely published): the data
+# of reference_log_gamma, and what log_gamma's literals must be
+LANCZOS_COEF = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
 def reference_log_gamma(z) -> complex:
     """complex_gamma.log_gamma as it stood before its Lanczos sum looped over
-    (coefficient, k) pairs: an index loop over _LANCZOS_COEF from
-    complex(_LANCZOS_COEF[0]), with float constants left of complex
+    (coefficient, k) pairs: an index loop over LANCZOS_COEF from
+    complex(LANCZOS_COEF[0]), with float constants left of complex
     operands (the real parts of _LOG_PI and _LOG_SQRT_2PI).  log_gamma must
     return a repr-equal value, or raise the same exception and message, for
     every z."""
@@ -250,9 +265,9 @@ def reference_log_gamma(z) -> complex:
     if reflect:
         head, z = cg._LOG_PI.real - cmath.log(cg.sin_pi(z)), 1.0 - z
     w = z - 1.0
-    acc = complex(cg._LANCZOS_COEF[0])
-    for k in range(1, len(cg._LANCZOS_COEF)):
-        acc += cg._LANCZOS_COEF[k] / (w + k)
+    acc = complex(LANCZOS_COEF[0])
+    for k in range(1, len(LANCZOS_COEF)):
+        acc += LANCZOS_COEF[k] / (w + k)
     t = w + cg._LANCZOS_G + 0.5
     value = cg._LOG_SQRT_2PI.real + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
     return head - value if reflect else value

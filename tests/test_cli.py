@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import random
+import runpy
 import sys
 from fractions import Fraction
 
@@ -135,6 +136,22 @@ def test_parse_complex_raises_only_parse_error():
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    (["constants"], 0),
+    (["eval", "--upper", "1,1", "--lower", "2", "--z", "2"], 2),
+], ids=["constants", "divergent"])
+def test_module_entry_point_exits_with_mains_status(argv, code, monkeypatch, capsys):
+    """gelfond/__main__.py, which python -m gelfond runs, run here in
+    process: it prints what main() prints and exits with its status."""
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["gelfond", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("gelfond", run_name="__main__")
+    assert excinfo.value.code == code
+    assert capsys.readouterr() == expected
+
 
 def test_eval_unit_argument(capsys):
     code = main(["eval", "--upper", "i,-i", "--lower", "1/2",

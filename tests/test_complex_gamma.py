@@ -17,7 +17,8 @@ from gelfond import (
 )
 from gelfond import complex_gamma
 from gelfond.closed_forms import gamma_ratio
-from conftest import COSH_PI, SINH_PI, outcome, random_complex, reference_log_gamma, rel_err
+from conftest import (COSH_PI, LANCZOS_COEF, SINH_PI, outcome, random_complex,
+                      reference_log_gamma, rel_err)
 
 
 def test_log_gamma_at_one_and_half():
@@ -238,13 +239,13 @@ def test_lanczos_literals_are_the_coefficients():
     """log_gamma writes its Lanczos sum out with literal coefficients, as
     complex constants x + 0j.  A one-ulp slip in the small last ones moves
     no bit at any reference point, so the literals are read from the
-    compiled function: their real parts are _LANCZOS_COEF, in order, and
-    their imaginary parts exactly 0.0 (+0.0, so that the complex division
-    has the operands of float / complex)."""
-    coef = complex_gamma._LANCZOS_COEF[1:]
+    compiled function: their real parts are conftest's LANCZOS_COEF, all
+    nine in order, and their imaginary parts exactly 0.0 (+0.0, so that the
+    complex division has the operands of float / complex, and the sum
+    starts from complex(LANCZOS_COEF[0]))."""
     consts = [c for c in log_gamma.__code__.co_consts
-              if isinstance(c, complex) and c.real in coef]
-    assert [c.real for c in consts] == list(coef)
+              if isinstance(c, complex) and c.real in LANCZOS_COEF]
+    assert [c.real for c in consts] == list(LANCZOS_COEF)
     assert all(math.copysign(1.0, c.imag) == 1.0 and c.imag == 0.0 for c in consts)
 
 

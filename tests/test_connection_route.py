@@ -95,6 +95,28 @@ def test_route_declines_to_the_direct_sum(upper, lower, z, policy):
     assert repr(sum_pfq(spec, policy)) == repr(series._direct_sum(spec, policy))
 
 
+@pytest.mark.parametrize("upper, lower, declines, answers, terms", [
+    # s = 0 exactly: A&S 15.3.10's log sum runs past the cap
+    ((1.0, 1.0), (2.0,), (10,), 12, 12),
+    # DLMF 15.8.4: the first short sum runs past the cap at 10, the second
+    # at 20
+    ((0.5, 0.5), (1.5,), (10, 20), 30, 24),
+], ids=["log-sum", "gauss-sums"])
+def test_route_declines_past_its_term_cap(upper, lower, declines, answers, terms):
+    """At z = 0.95 and tol 1e-10 each smaller max_terms leaves the route
+    short of its bound, and sum_pfq returns exactly the direct sum; the
+    larger budget answers, Converged in the given number of terms."""
+    spec = SeriesSpec(upper, lower, 0.95)
+    for max_terms in declines:
+        policy = SumPolicy(1e-10, max_terms)
+        assert series._connection_sum(spec, policy) is None, max_terms
+        assert repr(sum_pfq(spec, policy)) == repr(series._direct_sum(spec, policy))
+    policy = SumPolicy(1e-10, answers)
+    result = sum_pfq(spec, policy)
+    assert repr(result) == repr(series._connection_sum(spec, policy))
+    assert result.status is SumStatus.CONVERGED and result.terms_used == terms
+
+
 def test_route_declines_a_term_beyond_binary64():
     # (1-z)^s B is about 1e313 at s = -49.95, |1 - z| = 1e-6; at 1e-7 the
     # power alone overflows

@@ -374,6 +374,13 @@ def test_dd_to_decimal_rejects_fewer_than_one_digit(digits):
         dd_to_decimal(DDReal(5.0), digits)
 
 
+@pytest.mark.parametrize("digits", [True, 2.5, 31.0, "31", None],
+                         ids=["bool", "non-integral", "float", "str", "None"])
+def test_dd_to_decimal_rejects_digits_that_are_not_an_int(digits):
+    with pytest.raises(ValueError, match=f"digits must be an int, got {digits!r}"):
+        dd_to_decimal(DDReal(5.0), digits)
+
+
 @pytest.mark.parametrize("x", [DDReal(math.inf), DDReal(1.0, math.nan)])
 def test_dd_to_decimal_rejects_non_finite(x):
     with pytest.raises(RangeError, match="non-finite"):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,6 +369,14 @@ def test_verify_rejects_bad_tolerance_for_every_case(case):
     # documented-only cases, which sum no series, reject them too
     with pytest.raises(ValueError, match="tolerance must be"):
         verify(case, tolerance=1e-16)
+
+
+@pytest.mark.parametrize("tolerance", [Decimal("1e-8"), True],
+                         ids=["Decimal", "bool"])
+def test_verify_rejects_a_tolerance_that_is_not_a_real_number(tolerance):
+    case = next(c for c in registry() if c.id == "sphere-volume")
+    with pytest.raises(ValueError, match="tolerance must be a real number"):
+        verify(case, tolerance)
 
 
 def test_corollary_claim_checked(monkeypatch):

@@ -113,6 +113,26 @@ def test_policy_rejects_infinite_tolerance_and_non_int_max_terms(field):
         SumPolicy(**field)
 
 
+@pytest.mark.parametrize("tolerance", [
+    True, Decimal("1e-10"), "1e-10", 1e-10 + 0j, None,
+], ids=["bool", "Decimal", "str", "complex", "None"])
+def test_policy_rejects_a_tolerance_that_is_not_a_real_number(tolerance):
+    """A bool, and anything that is not numbers.Real, is a ValueError that
+    names the value, from the constructor and from _replace alike."""
+    with pytest.raises(ValueError, match=re.escape(f"real number, got {tolerance!r}")):
+        SumPolicy(tolerance)
+    with pytest.raises(ValueError, match="real number"):
+        SumPolicy()._replace(tolerance=tolerance)
+
+
+def test_policy_keeps_int_float_and_fraction_tolerances():
+    spec = SeriesSpec((1, 1), (2,), 0.5)
+    for tolerance in (1, 1e-10, Fraction(1, 10**10)):
+        policy = SumPolicy(tolerance)
+        assert policy.tolerance is tolerance
+        assert sum_pfq(spec, policy).status is SumStatus.CONVERGED
+
+
 # ----------------------------------------------------------------------
 # direct summation
 # ----------------------------------------------------------------------
