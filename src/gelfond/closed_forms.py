@@ -29,7 +29,8 @@ a real part of -inf is an underflow and gives 0, and a sum that is NaN, has
 a real part of +inf or an imaginary part that is not finite, or whose
 exponential overflows raises RangeError.  The three extension theorems also
 raise RangeError when their last step, a sum of coefficient-times-ratio
-terms, is not finite.
+terms, is not finite.  Each argument is a number by errors.as_number (an
+int, float, Fraction or complex, not a bool), or ValueError.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import cmath
 import math
 
 from .complex_gamma import exp_log_sum, log_gamma, nearest_nonpositive_int
-from .errors import ConvergenceDomainError, PoleError, RangeError
+from .errors import ConvergenceDomainError, PoleError, RangeError, as_number
 
 # d = 0 is the pole of the 1/d in every extension theorem, and d at a
 # negative integer is a pole of the series; closer than this to either and
@@ -58,12 +59,10 @@ _SQRT_PI = math.sqrt(math.pi)  # Gamma(1/2)
 
 def check_d(d: complex) -> complex:
     """d as a complex number, or PoleError if no extension formula admits
-    it, or RangeError if it lies beyond binary64; the theorem constructors
-    in identities apply the same rule."""
-    try:
-        d = complex(d)
-    except OverflowError:
-        raise RangeError("extension parameter d overflows binary64") from None
+    it, or RangeError if it lies beyond binary64, or ValueError if it is
+    not a number (errors.as_number); the theorem constructors in
+    identities apply the same rule."""
+    d = as_number(d, "extension parameter d")
     if nearest_nonpositive_int(d, D_POLE_TOLERANCE) is not None:
         raise PoleError(
             f"extension parameter d = {d} is within {D_POLE_TOLERANCE} of a "
@@ -131,7 +130,7 @@ def _finite(value: complex) -> complex:
 def gauss_unit(a: complex, b: complex, c: complex) -> complex:
     """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
     valid for Re(c-a-b) > 0."""
-    a, b, c = complex(a), complex(b), complex(c)
+    a, b, c = as_number(a, "a"), as_number(b, "b"), as_number(c, "c")
     s = c - a - b
     if s.real <= 0.0:
         raise ConvergenceDomainError(
@@ -146,7 +145,7 @@ def gauss_ext_unit(a: complex, b: complex, c: complex, d: complex) -> complex:
         Gamma(c+1) Gamma(c-a-b) / (Gamma(c-a+1) Gamma(c-b+1))
             * (c - a - b + a*b/d)
     """
-    a, b, c = complex(a), complex(b), complex(c)
+    a, b, c = as_number(a, "a"), as_number(b, "b"), as_number(c, "c")
     d = check_d(d)
     s = c - a - b
     if s.real <= 0.0:
@@ -164,7 +163,7 @@ _LOG_GAMMA_HALF = log_gamma_sum((0.5,))
 def second_gauss_half(a: complex, b: complex) -> complex:
     """2F1(a, b; (a+b+1)/2; 1/2) =
     Gamma(1/2) Gamma((a+b+1)/2) / (Gamma((a+1)/2) Gamma((b+1)/2))."""
-    a, b = complex(a), complex(b)
+    a, b = as_number(a, "a"), as_number(b, "b")
     return gamma_quotient(log_gamma_sum(((a + b + 1) / 2,), _LOG_GAMMA_HALF),
                           ((a + 1) / 2, (b + 1) / 2))
 
@@ -172,7 +171,7 @@ def second_gauss_half(a: complex, b: complex) -> complex:
 def bailey_half(a: complex, c: complex) -> complex:
     """2F1(a, 1-a; c; 1/2) =
     Gamma(c/2) Gamma(c/2 + 1/2) / (Gamma(c/2 + a/2) Gamma(c/2 - a/2 + 1/2))."""
-    a, c = complex(a), complex(c)
+    a, c = as_number(a, "a"), as_number(c, "c")
     return gamma_ratio(
         (c / 2, c / 2 + 0.5), (c / 2 + a / 2, c / 2 - a / 2 + 0.5)
     )
@@ -192,7 +191,7 @@ def second_gauss_ext_half(a: complex, b: complex, d: complex) -> complex:
     (complex_gamma.digamma); that limit form is not built, and near it
     the brace cancels (1.6e-5 relative at a - b = 1 + 1e-11).
     """
-    a, b = complex(a), complex(b)
+    a, b = as_number(a, "a"), as_number(b, "b")
     d = check_d(d)
     x = (a - b) / 2 - 0.5
     if min(abs(a - b - 1.0), abs(a - b + 1.0)) < UNIT_DIFFERENCE_WIDTH:
@@ -215,7 +214,7 @@ def bailey_ext_half(a: complex, c: complex, d: complex) -> complex:
     Legendre's duplication formula, so each term is one gamma ratio.
     PoleError at c = -1, -2, ..., the poles of Gamma(c+1).
     """
-    a, c = complex(a), complex(c)
+    a, c = as_number(a, "a"), as_number(c, "c")
     d = check_d(d)
     top = log_gamma_sum((c / 2 + 1.0, c / 2 + 0.5))
     return _finite((2.0 / d) * gamma_quotient(top, (c / 2 + a / 2, c / 2 - a / 2 + 0.5))

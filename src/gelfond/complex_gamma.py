@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError, RangeError
+from .errors import PoleError, RangeError, as_number
 
 # Lanczos g=7; its 9 coefficients (Godfrey's set, widely published) are
 # written once, as the literals of log_gamma's sum
@@ -112,7 +112,8 @@ def log_gamma(z: complex) -> complex:
     log_gamma(-7.3-12j).imag is -28.32 where the continuous branch has
     -3.19.  It is not the principal log of Gamma(z) either.
 
-    Raises PoleError within ``POLE_TOLERANCE`` of a non-positive integer,
+    ValueError for a z that is not a number (errors.as_number).  Raises
+    PoleError within ``POLE_TOLERANCE`` of a non-positive integer,
     RangeError for a non-finite z and RangeError from sin_pi when the
     reflection path's sin(pi z) overflows (|Im z| above about 226).  The
     poles all have Re <= 0, so a finite z with Re z >= 1/2 is at least 1/2
@@ -132,7 +133,7 @@ def log_gamma(z: complex) -> complex:
     complex(x, 0.0), so the complex constant gives the same bits without
     that round trip (the conftest reference keeps the float form).
     """
-    z = complex(z)
+    z = as_number(z, "z")
     reflect = z.real < 0.5
     if (reflect or not cmath.isfinite(z)) and nearest_nonpositive_int(z) is not None:
         raise PoleError(f"log_gamma: {z} is within {POLE_TOLERANCE} of a pole")
@@ -191,11 +192,12 @@ def digamma(z: complex) -> complex:
     sum dominates near a pole; DIGAMMA_ENVELOPE bounds the whole error over
     the region within_envelope admits.
 
-    PoleError within POLE_TOLERANCE of a non-positive integer, RangeError
-    for a non-finite z and for Re z < -DIGAMMA_MAX_SHIFT, where the shift
-    would take more steps than that.
+    ValueError for a z that is not a number, PoleError within
+    POLE_TOLERANCE of a non-positive integer, RangeError for a non-finite
+    z and for Re z < -DIGAMMA_MAX_SHIFT, where the shift would take more
+    steps than that.
     """
-    z = complex(z)
+    z = as_number(z, "z")
     if nearest_nonpositive_int(z) is not None:
         raise PoleError(f"digamma: {z} is within {POLE_TOLERANCE} of a pole")
     if z.real < -DIGAMMA_MAX_SHIFT:

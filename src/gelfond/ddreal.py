@@ -19,7 +19,7 @@ from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, as_index, as_type
 
 _SPLITTER = 134217729.0            # 2^27 + 1, Veltkamp splitting constant
 
@@ -55,7 +55,8 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 
 class DDReal(namedtuple("DDReal", "hi lo", defaults=(0.0,))):
     """hi + lo, an immutable named tuple of two floats whose + and * raise
-    TypeError (a tuple's would concatenate and repeat): use dd_add and dd_mul."""
+    TypeError (a tuple's would concatenate and repeat): use dd_add and
+    dd_mul, which import from gelfond.ddreal."""
 
     __slots__ = ()
 
@@ -221,12 +222,11 @@ def dd_round(x: DDReal) -> int:
 
 def dd_to_decimal(x: DDReal, digits: int = 31) -> str:
     """Decimal string of hi + lo correctly rounded (ties away from zero) to
-    ``digits`` significant digits, with no float formatting involved;
-    ``digits`` that is not an int (a bool included) or is below 1 raises
-    ValueError, a non-finite x RangeError."""
-    if type(digits) is not int:
-        raise ValueError(f"digits must be an int, got {digits!r}")
-    if digits < 1:
+    ``digits`` significant digits, with no float formatting involved; an x
+    that is not a DDReal or ``digits`` that is not an int (a bool included)
+    or is below 1 raises ValueError, a non-finite x RangeError."""
+    as_type(x, DDReal, "x")
+    if as_index(digits, "digits") < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     value = Context(prec=digits, rounding=ROUND_HALF_UP).add(Decimal(x.hi),
                                                              Decimal(x.lo))

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import closed_forms as cf
-from .errors import RangeError
+from .errors import RangeError, as_index, as_real, as_type
 from .series import SeriesSpec, SumPolicy, SumStatus, sum_pfq
 
 I = 1j
@@ -160,7 +160,7 @@ def _sqrt_members(sign: int) -> tuple:
 def gelfond_lambda(lam: float) -> float:
     """e^(pi*lam) from the parameterized pair of unit-argument Gauss values;
     real lam with |lam| <= 15 (gamma accuracy domain)."""
-    lam = float(lam)
+    lam = float(as_real(lam, "lambda"))
     if not (abs(lam) <= LAMBDA_LIMIT):
         raise RangeError(f"lambda = {lam} outside |lambda| <= {LAMBDA_LIMIT}")
     if lam < 0.0:
@@ -196,8 +196,10 @@ def _theorem_case(case_id: str, expected: tuple[ExpTerm, ...],
 
 
 def _exact_d(d) -> Fraction:
-    """d as an exact fraction, rejected by the same pole guard the closed
-    forms apply, so that every case that constructs also evaluates."""
+    """d, a real number (errors.as_real), as an exact fraction, rejected by
+    the same pole guard the closed forms apply, so that every case that
+    constructs also evaluates."""
+    d = as_real(d, "extension parameter d")
     if isinstance(d, float) and not math.isfinite(d):
         raise RangeError(f"extension parameter d = {d} is not finite")
     d = Fraction(d)
@@ -206,7 +208,10 @@ def _exact_d(d) -> Fraction:
 
 
 def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
-    """Unit-argument extension identity at exact rational (d1, d2)."""
+    """Unit-argument extension identity at exact rational (d1, d2), with
+    id case_id, a str, or one made from (d1, d2) when it is None."""
+    if case_id is not None:
+        as_type(case_id, str, "case_id")
     d1, d2 = _exact_d(d1), _exact_d(d2)
     c_plus, c_minus = theorem1_coefficients(d1, d2)
     return _theorem_case(
@@ -218,7 +223,10 @@ def theorem1(d1, d2, case_id: str | None = None) -> IdentityCase:
 
 
 def theorem2(d1, d2, case_id: str | None = None) -> IdentityCase:
-    """Half-argument extension identity at exact rational (d1, d2)."""
+    """Half-argument extension identity at exact rational (d1, d2), with
+    id case_id as in theorem1."""
+    if case_id is not None:
+        as_type(case_id, str, "case_id")
     d1, d2 = _exact_d(d1), _exact_d(d2)
     c_plus, c_minus = theorem2_coefficients(d1, d2)
     return _theorem_case(
@@ -269,12 +277,12 @@ COROLLARIES = (
 
 
 def _corollary_row(kind: str, n: int, printed: bool) -> _Corollary:
-    """The row of family ``kind`` with this ``printed`` flag, once n and
-    kind are checked; cor1 and cor4 have no printed row."""
-    if type(n) is not int:
-        raise ValueError(f"corollary index n must be an int, got {n!r}")
-    if n < 1:
+    """The row of family ``kind`` with this ``printed`` flag, once n (an
+    int), printed (a bool) and kind are checked; cor1 and cor4 have no
+    printed row."""
+    if as_index(n, "corollary index n") < 1:
         raise ValueError("corollary index n must be >= 1")
+    as_type(printed, bool, "printed")
     rows = [row for row in COROLLARIES if row.kind == kind]
     if not rows:
         raise ValueError(f"unknown corollary kind {kind!r}")
@@ -404,6 +412,7 @@ def verify(case: IdentityCase, tolerance: float | None = None,
     ValueError, for every case; failures of the routes are verdicts, not
     exceptions.  A documented-only case defines no route.
     """
+    as_type(case, IdentityCase, "case")
     policy = (SumPolicy(max_terms=max_terms) if tolerance is None
               else SumPolicy(tolerance, max_terms))
     expected = expected_value(case.expected) if case.expected else None

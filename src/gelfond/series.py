@@ -25,7 +25,8 @@ Near z = 1 a 2F1 or 1F0 that does not terminate is first tried by a 1 - z
 connection formula, which answers only when its bound meets the tolerance
 (_connection_sum); otherwise it is summed directly.
 levin_accelerate, a Levin u-transform evaluated exactly in rationals, at
-beta = 1 (see _levin_orders), is public but no summation route uses it.
+beta = 1 (see _levin_orders), is kept for the benchmark's window timings;
+no summation route uses it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from numbers import Real
 
 from .closed_forms import gamma_quotient, log_gamma_sum
 from .complex_gamma import (BERNOULLI, DIGAMMA_ENVELOPE, ENVELOPE_POLE_DISTANCE,
@@ -46,7 +46,8 @@ from .complex_gamma import (BERNOULLI, DIGAMMA_ENVELOPE, ENVELOPE_POLE_DISTANCE,
                             TRIGAMMA_BOUND, digamma, nearest_nonpositive_int,
                             within_envelope)
 from .ddreal import two_sum
-from .errors import DivergentError, InsufficientTermsError, PoleError, RangeError
+from .errors import (DivergentError, InsufficientTermsError, PoleError, RangeError,
+                     as_index, as_number, as_real, as_type)
 
 _EPS = 2.220446049250313e-16
 
@@ -72,16 +73,28 @@ def _truncation(params) -> int | None:
                default=None)
 
 
+def _parameters(row, what: str) -> tuple:
+    """row, a tuple or list of numbers (errors.as_number), as a tuple of
+    complex numbers."""
+    if not isinstance(row, (tuple, list)):
+        raise ValueError(f"{what}s must be a tuple or list, got {row!r}")
+    return tuple([as_number(x, what) for x in row])
+
+
 class SeriesSpec(namedtuple("SeriesSpec", "upper lower argument")):
     """One pFq evaluation, a named tuple of upper parameters, lower parameters
     and argument, coerced to complex and checked by the constructor, _replace
-    and _make: p > q+1 is refused unless the series terminates or z = 0."""
+    and _make.  Each row is a tuple or list, and each parameter and the
+    argument a number: int, float, Fraction or complex, not a bool; any
+    other type is a ValueError.  p > q+1 is refused unless the series
+    terminates or z = 0."""
 
     __slots__ = ()
 
     def __new__(cls, upper, lower, argument):
-        self = super().__new__(cls, tuple(complex(a) for a in upper),
-                               tuple(complex(b) for b in lower), complex(argument))
+        self = super().__new__(cls, _parameters(upper, "upper parameter"),
+                               _parameters(lower, "lower parameter"),
+                               as_number(argument, "argument"))
         named = ([("upper parameter", a) for a in self.upper]
                  + [("lower parameter", b) for b in self.lower]
                  + [("argument", self.argument)])
@@ -122,19 +135,17 @@ class SeriesSpec(namedtuple("SeriesSpec", "upper lower argument")):
 class SumPolicy(namedtuple("SumPolicy", "tolerance max_terms")):
     """Summation tolerance and term budget, a named tuple; SumPolicy() holds
     the defaults.  The tolerance may be any real number but a bool (int,
-    float, Fraction), and max_terms must be an int: the constructor, _replace
-    and _make raise ValueError for any other type, for a tolerance below
-    1e-15 or not finite, and for a max_terms below 10."""
+    float, Fraction) and is kept as given, and max_terms must be an int
+    (not a bool): the constructor, _replace and _make raise ValueError for
+    any other type, for a tolerance below 1e-15 or not finite, and for a
+    max_terms below 10."""
 
     __slots__ = ()
 
     def __new__(cls, tolerance: float = 1e-13, max_terms: int = 10**6):
-        # float first: the common case skips the slower ABC check
-        if type(tolerance) is bool or not isinstance(tolerance, (float, Real)):
-            raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
-        if not (1e-15 <= tolerance < math.inf):
+        if not (1e-15 <= as_real(tolerance, "tolerance") < math.inf):
             raise ValueError("tolerance must be finite and >= 1e-15")
-        if type(max_terms) is not int or max_terms < 10:
+        if as_index(max_terms, "max_terms") < 10:
             raise ValueError("max_terms must be an int >= 10")
         return super().__new__(cls, tolerance, max_terms)
 
@@ -976,7 +987,7 @@ def _connection_sum(spec: SeriesSpec, policy: SumPolicy) -> SumResult | None:
 
 def sum_pfq_unit(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     """sum_pfq for an argument of exactly z = 1; ValueError for any other."""
-    if spec.argument != 1.0 + 0.0j:
+    if as_type(spec, SeriesSpec, "spec").argument != 1.0 + 0.0j:
         raise ValueError("sum_pfq_unit requires argument z = 1")
     return sum_pfq(spec, policy)
 
@@ -990,8 +1001,11 @@ def sum_pfq(spec: SeriesSpec, policy: SumPolicy = SumPolicy()) -> SumResult:
     returns status Divergent without summing and s > 0 sums a head of
     terms plus an asymptotic tail (_unit_sum); DivergentError for
     |z| > 1; ValueError for |z| = 1 off z = 1; a direct sum for |z| < 1,
-    after _connection_sum for a 2F1 or 1F0 near z = 1.
+    after _connection_sum for a 2F1 or 1F0 near z = 1.  ValueError for a
+    spec that is not a SeriesSpec or a policy that is not a SumPolicy.
     """
+    as_type(spec, SeriesSpec, "spec")
+    as_type(policy, SumPolicy, "policy")
     if len(spec.upper) > len(spec.lower) and spec.truncation_degree() is None:
         if spec.argument == 1.0:
             if spec.convergence_parameter() <= 0.0:

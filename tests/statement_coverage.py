@@ -35,10 +35,6 @@ UNREACHED = {
         "every window of 8 or more finite, non-zero terms that a test or the "
         "benchmark draws leaves _pick_transform three usable orders; a guard "
         "for one that does not",
-    ("series.py", "_asymptotic_tail", "return 0.0, math.inf", 2):
-        "the except (OverflowError, ZeroDivisionError) of the tail kernel: no "
-        "input found reaches it once the power sums are finite; it stays as "
-        "a guard",
 }
 
 

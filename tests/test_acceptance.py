@@ -21,11 +21,10 @@ from gelfond import (
     registry,
     second_gauss_ext_half,
     sum_pfq,
-    sum_pfq_unit,
-    theorem1_coefficients,
-    theorem2_coefficients,
     verify,
 )
+from gelfond.identities import theorem1_coefficients, theorem2_coefficients
+from gelfond.series import sum_pfq_unit
 from gelfond.cli import main
 from gelfond.ddreal import DDReal, dd_add, dd_exp, dd_mul, two_prod, two_sum
 from gelfond.heegner import is_near_integer
@@ -214,7 +213,8 @@ def test_criterion_11_heegner_table():
 
 
 def test_criterion_12_property_suites(rng):
-    from gelfond import gamma, sin_pi
+    from gelfond import gamma
+    from gelfond.complex_gamma import sin_pi
 
     # gamma recurrence and reflection at 1e-12
     checked = 0

@@ -19,8 +19,8 @@ from gelfond import (
     second_gauss_ext_half,
     second_gauss_half,
     sum_pfq,
-    sum_pfq_unit,
 )
+from gelfond.series import sum_pfq_unit
 from gelfond import closed_forms
 from gelfond.closed_forms import SERIES, gamma_ratio
 from conftest import (

@@ -12,9 +12,9 @@ from gelfond import (
     gauss_ext_unit,
     gauss_unit,
     log_gamma,
-    sin_pi,
     theorem1,
 )
+from gelfond.complex_gamma import sin_pi
 from gelfond import complex_gamma
 from gelfond.closed_forms import gamma_ratio
 from conftest import (COSH_PI, LANCZOS_COEF, SINH_PI, outcome, random_complex,

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gelfond import DDReal, DomainError, RangeError, ddreal, heegner_table
+from gelfond import DDReal, RangeError, ddreal, heegner_table
+from gelfond.errors import DomainError
 from gelfond.ddreal import (
     dd_add,
     dd_exp,

@@ -22,12 +22,11 @@ from gelfond import (
     sqrt_gelfond_pair,
     sum_pfq,
     theorem1,
-    theorem1_coefficients,
     theorem2,
-    theorem2_coefficients,
     verify,
     verify_all,
 )
+from gelfond.identities import theorem1_coefficients, theorem2_coefficients
 from gelfond import identities
 from gelfond.identities import _lambda_case, closed_route, expected_value
 from conftest import COSH_PI, E_MINUS_PI, E_PI, corollary_d, rel_err

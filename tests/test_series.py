@@ -18,7 +18,6 @@ import pytest
 
 from gelfond import (
     DivergentError,
-    InsufficientTermsError,
     PoleError,
     RangeError,
     SeriesSpec,
@@ -26,11 +25,11 @@ from gelfond import (
     SumResult,
     SumStatus,
     complex_gamma,
-    levin_accelerate,
     series,
     sum_pfq,
-    sum_pfq_unit,
 )
+from gelfond.errors import InsufficientTermsError
+from gelfond.series import levin_accelerate, sum_pfq_unit
 from gelfond.closed_forms import gauss_ext_unit, gauss_unit
 from gelfond.identities import registry, verify
 from conftest import (
@@ -996,6 +995,25 @@ def test_power_sums_match_complex_power():
             continue
         assert repr(got) == repr(want), params
     assert 300 <= overflowed <= 2700, overflowed
+
+
+def test_tail_kernel_division_by_zero_gives_an_infinite_estimate():
+    """2F1(1/2, 1/2; 1 + 2^-52; 1): P_1 = 1/2 + 1/2 - (1 + 2^-52) - 1
+    folds to exactly -1.0, so sigma - 1 = -P_1 - 1 is 0.0 at m = 0 and the
+    real tail kernel divides by zero.  _asymptotic_tail answers (0, inf),
+    and the sum is the head alone as MaxTermsExceeded: the true value is
+    about 1.4e15, since s = 2^-52 makes the tail all but the whole sum."""
+    spec = SeriesSpec((0.5, 0.5), (1.0000000000000002,), 1.0)
+    powers = [up - low for up, low in zip(series._power_sums(spec.upper),
+                                          series._power_sums(spec.lower + (1.0,)))]
+    assert powers[0] == -1.0 and not any(p.imag for p in powers)
+    with pytest.raises(ZeroDivisionError):
+        series._tail_kernel("real")(*[p.real for p in powers], 40.0, 1.0 + 0j)
+    assert series._asymptotic_tail(spec.upper, spec.lower, 40, 1.0 + 0j) == (0.0, math.inf)
+    result = sum_pfq(spec)
+    assert repr(result.value) == "(2.2384985126251054+0j)"
+    assert (result.terms_used, result.tail_estimate, result.status) == (
+        41, math.inf, SumStatus.MAX_TERMS_EXCEEDED)
 
 
 def test_asymptotic_tail_matches_complex_reference():
